@@ -24,7 +24,7 @@ STACKS = [
     "NAK:CHKSUM:COM",
     "NAK:SIGN:CRYPT:COM",
     "COMPRESS:NAK:COM",
-    "FLOW:NAK:COM",
+    "CREDIT:MBRSHIP:FRAG:NAK:COM",
     "PRIO:COM",
     "MBRSHIP:FRAG:NAK:COM",
     "FLUSH:VSS:BMS:FRAG:NAK:COM",

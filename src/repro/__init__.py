@@ -64,7 +64,6 @@ from repro.core import (
     View,
     ViewId,
     World,
-    build_stack,
     known_layers,
     parse_stack_spec,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "ViewId",
     "World",
     "__version__",
-    "build_stack",
     "generate_scenario",
     "known_layers",
     "parse_stack_spec",

@@ -1,12 +1,8 @@
 """The unified fault-plane API.
 
-Before this module existed, fault injection was scattered: the DES
-network had ``crash_node``/``revive_node``, processes had ``crash``,
-the world had ``partition``/``heal`` but no recovery, and the realtime
-transport had the node ops but no partition or fault-model control at
-all.  :class:`FaultPlane` names the one vocabulary every substrate now
-speaks, with uniform node naming (plain strings, the same names the
-worlds use for processes and the networks use for addresses):
+:class:`FaultPlane` names the one fault-injection vocabulary every
+substrate speaks, with uniform node naming (plain strings, the same
+names the worlds use for processes and the networks use for addresses):
 
 * ``crash(node)`` — fail-stop the node: it stops sending, receiving,
   and (at the world level) executing timers, immediately.

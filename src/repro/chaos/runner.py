@@ -404,8 +404,7 @@ class ScenarioRunner:
     def _slow_receiver(
         world, op: SlowReceiver, handles: Dict[str, List[Any]]
     ) -> None:
-        """Throttle the node's CREDIT consumption (no-op without CREDIT —
-        which is the point of the legacy-FLOW comparison scenarios)."""
+        """Throttle the node's CREDIT consumption (no-op without CREDIT)."""
         if not handles[op.node] or not world.node_alive(op.node):
             return
         handle = handles[op.node][-1]

@@ -148,8 +148,7 @@ class SlowReceiver(ChaosOp):
 
     Turns the node into the slow receiver of a fan-in storm via the
     CREDIT layer's ``set_consume_rate``; ``rate=0`` restores instant
-    consumption.  A no-op on stacks without a CREDIT layer (the legacy
-    failure mode the regression tests pin).
+    consumption.  A no-op on stacks without a CREDIT layer.
     """
 
     node: str = ""

@@ -41,7 +41,6 @@ from repro.core.process import GuardedScheduler, Process, World
 from repro.core.stack import (
     Stack,
     StackConfig,
-    build_stack,
     format_stack_spec,
     known_layers,
     parse_stack_spec,
@@ -72,7 +71,6 @@ __all__ = [
     "View",
     "ViewId",
     "World",
-    "build_stack",
     "cast_down",
     "cast_up",
     "format_stack_spec",

@@ -12,7 +12,6 @@ entry point applications and tests use.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.endpoint import Endpoint
@@ -128,16 +127,6 @@ class Process:
         """All endpoints created on this process."""
         return list(self._endpoints)
 
-    def crash(self) -> None:
-        """Deprecated: use ``world.crash(name)`` (the FaultPlane API)."""
-        warnings.warn(
-            "Process.crash is deprecated; use World.crash(name) / "
-            "RealtimeWorld.crash(name) (the repro.chaos.FaultPlane API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.world.crash(self.name)
-
     def _fail_stop(self) -> None:
         """Fail-stop: no more sends, receives, timers, or events.
 
@@ -190,33 +179,35 @@ class Process:
         return f"<Process {self.name} ({state}) endpoints={len(self._endpoints)}>"
 
 
-class World:
-    """One simulation universe: scheduler + network + directory + processes.
+class _WorldBase:
+    """What both substrates share: wiring, processes, and the fault plane.
 
-    >>> world = World(seed=7, network="lan")
-    >>> a = world.process("a").endpoint()
-    >>> b = world.process("b").endpoint()
-    >>> ga = a.join("demo")
-    >>> gb = b.join("demo")
-    >>> world.run(2.0)
-    >>> ga.cast(b"hello")
-    >>> world.run(1.0)
+    A substrate supplies its clock class, its default store domain and
+    its network (:meth:`_install_network`); everything else — notably
+    the :class:`repro.chaos.FaultPlane` ops — exists once, here.
     """
+
+    #: ``substrate`` tag of :meth:`write_metrics` snapshots.
+    _substrate: str
+    #: Zero-argument factory of the world's :class:`~repro.runtime.clock.Clock`.
+    _clock_factory: Callable[[], Any]
+    #: Store domain built (with ``metrics=``) when the caller passes none.
+    _default_store: Callable[..., Any]
 
     def __init__(
         self,
-        seed: int = 0,
-        network: Union[str, Network] = "lan",
-        wire_mode: str = "aligned",
-        trace: bool = True,
-        registry: Optional[HeaderRegistry] = None,
-        obs: Optional[ObsOptions] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        store: Optional[Any] = None,
-        coalesce: Union[bool, Dict[str, Any]] = False,
-        **network_kwargs: Any,
+        seed: int,
+        wire_mode: str,
+        trace: bool,
+        registry: Optional[HeaderRegistry],
+        obs: Optional[ObsOptions],
+        metrics: Optional[MetricsRegistry],
+        store: Optional[Any],
     ) -> None:
-        self.scheduler = Scheduler()
+        if wire_mode not in WIRE_MODES:
+            raise ConfigurationError(f"unknown wire mode {wire_mode!r}")
+        self.wire_mode = wire_mode
+        self.scheduler = self._clock_factory()
         self.rng = RandomRouter(seed)
         self.trace = TraceRecorder(enabled=trace)
         self.directory = GroupDirectory()
@@ -230,69 +221,27 @@ class World:
             enabled=self.obs.spans, max_spans=self.obs.max_spans
         )
         #: Durable-store domain, keyed by node name so state survives
-        #: crash/recover (deterministic in-memory journals by default; a
-        #: :class:`~repro.store.FileStoreDomain` writes real files).
-        self.store = store if store is not None else MemoryStoreDomain(
+        #: crash/recover.
+        self.store = store if store is not None else self._default_store(
             metrics=self.metrics
         )
         bind_clock = getattr(self.store, "bind_clock", None)
         if bind_clock is not None:
             # Relaxed durability policies arm their max_delay flush
-            # timers on the same deterministic scheduler as every layer.
+            # timers on the same clock as every layer (on the realtime
+            # engine its loop also marshals writer-thread completions).
             bind_clock(self.scheduler)
-        if wire_mode not in WIRE_MODES:
-            raise ConfigurationError(f"unknown wire mode {wire_mode!r}")
-        self.wire_mode = wire_mode
-        if isinstance(network, Network):
-            if network_kwargs:
-                raise ConfigurationError(
-                    "network_kwargs only apply when building the network by name"
-                )
-            self.network = network
-            # Adopt the pre-built network's counters into this world's
-            # registry so one snapshot covers everything.
-            self.network.stats.rebind(self.metrics)
-        else:
-            try:
-                net_cls = _NETWORK_KINDS[network]
-            except KeyError:
-                known = ", ".join(sorted(_NETWORK_KINDS))
-                raise ConfigurationError(
-                    f"unknown network kind {network!r}; known kinds: {known}"
-                ) from None
-            self.network = net_cls(
-                self.scheduler,
-                rng=self.rng.stream("network"),
-                metrics=self.metrics,
-                **network_kwargs,
-            )
-        if coalesce:
-            # Batch small datagrams at the COM seam (ISSUE 7).  Off by
-            # default so existing seeds reproduce byte-identical runs.
-            options = coalesce if isinstance(coalesce, dict) else {}
-            self.network = Coalescer(self.network, self.scheduler, **options)
         self._processes: Dict[str, Process] = {}
 
-    # -- process management ----------------------------------------------
-
-    def process(
-        self,
-        name: str,
-        clock_drift: float = 0.0,
-        clock_offset: float = 0.0,
-    ) -> Process:
-        """Create (or fetch) the process called ``name``.
-
-        Clock parameters only apply on creation; fetching an existing
-        process ignores them.
-        """
-        proc = self._processes.get(name)
-        if proc is None:
-            proc = Process(
-                self, name, clock_drift=clock_drift, clock_offset=clock_offset
-            )
-            self._processes[name] = proc
-        return proc
+    def _install_network(
+        self, network: Any, coalesce: Union[bool, Dict[str, Any]]
+    ) -> None:
+        """Adopt the substrate's network, batching at the COM seam if asked."""
+        if coalesce:
+            # Off by default so existing seeds reproduce byte-identical runs.
+            options = coalesce if isinstance(coalesce, dict) else {}
+            network = Coalescer(network, self.scheduler, **options)
+        self.network = network
 
     def processes(self) -> Dict[str, Process]:
         """Snapshot of all processes by name."""
@@ -342,7 +291,13 @@ class World:
         return proc is None or proc.alive
 
     def partition(self, *components: Iterable[str]) -> None:
-        """Split the network into node-name components."""
+        """Split the network into node-name components.
+
+        On the realtime substrate this installs an emulated partition on
+        the local transport, which checks reachability on send and on
+        receive; in a multi-process deployment every world must install
+        the same partition for the cut to be symmetric.
+        """
         self.network.partition(*components)
         self.trace.record(self.scheduler.now, "partition", "world",
                           components=[sorted(c) for c in components])
@@ -368,6 +323,102 @@ class World:
             "Fault-plane operations applied to this world",
             labels=("op",),
         ).labels(op=op).inc()
+
+    # -- observability -----------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """Seconds on the world's clock (virtual on the DES, wall-clock
+        since creation on the realtime engine)."""
+        return self.scheduler.now
+
+    def write_metrics(self, path: str, meta: Optional[Dict[str, Any]] = None) -> None:
+        """Write this world's observability snapshot as JSONL to ``path``.
+
+        On the DES the snapshot is a pure function of the seed and the
+        workload — two same-seed runs produce byte-identical files.
+        """
+        merged: Dict[str, Any] = {"substrate": self._substrate, "now": self.now}
+        if meta:
+            merged.update(meta)
+        write_jsonl(path, self.metrics, self.spans, meta=merged)
+
+
+class World(_WorldBase):
+    """One simulation universe: scheduler + network + directory + processes.
+
+    >>> world = World(seed=7, network="lan")
+    >>> a = world.process("a").endpoint()
+    >>> b = world.process("b").endpoint()
+    >>> ga = a.join("demo")
+    >>> gb = b.join("demo")
+    >>> world.run(2.0)
+    >>> ga.cast(b"hello")
+    >>> world.run(1.0)
+    """
+
+    _substrate = "des"
+    _clock_factory = Scheduler
+    #: Deterministic in-memory journals (a
+    #: :class:`~repro.store.FileStoreDomain` writes real files).
+    _default_store = MemoryStoreDomain
+
+    def __init__(
+        self,
+        seed: int = 0,
+        network: Union[str, Network] = "lan",
+        wire_mode: str = "aligned",
+        trace: bool = True,
+        registry: Optional[HeaderRegistry] = None,
+        obs: Optional[ObsOptions] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        store: Optional[Any] = None,
+        coalesce: Union[bool, Dict[str, Any]] = False,
+        **network_kwargs: Any,
+    ) -> None:
+        super().__init__(seed, wire_mode, trace, registry, obs, metrics, store)
+        if isinstance(network, Network):
+            if network_kwargs:
+                raise ConfigurationError(
+                    "network_kwargs only apply when building the network by name"
+                )
+            # Adopt the pre-built network's counters into this world's
+            # registry so one snapshot covers everything.
+            network.stats.rebind(self.metrics)
+        else:
+            try:
+                net_cls = _NETWORK_KINDS[network]
+            except KeyError:
+                known = ", ".join(sorted(_NETWORK_KINDS))
+                raise ConfigurationError(
+                    f"unknown network kind {network!r}; known kinds: {known}"
+                ) from None
+            network = net_cls(
+                self.scheduler,
+                rng=self.rng.stream("network"),
+                metrics=self.metrics,
+                **network_kwargs,
+            )
+        self._install_network(network, coalesce)
+
+    def process(
+        self,
+        name: str,
+        clock_drift: float = 0.0,
+        clock_offset: float = 0.0,
+    ) -> Process:
+        """Create (or fetch) the process called ``name``.
+
+        Clock parameters only apply on creation; fetching an existing
+        process ignores them.
+        """
+        proc = self._processes.get(name)
+        if proc is None:
+            proc = Process(
+                self, name, clock_drift=clock_drift, clock_offset=clock_offset
+            )
+            self._processes[name] = proc
+        return proc
 
     # -- running ------------------------------------------------------------
 
@@ -403,24 +454,6 @@ class World:
                 return bool(predicate())
             self.run(min(poll, deadline - self.now))
         return True
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.scheduler.now
-
-    # -- observability -----------------------------------------------------
-
-    def write_metrics(self, path: str, meta: Optional[Dict[str, Any]] = None) -> None:
-        """Write this world's observability snapshot as JSONL to ``path``.
-
-        On the DES the snapshot is a pure function of the seed and the
-        workload — two same-seed runs produce byte-identical files.
-        """
-        merged: Dict[str, Any] = {"substrate": "des", "now": self.now}
-        if meta:
-            merged.update(meta)
-        write_jsonl(path, self.metrics, self.spans, meta=merged)
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,6 @@ is a queued event) so the overhead of each can be compared.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
 
@@ -379,10 +378,9 @@ class Stack:
 class StackConfig:
     """Keyword-only description of one protocol stack to build.
 
-    Collects everything that used to travel as loose positional
-    arguments to ``build_stack`` — spec string, dispatch discipline,
-    per-layer overrides — plus the observability switches, in one
-    reusable value::
+    Collects everything a stack build needs — spec string, dispatch
+    discipline, per-layer overrides — plus the observability switches,
+    in one reusable value::
 
         config = StackConfig(spec="TOTAL:MBRSHIP:FRAG:NAK:COM",
                              overrides={"FRAG": {"max_size": 512}},
@@ -458,24 +456,3 @@ class StackConfig:
     def __repr__(self) -> str:
         return f"<StackConfig {self.spec!r} dispatch={self.dispatch}>"
 
-
-def build_stack(
-    spec: str,
-    context: LayerContext,
-    deliver: Callable[[Upcall], None],
-    dispatch: str = "direct",
-    overrides: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> Stack:
-    """Deprecated positional builder; use :class:`StackConfig` instead.
-
-    Kept as a thin shim over ``StackConfig(...).build(...)`` so existing
-    call sites keep working for one release.
-    """
-    warnings.warn(
-        "build_stack() is deprecated; use "
-        "StackConfig(spec=..., dispatch=..., overrides=...).build(context, deliver)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = StackConfig(spec=spec, dispatch=dispatch, overrides=overrides)
-    return config.build(context, deliver)

@@ -31,8 +31,7 @@ split:
   (``on_ack``).
 * :class:`PacedWindowManager` — grants metered through a byte-rate
   token bucket, turning credit into a smooth rate cap (the receiver
-  paces the sender instead of the sender pacing itself, which is what
-  made the old token-bucket FLOW layer one-sided).
+  paces the sender instead of the sender pacing itself).
 """
 
 from __future__ import annotations
@@ -154,9 +153,8 @@ class PacedWindowManager(WindowManager):
     """Rate-paced grants: a token bucket meters credit at ``rate`` B/s.
 
     The window bounds the sender's burst; the bucket bounds its
-    sustained rate.  Unlike the deprecated sender-side FLOW bucket,
-    the receiver holds this one — a sender cannot overrun it by simply
-    ignoring its own pacing, because unearned credit never arrives.
+    sustained rate.  The receiver holds the bucket, so a sender cannot
+    overrun it by ignoring its own pacing: unearned credit never arrives.
     """
 
     def __init__(
@@ -174,7 +172,7 @@ class PacedWindowManager(WindowManager):
 
     def _refill(self, now: float) -> None:
         # Lazy epoch: the first call measures zero elapsed time, never
-        # time-since-clock-epoch (the legacy FLOW layer's init bug).
+        # time-since-clock-epoch (nonzero on the realtime substrate).
         if self._last is None:
             self._last = now
         self._tokens = min(

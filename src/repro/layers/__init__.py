@@ -22,7 +22,7 @@ it implements.  Layer names usable in stack specs:
 ``CHKSUM`` ``SIGN`` ``CRYPT`` ``COMPRESS``  integrity/privacy/bandwidth
 ``CREDIT``            credit-based flow control with backpressure
 ``GOSSIP``            SWIM failure detection (scalable, gossip-based)
-``FLOW`` ``PRIO``     pacing (deprecated; see CREDIT) / priority delivery
+``PRIO``              priority delivery
 ``LOGGER`` ``TRACER`` ``ACCOUNT``  journaling / tracing / metering
 ``XFER``              state transfer to joiners (snapshot streaming)
 ====================  =================================================
@@ -39,7 +39,6 @@ from repro.layers.com import ComLayer
 from repro.layers.compress import CompressionLayer
 from repro.layers.credit import CreditLayer
 from repro.layers.crypt import EncryptionLayer
-from repro.layers.flowctl import FlowControlLayer
 from repro.layers.flush import FlushLayer
 from repro.layers.frag import FragLayer
 from repro.layers.gossip import GossipLayer
@@ -75,7 +74,6 @@ __all__ = [
     "CompressionLayer",
     "CreditLayer",
     "EncryptionLayer",
-    "FlowControlLayer",
     "FlushLayer",
     "FragLayer",
     "GossipLayer",

@@ -1,8 +1,8 @@
 """CREDIT — windowed, receiver-granted flow control with backpressure.
 
-The Figure 1 FLOW slot, rebuilt in the HTTP/2 style: instead of the old
-one-sided token bucket (:mod:`repro.layers.flowctl`, now deprecated),
-each *receiver* extends byte credit to each sender and replenishes it
+The Figure 1 flow-control slot, in the HTTP/2 style: instead of a
+one-sided sender token bucket, each *receiver* extends byte credit to
+each sender and replenishes it
 with WINDOW_UPDATE-style grants as its application consumes deliveries.
 A sender may only pass traffic down while it holds credit on every
 destination; when credit runs out the excess lands in a *bounded* queue

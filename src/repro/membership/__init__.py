@@ -21,7 +21,6 @@ from repro.membership.directory import GroupDirectory
 from repro.membership.external_fd import ExternalFailureDetector
 from repro.membership.failure_detector import (
     FailureDetector,
-    HeartbeatFailureDetector,
     TimeoutFailureDetector,
 )
 from repro.membership.partition_models import (
@@ -37,7 +36,6 @@ __all__ = [
     "ExternalFailureDetector",
     "FailureDetector",
     "GroupDirectory",
-    "HeartbeatFailureDetector",
     "PartitionPolicy",
     "PrimaryPartition",
     "RelacsViewSynchrony",

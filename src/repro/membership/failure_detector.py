@@ -27,13 +27,12 @@ produced them.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Set
 
 from repro.net.address import EndpointAddress
 from repro.sim.scheduler import Scheduler
-from repro.sim.timers import PeriodicTimer
+from repro.runtime.clock import PeriodicTimer
 
 SuspectCallback = Callable[[EndpointAddress], None]
 
@@ -100,11 +99,6 @@ class TimeoutFailureDetector(FailureDetector):
         self._timer = PeriodicTimer(scheduler, scan_period, self._scan)
         self._timer.start()
 
-    @property
-    def timeout(self) -> float:
-        """Compatibility alias of :attr:`suspect_timeout`."""
-        return self.suspect_timeout
-
     def subscribe(self, listener: SuspectCallback) -> None:
         self._listeners.append(listener)
 
@@ -140,28 +134,3 @@ class TimeoutFailureDetector(FailureDetector):
                 for listener in self._listeners:
                     listener(endpoint)
 
-
-class HeartbeatFailureDetector(TimeoutFailureDetector):
-    """Deprecated name (and knob spelling) of :class:`TimeoutFailureDetector`.
-
-    The ``timeout``/``check_period`` knobs predate the
-    :class:`FailureDetector` protocol split; they map onto
-    ``suspect_timeout``/``scan_period``.
-    """
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        timeout: float = 1.0,
-        check_period: float = 0.25,
-    ) -> None:
-        warnings.warn(
-            "HeartbeatFailureDetector (timeout=, check_period=) is deprecated; "
-            "use TimeoutFailureDetector (suspect_timeout=, scan_period=) — "
-            "any FailureDetector implementation is interchangeable here",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            scheduler, suspect_timeout=timeout, scan_period=check_period
-        )

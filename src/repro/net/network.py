@@ -10,7 +10,6 @@ stronger guarantee is the job of a protocol layer.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, Callable, Dict, Iterable, Optional, Set
 
 from repro.errors import AddressError, NetworkError, PacketTooLargeError
@@ -276,26 +275,6 @@ class Network:
     def set_faults(self, model: Optional[FaultModel]) -> None:
         """Install ``model`` as the path behaviour; ``None`` = pristine."""
         self.fault_model = model if model is not None else FaultModel.perfect()
-
-    def crash_node(self, node: str) -> None:
-        """Deprecated alias of :meth:`crash` (pre-FaultPlane name)."""
-        warnings.warn(
-            "Network.crash_node is deprecated; use Network.crash "
-            "(the repro.chaos.FaultPlane API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.crash(node)
-
-    def revive_node(self, node: str) -> None:
-        """Deprecated alias of :meth:`recover` (pre-FaultPlane name)."""
-        warnings.warn(
-            "Network.revive_node is deprecated; use Network.recover "
-            "(the repro.chaos.FaultPlane API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.recover(node)
 
     # ------------------------------------------------------------------
     # Transmission

@@ -35,7 +35,6 @@ DEFAULT_COSTS: Dict[str, float] = {
     "SIGN": 2.0,
     "CRYPT": 3.0,
     "COMPRESS": 2.0,
-    "FLOW": 1.5,
     "CREDIT": 2.0,
     "PRIO": 1.5,
     "LOGGER": 2.0,

@@ -251,14 +251,6 @@ register_profile(
 )
 register_profile(
     LayerProfile(
-        "FLOW",
-        requires=frozenset(),
-        provides=frozenset(),
-        purpose="token-bucket pacing (deprecated; prefer CREDIT)",
-    )
-)
-register_profile(
-    LayerProfile(
         "CREDIT",
         requires=frozenset(),
         provides=frozenset(),

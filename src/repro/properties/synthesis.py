@@ -46,7 +46,7 @@ def synthesize_stack(
 
     Returns:
         Layer names, **top first** (ready for ``":".join(...)`` and
-        :func:`repro.core.stack.build_stack`).
+        :class:`repro.core.stack.StackConfig`).
 
     Raises:
         SynthesisError: when no stack within ``max_depth`` provides the

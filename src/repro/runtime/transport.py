@@ -47,7 +47,6 @@ import asyncio
 import random
 import struct
 import time
-import warnings
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import AddressError, NetworkError, PacketTooLargeError
@@ -267,26 +266,6 @@ class UdpTransport:
         on top of whatever the real path already does.
         """
         self.fault_model = model
-
-    def crash_node(self, node: str) -> None:
-        """Deprecated alias of :meth:`crash` (pre-FaultPlane name)."""
-        warnings.warn(
-            "UdpTransport.crash_node is deprecated; use UdpTransport.crash "
-            "(the repro.chaos.FaultPlane API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.crash(node)
-
-    def revive_node(self, node: str) -> None:
-        """Deprecated alias of :meth:`recover` (pre-FaultPlane name)."""
-        warnings.warn(
-            "UdpTransport.revive_node is deprecated; use UdpTransport.recover "
-            "(the repro.chaos.FaultPlane API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.recover(node)
 
     # ------------------------------------------------------------------
     # Transmission (Network contract)

@@ -11,19 +11,19 @@ Public surface:
 * :class:`~repro.sim.scheduler.Scheduler` — virtual-time event loop
   (one of two implementations of :class:`~repro.runtime.clock.Clock`;
   the wall-clock one lives in :mod:`repro.runtime`).
-* :class:`~repro.sim.timers.Timer` / :class:`~repro.sim.timers.PeriodicTimer`
-  — cancellable timers built on the scheduler.
+* :class:`~repro.runtime.clock.Timer` /
+  :class:`~repro.runtime.clock.PeriodicTimer` — cancellable timers built
+  on the clock interface (re-exported here).
 * :class:`~repro.sim.rand.RandomRouter` — named, independently seeded
   deterministic randomness streams.
 * :class:`~repro.sim.trace.TraceRecorder` — structured event traces used
   by the executable specifications in :mod:`repro.verify`.
 """
 
-from repro.runtime.clock import Clock
+from repro.runtime.clock import Clock, PeriodicTimer, Timer
 from repro.sim.concurrency import EventCounter, MonitorLock
 from repro.sim.rand import RandomRouter
 from repro.sim.scheduler import EventHandle, Scheduler
-from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [

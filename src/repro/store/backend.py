@@ -4,7 +4,7 @@ A backend is a tiny named-blob surface beneath the
 :class:`~repro.store.store.DurableStore`:
 
 * ``read`` / ``append`` / ``replace`` / ``delete`` / ``exists`` — the
-  original five verbs.  ``append`` is *durable by itself*: the
+  blob verbs.  ``append`` is *durable by itself*: the
   :class:`FileBackend` fsyncs before returning, which is exactly the
   ``fsync_per_record`` policy's cost.
 * ``append_many(name, records)`` + ``sync(name)`` — the group-commit
@@ -12,12 +12,6 @@ A backend is a tiny named-blob surface beneath the
   fsync; ``sync`` makes everything staged so far durable with one
   fsync.  The :class:`~repro.store.writer.WalWriter` batches through
   this pair.
-
-Third-party backends that only implement the original five verbs keep
-working: :func:`append_many` / :func:`sync` module-level helpers fall
-back to an append loop and a no-op, trading group-commit speed for
-compatibility (every record is still durable by the time ``sync``
-returns, because the fallback ``append`` path is durable by itself).
 
 Two implementations ship here:
 
@@ -40,25 +34,6 @@ from __future__ import annotations
 
 import os
 from typing import Dict, IO, Iterable
-
-
-def append_many(backend, name: str, records: Iterable[bytes]) -> None:
-    """Stage ``records`` onto ``backend`` (native batched path when the
-    backend has one, durable append loop otherwise)."""
-    native = getattr(backend, "append_many", None)
-    if native is not None:
-        native(name, records)
-        return
-    for record in records:
-        backend.append(name, record)
-
-
-def sync(backend, name: str) -> None:
-    """Make everything staged on ``name`` durable (no-op fallback: a
-    backend without ``sync`` has durable appends already)."""
-    native = getattr(backend, "sync", None)
-    if native is not None:
-        native(name)
 
 
 class MemoryBackend:

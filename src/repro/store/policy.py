@@ -31,7 +31,6 @@ that includes every record whose ticket completed.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -104,11 +103,6 @@ class CommitTicket:
     (written and fsynced, or appended to the deterministic in-memory
     blob).  ``fsync_per_record`` tickets are born done; relaxed-mode
     tickets complete at the flush that covers them.
-
-    Compatibility: ``DurableStore.append`` used to return a plain int
-    index.  A ticket still coerces to that int (``int(ticket)``,
-    ``ticket == 3``, use as a sequence index) with a
-    :class:`DeprecationWarning` pointing at :attr:`lsn`.
     """
 
     __slots__ = ("lsn", "_done", "_event", "_callbacks", "_waiter")
@@ -120,7 +114,7 @@ class CommitTicket:
         waiter: Optional[Callable[["CommitTicket"], None]] = None,
     ) -> None:
         #: Log sequence number: the record's index in this store handle's
-        #: append sequence (what ``append`` used to return).
+        #: append sequence.
         self.lsn = lsn
         self._done = done
         self._event: Optional[threading.Event] = None
@@ -200,35 +194,6 @@ class CommitTicket:
                 for fn in fns:
                     fn(ticket)
             dispatch(fire)
-
-    # -- legacy int-LSN shim -----------------------------------------------
-
-    def _warn_int(self) -> None:
-        warnings.warn(
-            "DurableStore.append now returns a CommitTicket; use "
-            "ticket.lsn instead of treating the result as an int",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __int__(self) -> int:
-        self._warn_int()
-        return self.lsn
-
-    def __index__(self) -> int:
-        self._warn_int()
-        return self.lsn
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CommitTicket):
-            return self is other
-        if isinstance(other, int):
-            self._warn_int()
-            return self.lsn == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return id(self)
 
     def __repr__(self) -> str:
         state = "durable" if self._done else "pending"

@@ -147,9 +147,8 @@ class DurableStore:
         Returns the record's :class:`CommitTicket`.  Under
         ``fsync_per_record`` it is done before this returns; under
         ``group``/``async`` use ``ticket.wait()`` or
-        ``ticket.add_done_callback`` for ack-after-durable.  (The old
-        int return survives as ``ticket.lsn``; coercing the ticket to
-        an int warns :class:`DeprecationWarning`.)
+        ``ticket.add_done_callback`` for ack-after-durable; the record's
+        index is ``ticket.lsn``.
         """
         ticket = self.writer.append(payload)
         self.appended += 1

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.store import backend as backend_mod
 from repro.store.policy import DurabilityPolicy
 from repro.store.store import DurableStore
 
@@ -161,11 +160,11 @@ class CrashingBackend:
     def append_many(self, name: str, records: Iterable[bytes]) -> None:
         records = list(records)
         self._maybe_crash("append_many", name, b"".join(records))
-        backend_mod.append_many(self.inner, name, records)
+        self.inner.append_many(name, records)
 
     def sync(self, name: str) -> None:
         self._maybe_crash("sync", name)
-        backend_mod.sync(self.inner, name)
+        self.inner.sync(name)
 
     def replace(self, name: str, data: bytes) -> None:
         self._maybe_crash("replace", name, data)

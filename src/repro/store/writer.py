@@ -43,7 +43,6 @@ import threading
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.store import backend as backend_mod
 from repro.store.policy import (
     ASYNC,
     FSYNC_PER_RECORD,
@@ -69,8 +68,7 @@ class WalWriter:
     """Batches appends to one WAL blob per the durability policy.
 
     Args:
-        backend: the named-blob backend (any object with the original
-            five verbs; ``append_many``/``sync`` are used when present).
+        backend: the named-blob backend (see :mod:`repro.store.backend`).
         name: the WAL blob name (``wal.log``).
         policy: the :class:`DurabilityPolicy` to implement.
         clock: optional :class:`~repro.runtime.clock.Clock` for the
@@ -247,9 +245,9 @@ class WalWriter:
         records = [encode_record(payload) for payload, _, _ in batch]
         nbytes = sum(len(r) for r in records)
         self._run_hook("before_write", len(records), nbytes)
-        backend_mod.append_many(self.backend, self.name, records)
+        self.backend.append_many(self.name, records)
         self._run_hook("after_write", len(records), nbytes)
-        backend_mod.sync(self.backend, self.name)
+        self.backend.sync(self.name)
         self._run_hook("after_sync", len(records), nbytes)
         self.flushes += 1
         self.records_written += len(records)
@@ -305,10 +303,8 @@ class WalWriter:
     def _note_batch_boundary(self) -> None:
         """Append the post-flush WAL offset to the advisory sidecar."""
         offset = self.bytes_written
-        backend_mod.append_many(
-            self.backend,
-            self.name + BATCH_INDEX_SUFFIX,
-            [struct.pack(">Q", offset)],
+        self.backend.append_many(
+            self.name + BATCH_INDEX_SUFFIX, [struct.pack(">Q", offset)]
         )
 
     def reset_batch_index(self, base_bytes: int = 0) -> None:

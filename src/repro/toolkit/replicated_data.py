@@ -10,9 +10,8 @@ State transfer is delegated to the stack's
 :class:`~repro.layers.xfer.StateTransferLayer`: the dict binds a
 provider (serialize my contents) and an installer (adopt the
 coordinator's contents) and the layer handles snapshot streaming,
-joiner buffering, and re-streaming across view changes.  A stack
-without XFER falls back to the original private piggyback protocol,
-with a :class:`DeprecationWarning`.
+joiner buffering, and re-streaming across view changes.  XFER is the
+only state-transfer path: a stack without it is rejected at construction.
 
 With ``durable=True`` the dict also journals every applied update to
 the world's store domain (a write-ahead log keyed by
@@ -26,16 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.endpoint import Endpoint
 from repro.core.group import DeliveredMessage
-from repro.core.view import View
+from repro.core.stack import parse_stack_spec
+from repro.errors import ConfigurationError
 
 DEFAULT_STACK = "XFER:TOTAL:MBRSHIP:FRAG:NAK:COM"
-#: The pre-XFER stack: state transfer via the dict's private piggyback.
-LEGACY_STACK = "TOTAL:MBRSHIP:FRAG:NAK:COM"
 
 
 class ReplicatedDict:
@@ -46,8 +43,8 @@ class ReplicatedDict:
     >>> # after world.run(...): shared.get("timeout") == 30 at every member
 
     Args:
-        stack: protocol stack spec; include an ``XFER`` layer (the
-            default does) for protocol-level state transfer.
+        stack: protocol stack spec; must include an ``XFER`` layer (the
+            default does), which carries state transfer to joiners.
         durable: journal applied updates to the world's store domain so
             ``stateful=True`` recovery replays them.
         namespace: store namespace (default ``"rdict.<group>"``).
@@ -70,20 +67,19 @@ class ReplicatedDict:
         snapshot_every: int = 64,
         policy: Any = None,
     ) -> None:
+        if all(name != "XFER" for name, _ in parse_stack_spec(stack)):
+            raise ConfigurationError(
+                f"ReplicatedDict needs an XFER layer for state transfer to "
+                f"joiners; stack {stack!r} has none"
+            )
         self._data: Dict[str, Any] = {}
-        self._synced = False  # founders sync trivially; joiners via snapshot
-        self._buffer: List[DeliveredMessage] = []
-        self._was_founder: Optional[bool] = None
-        self.snapshots_sent = 0
         self._snapshot_every = max(1, int(snapshot_every))
         self.store = None
         #: Updates replayed from a previous incarnation's journal.
         self.recovered_updates = 0
         #: Whether a previous incarnation's snapshot was restored.
         self.recovered_snapshot = False
-        # Captured before join(): the first VIEW upcall fires inside it.
         self._address = endpoint.address
-        self._xfer = None  # resolved after join(); _on_view checks it
         if durable:
             domain = getattr(endpoint.process.world, "store", None)
             if domain is None:
@@ -95,24 +91,9 @@ class ReplicatedDict:
                 policy=policy,
             )
             self._replay_journal()
-        self.handle = endpoint.join(
-            group,
-            stack=stack,
-            on_message=self._deliver,
-            on_view=self._on_view,
-        )
-        xfers = self.handle.focus_all("XFER")
-        if xfers:
-            self._xfer = xfers[0]
-            self._xfer.bind(provider=self._provide, installer=self._install)
-        else:
-            warnings.warn(
-                "ReplicatedDict without an XFER layer uses the deprecated "
-                "private snapshot piggyback; stack an XFER layer (the "
-                "default stack does) for protocol-level state transfer",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        self.handle = endpoint.join(group, stack=stack, on_message=self._deliver)
+        self._xfer = self.handle.focus("XFER", topmost=True)
+        self._xfer.bind(provider=self._provide, installer=self._install)
 
     # ------------------------------------------------------------------
     # Application surface
@@ -143,9 +124,7 @@ class ReplicatedDict:
     def synced(self) -> bool:
         """Whether this member has the authoritative state (joiners are
         unsynced until their snapshot arrives)."""
-        if self._xfer is not None:
-            return self._xfer.synced
-        return self._synced
+        return self._xfer.synced
 
     def __len__(self) -> int:
         return len(self._data)
@@ -162,40 +141,8 @@ class ReplicatedDict:
     def _state_bytes(self) -> bytes:
         return json.dumps(self._data, sort_keys=True).encode("utf-8")
 
-    def _on_view(self, view: View) -> None:
-        if self._xfer is not None:
-            return  # the XFER layer owns state transfer
-        me = self._address
-        if self._was_founder is None:
-            # First view: a singleton founder is trivially synced; a
-            # joiner must wait for the coordinator's snapshot.
-            self._was_founder = view.size == 1
-            self._synced = self._was_founder
-        if self._synced and view.coordinator == me and view.size > 1:
-            # Send the snapshot to every member junior to us; only true
-            # joiners use it (synced members ignore snapshots).
-            snapshot = b"S" + json.dumps(self._data).encode("utf-8")
-            others = [m for m in view.members if m != me]
-            self.snapshots_sent += 1
-            self.handle.send(others, snapshot)
-
     def _deliver(self, delivered: DeliveredMessage) -> None:
-        kind, payload = delivered.data[:1], delivered.data[1:]
-        if kind == b"S":
-            # Legacy piggyback snapshot (stacks without XFER).
-            if self._xfer is None and not self._synced:
-                self._data = json.loads(payload.decode("utf-8"))
-                self._synced = True
-                if self.store is not None:
-                    self.store.snapshot(self._state_bytes(), epoch=0)
-                buffered, self._buffer = self._buffer, []
-                for update in buffered:
-                    self._apply(update.data[1:])
-            return
-        if self._xfer is None and not self._synced:
-            self._buffer.append(delivered)
-            return
-        self._apply(payload)
+        self._apply(delivered.data[1:])  # strip the b"U" update tag
 
     # ------------------------------------------------------------------
     # XFER callbacks
@@ -209,7 +156,6 @@ class ReplicatedDict:
             self._data = json.loads(state.decode("utf-8")) if state else {}
         except ValueError:
             self._data = {}
-        self._synced = True
         if self.store is not None:
             # The transferred state supersedes the journal: compact.
             # Returning the commit ticket lets an XFER layer configured

@@ -29,8 +29,6 @@ from repro.core.group import DeliveredMessage
 ApplyFn = Callable[[Any, Any], Any]
 
 DEFAULT_STACK = "XFER:TOTAL:MBRSHIP:FRAG:NAK:COM"
-#: The pre-XFER stack: joiners start from ``initial``, not group history.
-LEGACY_STACK = "TOTAL:MBRSHIP:FRAG:NAK:COM"
 
 
 class ReplicatedStateMachine:

@@ -85,14 +85,6 @@ class TestProcess:
         world.crash("p")
         assert not process.alive
 
-    def test_process_crash_shim_warns_and_delegates(self):
-        world = World()
-        process = world.process("p")
-        with pytest.warns(DeprecationWarning, match="World.crash"):
-            process.crash()
-        assert not process.alive
-        assert not world.network.node_alive("p")
-
     def test_guarded_scheduler_drops_events_after_crash(self):
         world = World()
         process = world.process("p")
@@ -297,6 +289,20 @@ class TestFailureInjection:
         for handle in survivors:
             got = [m.data for m in handle.delivery_log]
             assert got == [f"m{i}".encode() for i in range(10)]
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize(
+        "module_name",
+        ["repro", "repro.core", "repro.layers", "repro.membership"],
+    )
+    def test_every_exported_name_resolves(self, module_name):
+        import importlib
+
+        module = importlib.import_module(module_name)
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == []
+        assert len(set(module.__all__)) == len(module.__all__)
 
 
 class TestCli:

@@ -1,9 +1,9 @@
 """The unified FaultPlane API across both substrates.
 
-Covers the protocol itself (structural isinstance), the deprecated
-shims, and the semantic core of this PR: recovery is a blank slate —
-a recovered node re-joins through MBRSHIP merge with a fresh endpoint,
-it never silently resumes its old one.
+Covers the protocol itself (structural isinstance) and its semantic
+core: recovery is a blank slate — a recovered node re-joins through
+MBRSHIP merge with a fresh endpoint, it never silently resumes its old
+one.
 """
 
 import pytest
@@ -63,15 +63,6 @@ class TestNetworkFaultPlane:
         assert net.fault_model is lossy
         net.set_faults(None)
         assert net.fault_model.loss_rate == 0.0
-
-    def test_deprecated_shims_warn_and_delegate(self):
-        _, net = self._net()
-        with pytest.warns(DeprecationWarning, match="crash"):
-            net.crash_node("a")
-        assert not net.node_alive("a")
-        with pytest.warns(DeprecationWarning, match="recover"):
-            net.revive_node("a")
-        assert net.node_alive("a")
 
 
 class TestWorldFaultPlane:
@@ -139,24 +130,46 @@ class TestWorldFaultPlane:
         assert endpoint.destroyed
         assert not world.network.attached(endpoint.address)
 
-    def test_fault_ops_are_counted(self):
-        from repro import World
+    @pytest.mark.parametrize(
+        "substrate",
+        ["des", pytest.param("realtime", marks=pytest.mark.realtime)],
+    )
+    def test_fault_ops_are_counted(self, substrate):
+        """Both worlds inherit one fault plane, so the same ops leave
+        the same ``chaos_ops_total`` counts and trace on either."""
+        if substrate == "des":
+            from repro import World
 
-        world = World()
-        world.process("p")
-        world.crash("p")
-        world.recover("p")
-        world.partition(["p"])
-        world.heal()
-        world.set_faults(None)
-        family = world.metrics.get("chaos_ops_total")
-        counts = {
-            series.labels["op"]: series.value for series in family.series()
-        }
-        assert counts == {
-            "crash": 1, "recover": 1, "partition": 1, "heal": 1,
-            "set_faults": 1,
-        }
+            world = World()
+        else:
+            from repro.runtime.world import RealtimeWorld
+
+            world = RealtimeWorld()
+        try:
+            world.process("p")
+            world.crash("p")
+            assert not world.node_alive("p")
+            world.recover("p")
+            world.recover("p")  # already up: a no-op, not counted
+            assert world.node_alive("p")
+            world.partition(["p"])
+            world.heal()
+            world.set_faults(None)
+            family = world.metrics.get("chaos_ops_total")
+            counts = {
+                series.labels["op"]: series.value
+                for series in family.series()
+            }
+            assert counts == {
+                "crash": 1, "recover": 1, "partition": 1, "heal": 1,
+                "set_faults": 1,
+            }
+            assert [r.category for r in world.trace.records] == [
+                "crash", "recover", "partition", "heal", "set_faults",
+            ]
+        finally:
+            if substrate == "realtime":
+                world.close()
 
 
 @pytest.mark.realtime

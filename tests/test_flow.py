@@ -4,14 +4,10 @@ Covers the repro.flow subsystem in isolation (grant policies as plain
 objects), the CREDIT layer end-to-end on both substrates (verdicts,
 bounded queues, shed policies, grants, AIMD congestion feedback), the
 acceptance bound — a fan-in storm with a slow receiver keeps sender
-queues and NAK retransmission buffers bounded by the configured window,
-while the legacy FLOW layer's high-water marks scale with offered load
-— and the regression for FLOW's eager ``_last_refill`` epoch.
+queues and NAK retransmission buffers bounded by the configured window.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -81,8 +77,7 @@ class TestWindowManagers:
         assert manager.grant(600, now=7.0) == 200
 
     def test_paced_epoch_is_lazy(self):
-        # First use at a late clock must NOT credit rate x now tokens
-        # (the legacy FLOW init bug this subsystem was built to bury).
+        # First use at a late clock must NOT credit rate x now tokens.
         manager = PacedWindowManager(window=100, rate=1000.0)
         manager.grant(100, now=1000.0)  # drain the initial burst
         assert manager.grant(100, now=1000.0) == 0
@@ -237,7 +232,7 @@ def _storm(world, handles, sender_names, count, size, samples):
 
 
 class TestOverloadBounds:
-    """CREDIT bounds what legacy FLOW lets balloon (ISSUE acceptance)."""
+    """CREDIT bounds sender queues and NAK buffers under a fan-in storm."""
 
     SIZE = 64
 
@@ -263,22 +258,6 @@ class TestOverloadBounds:
         )
         return max(samples), queue_high
 
-    def _run_legacy_flow(self, burst: int) -> int:
-        world = World(seed=42, network="lan")
-        stack = "FLOW(rate=100000.0,burst=64):MBRSHIP:FRAG:NAK:COM"
-        handles = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in ("s0", "s1", "recv"):
-                handles[name] = world.process(name).endpoint().join(
-                    "storm", stack=stack
-                )
-                world.run(0.3)
-        world.run(2.0)
-        samples: list = []
-        _storm(world, handles, ("s0", "s1"), burst, self.SIZE, samples)
-        return max(samples)
-
     def test_credit_bounds_nak_buffer_and_queue_by_window(self):
         # 2048-byte window at 64 B/message = at most 32 unstable casts
         # in flight per flow.  A node's NAK buffer holds its own
@@ -294,16 +273,6 @@ class TestOverloadBounds:
         # nothing (the excess waits above NAK, in the bounded queue).
         assert high_big <= high_small + window_msgs
         assert queue_small <= 4096 and queue_big <= 4096
-
-    def test_legacy_flow_buffer_scales_with_offered_load(self):
-        # The failure mode CREDIT eliminates: FLOW admits the whole
-        # burst into NAK, so the retransmission buffer's high-water
-        # mark tracks offered load instead of any configured bound.
-        high_small = self._run_legacy_flow(burst=100)
-        high_big = self._run_legacy_flow(burst=300)
-        assert high_small >= 100
-        assert high_big >= 300
-        assert high_big >= 2 * high_small
 
     def test_credit_fan_in_still_delivers_everything_sent(self):
         # Bounded does not mean lossy: with the block policy, every
@@ -368,65 +337,6 @@ class TestFlowDeterminism:
 
     def test_same_seed_same_verdicts_deliveries_and_dump(self):
         assert self._digest() == self._digest()
-
-
-# ----------------------------------------------------------------------
-# The legacy FLOW refill-epoch regression (both substrates)
-# ----------------------------------------------------------------------
-
-class TestFlowRefillEpoch:
-    """``_last_refill`` must initialize lazily from ``self.now``.
-
-    The observable symptom of the old eager ``0.0`` epoch: a layer
-    created (or drained) at time T got a spurious ``rate x T`` token
-    refill on first use, so a deliberately empty bucket paced nothing.
-    """
-
-    def test_des_first_refill_measures_zero_elapsed(self):
-        world = World(seed=1, network="lan")
-        world.run(5.0)  # the stack is born at t=5, not t=0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            handles = pair(world, "FLOW(rate=1.0,burst=5):COM")
-        layer = handles["a"].focus("FLOW")
-        layer._tokens = 0.0  # force an empty bucket
-        handles["a"].cast(b"paced?")
-        world.run(0.2)
-        # Buggy epoch: first _refill() credits 5.3 s x 1/s = full burst
-        # and the cast leaves instantly.  Lazy epoch: zero elapsed, the
-        # cast waits ~1 s for one token.
-        assert layer.paced == 1
-        assert drain(handles["b"]) == []
-        world.run(1.5)
-        assert drain(handles["b"]) == [b"paced?"]
-
-    @pytest.mark.realtime
-    def test_realtime_first_refill_measures_zero_elapsed(self):
-        from repro.runtime.world import RealtimeWorld
-
-        world = RealtimeWorld(seed=1)
-        try:
-            world.run(1.0)  # wall-clock time passes before the join
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                handles = pair(world, "FLOW(rate=2.0,burst=2):COM")
-            layer = handles["a"].focus("FLOW")
-            layer._tokens = 0.0
-            handles["a"].cast(b"paced?")
-            world.run(0.15)
-            # Buggy epoch: ~1.45 s x 2/s = instant send.  Lazy epoch:
-            # the first token is ~0.5 s away.
-            assert layer.paced == 1
-            assert handles["b"].delivery_log == []
-            assert world.run_while(
-                lambda: len(handles["b"].delivery_log) == 1, timeout=3.0
-            )
-        finally:
-            world.close()
-
-    def test_flow_construction_warns_deprecated(self, lan_world):
-        with pytest.warns(DeprecationWarning, match="CREDIT"):
-            pair(lan_world, "FLOW:COM", names=("solo",))
 
 
 # ----------------------------------------------------------------------

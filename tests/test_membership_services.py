@@ -9,7 +9,6 @@ from repro.core.events import Downcall, DowncallType
 from repro.membership import (
     ExternalFailureDetector,
     GroupDirectory,
-    HeartbeatFailureDetector,
     PrimaryPartition,
     TimeoutFailureDetector,
     partition_policy,
@@ -94,14 +93,6 @@ class TestTimeoutFailureDetector:
         fd.monitor(A)
         sched.run(until=3.0)
         assert suspects == [A]  # not re-announced every check
-
-    def test_deprecated_heartbeat_shim_warns_and_delegates(self):
-        sched = Scheduler()
-        with pytest.warns(DeprecationWarning, match="TimeoutFailureDetector"):
-            fd = HeartbeatFailureDetector(sched, timeout=1.0, check_period=0.25)
-        fd.monitor(A)
-        sched.run(until=2.0)
-        assert fd.is_suspected(A)
 
 
 class TestExternalFailureDetector:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.process import GuardedScheduler, World
-from repro.runtime.clock import Clock, EventHandle, PeriodicTimer, Timer
+from repro.runtime.clock import Clock, PeriodicTimer, Timer
 from repro.runtime.engine import RealtimeEngine
 from repro.sim.scheduler import Scheduler
 
@@ -36,13 +36,6 @@ class TestClockInterface:
         assert isinstance(guarded, GuardedScheduler)
         for attr in ("now", "call_at", "call_after", "call_soon"):
             assert hasattr(guarded, attr)
-
-    def test_sim_timers_module_reexports_clock_timers(self):
-        from repro.sim import timers
-
-        assert timers.Timer is Timer
-        assert timers.PeriodicTimer is PeriodicTimer
-        assert timers.EventHandle is EventHandle
 
 
 class TestRealtimeEngine:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.stack import (
     StackConfig,
-    build_stack,
     format_stack_spec,
     known_layers,
     layer_class,
@@ -116,7 +115,7 @@ class TestStackConfig:
         with pytest.raises(EndpointError):
             endpoint.join("g", stack=config, overrides={"COM": {}})
 
-    def test_build_stack_shim_warns_but_works(self):
+    def test_config_builds_on_a_standalone_context(self):
         from repro import World
         from repro.core.layer import LayerContext
         from repro.net.address import EndpointAddress, GroupAddress
@@ -130,8 +129,7 @@ class TestStackConfig:
             rng=world.rng.stream("test"),
             trace=world.trace,
         )
-        with pytest.warns(DeprecationWarning):
-            stack = build_stack("NAK:COM", context, lambda upcall: None)
+        stack = StackConfig(spec="NAK:COM").build(context, lambda upcall: None)
         assert stack.spec() == "NAK:COM"
 
 

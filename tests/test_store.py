@@ -2,7 +2,6 @@
 
 import os
 import struct
-import warnings
 
 import pytest
 
@@ -243,19 +242,6 @@ class TestCommitTicket:
         assert ticket.done() and ticket.lsn == 0
         assert store.append(b"u1").lsn == 1
 
-    def test_legacy_int_return_warns_but_works(self):
-        store = DurableStore(MemoryBackend())
-        ticket = store.append(b"u0")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert int(ticket) == 0
-            assert ticket == 0  # old code compared the returned index
-            assert [b"a"][ticket] == b"a"  # or used it as a sequence index
-        assert all(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert len(caught) == 3
-
     def test_callback_fires_immediately_when_done(self):
         store = DurableStore(MemoryBackend())
         fired = []
@@ -361,44 +347,6 @@ class TestWalWriterBehavior:
 
 
 class TestBackendProtocol:
-    def test_append_many_and_sync_fallback(self):
-        from repro.store import backend as backend_mod
-
-        class FiveVerbBackend:
-            """A third-party backend: only the original surface."""
-
-            def __init__(self):
-                self.blob = bytearray()
-                self.appends = 0
-
-            def read(self, name):
-                return bytes(self.blob)
-
-            def append(self, name, data):
-                self.appends += 1
-                self.blob.extend(data)
-
-            def replace(self, name, data):
-                self.blob = bytearray(data)
-
-            def delete(self, name):
-                self.blob = bytearray()
-
-            def exists(self, name):
-                return bool(self.blob)
-
-        legacy = FiveVerbBackend()
-        backend_mod.append_many(legacy, "wal.log", [b"a", b"b"])
-        backend_mod.sync(legacy, "wal.log")  # no-op, must not raise
-        assert legacy.appends == 2 and bytes(legacy.blob) == b"ab"
-        # A relaxed store still works over it (durability degrades to
-        # per-record, correctness does not).
-        store = DurableStore(
-            legacy, policy=DurabilityPolicy(mode="group", max_batch_records=2)
-        )
-        tickets = [store.append(b"u%d" % i) for i in range(2)]
-        assert all(t.done() for t in tickets)
-
     def test_file_backend_append_many_one_write_then_sync(self, tmp_path):
         backend = FileBackend(str(tmp_path / "b"))
         backend.append_many("wal.log", [encode_record(b"x"), encode_record(b"y")])

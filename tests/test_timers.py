@@ -1,7 +1,7 @@
 """Unit tests for one-shot and periodic timers."""
 
 from repro.sim.scheduler import Scheduler
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.runtime.clock import PeriodicTimer, Timer
 
 
 def test_one_shot_fires_once():

@@ -1,13 +1,11 @@
 """Tests for the XFER state-transfer layer and its toolkit clients."""
 
-import warnings
-
 import pytest
 
 from repro import World
+from repro.errors import ConfigurationError
 from repro.net.faults import FaultModel
 from repro.toolkit import ReplicatedDict
-from repro.toolkit.replicated_data import DEFAULT_STACK, LEGACY_STACK
 
 
 def build(world, names, **kwargs):
@@ -95,32 +93,13 @@ class TestResyncOnMerge:
         assert members["d"]._xfer.resyncs >= 1
 
 
-class TestLegacyShim:
-    def test_legacy_stack_warns_deprecation(self, lan_world):
-        with pytest.warns(DeprecationWarning, match="piggyback"):
+class TestXferRequired:
+    def test_stack_without_xfer_is_rejected_at_construction(self, lan_world):
+        endpoint = lan_world.process("a").endpoint()
+        with pytest.raises(ConfigurationError, match="XFER"):
             ReplicatedDict(
-                lan_world.process("a").endpoint(), "xfer-grp",
-                stack=LEGACY_STACK,
+                endpoint, "xfer-grp", stack="TOTAL:MBRSHIP:FRAG:NAK:COM"
             )
+        # Fail fast means before the join: no half-built member is left.
+        assert endpoint.groups() == {}
 
-    def test_legacy_piggyback_still_transfers_state(self, lan_world):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            members = build(lan_world, ["a", "b"], stack=LEGACY_STACK)
-            members["a"].set("k", "v")
-            lan_world.run(2.0)
-            late = ReplicatedDict(
-                lan_world.process("c").endpoint(), "xfer-grp",
-                stack=LEGACY_STACK,
-            )
-            lan_world.run(4.0)
-        assert late.synced
-        assert late.get("k") == "v"
-
-    def test_default_stack_emits_no_warning(self, lan_world):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ReplicatedDict(
-                lan_world.process("a").endpoint(), "xfer-grp",
-                stack=DEFAULT_STACK,
-            )
