@@ -222,16 +222,18 @@ def render_network_report(snapshot: Dict[str, Any]) -> str:
     rows: List[List[Any]] = []
     for record in snapshot.get("metrics", []):
         name = record["name"]
-        if not name.startswith(("net_", "transport_")):
+        if not name.startswith(("net_", "transport_", "runtime_")):
             continue
         labels = record.get("labels", {})
         if record.get("type") == "histogram":
             mean = record["sum"] / record["count"] if record["count"] else 0.0
             value = f"n={record['count']} mean={_fmt_seconds(mean)}"
+        elif name.endswith("_seconds"):
+            value = _fmt_seconds(record["value"])
         else:
             value = int(record["value"])
         label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
         rows.append([name, label_text, value])
     if not rows:
-        return "no net_*/transport_* series in snapshot"
+        return "no net_*/transport_*/runtime_* series in snapshot"
     return _table(["metric", "labels", "value"], rows)

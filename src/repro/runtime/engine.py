@@ -22,6 +22,12 @@ The engine does not spin a thread; the loop runs only while the caller
 is inside :meth:`run_for` / :meth:`run_until` (mirroring how the DES
 only advances inside ``World.run``), which keeps the whole system
 single-threaded and free of locks.
+
+Timer resolution: asyncio's stock ``EpollSelector`` rounds every idle
+wait up to a whole millisecond, so the engine builds its loop on a
+selector that waits with microsecond resolution instead (see
+``docs/architecture.md``, "Timer resolution"); kqueue platforms keep
+the stock selector, whose wait is already sub-millisecond.
 """
 
 from __future__ import annotations
@@ -29,9 +35,46 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import select
+import selectors
 from typing import Any, Callable, List, Optional
 
 from repro.runtime.clock import Clock, EventHandle
+
+if hasattr(selectors, "EpollSelector"):
+
+    class _MicrosecondEpollSelector(selectors.EpollSelector):
+        """An epoll selector whose idle wait is not rounded up to 1 ms.
+
+        ``epoll_wait`` takes whole milliseconds, so a 200 µs deadline
+        sleeps 1 ms.  An epoll fd is itself readable exactly when it has
+        events pending: wait on *it* with ``select`` (a ``timeval``,
+        microseconds; one fd, so ``FD_SETSIZE`` does not bound how many
+        sockets are registered), then collect the events without
+        blocking.  A zero or absent timeout is the stock single syscall.
+        """
+
+        def select(self, timeout: Optional[float] = None) -> list:
+            if timeout is not None and timeout > 0:
+                try:
+                    select.select((self,), (), (), timeout)
+                except ValueError:
+                    # The epoll fd itself is >= FD_SETSIZE (the process
+                    # held that many fds when the loop was made): keep
+                    # the millisecond wait rather than fail.
+                    pass
+                else:
+                    timeout = 0
+            return super().select(timeout)
+
+    def _new_loop() -> asyncio.AbstractEventLoop:
+        return asyncio.SelectorEventLoop(_MicrosecondEpollSelector())
+
+else:  # kqueue (timespec waits) and everything else: the stock loop
+    _new_loop = asyncio.new_event_loop
+
+#: ``_armed_at`` while the pump drains: no deadline is earlier.
+_DRAINING = float("-inf")
 
 
 class RealtimeEngine(Clock):
@@ -44,18 +87,24 @@ class RealtimeEngine(Clock):
         engine.run_for(0.1)       # drives the asyncio loop for 100 ms
     """
 
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop or asyncio.new_event_loop()
+    def __init__(self) -> None:
+        self._loop = _new_loop()
         self._epoch = self._loop.time()
         self._heap: List[EventHandle] = []
         self._seq = itertools.count()
         self._pump_handle: Optional[asyncio.TimerHandle] = None
-        self._armed_for: Optional[tuple] = None
+        #: Engine time the pump is armed for (meaningful while
+        #: ``_pump_handle`` is set; ``_DRAINING`` inside the pump).
+        self._armed_at = 0.0
         self._running = False
         #: Total number of events executed; useful in benchmarks.
         self.events_executed = 0
         #: Callbacks that raised (reported to the loop's exception handler).
         self.callback_errors = 0
+        #: Sum and max over executed events of how long after its
+        #: deadline each one ran, in seconds (mean = sum / events_executed).
+        self.timer_lateness_sum = 0.0
+        self.timer_lateness_max = 0.0
 
     # ------------------------------------------------------------------
     # The Clock surface
@@ -70,7 +119,7 @@ class RealtimeEngine(Clock):
         """Schedule ``fn(*args)`` at engine time ``when`` (past ⇒ ASAP)."""
         handle = EventHandle(max(when, self.now), next(self._seq), fn, args)
         heapq.heappush(self._heap, handle)
-        self._rearm()
+        self._arm(handle.time)
         return handle
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -176,43 +225,53 @@ class RealtimeEngine(Clock):
             return self._heap[0]
         return None
 
-    def _rearm(self) -> None:
-        head = self._peek()
-        if head is None:
-            if self._pump_handle is not None:
-                self._pump_handle.cancel()
-                self._pump_handle = None
-                self._armed_for = None
-            return
-        key = (head.time, head.seq)
-        if self._armed_for == key and self._pump_handle is not None:
-            return
+    def _arm(self, when: float) -> None:
+        """Make sure the pump runs no later than engine time ``when``.
+
+        An armed pump is replaced only by an earlier deadline; when its
+        own event was cancelled it fires with nothing due and re-arms,
+        which is cheaper than a cancel-and-create per ``call_at``.
+        """
         if self._pump_handle is not None:
+            if when >= self._armed_at:
+                return
             self._pump_handle.cancel()
-        self._pump_handle = self._loop.call_at(head.time + self._epoch, self._pump)
-        self._armed_for = key
+        self._armed_at = when
+        self._pump_handle = self._loop.call_at(when + self._epoch, self._pump)
 
     def _pump(self) -> None:
-        self._pump_handle = None
-        self._armed_for = None
-        while True:
+        # Callbacks schedule at or after now: they arm nothing, the pump
+        # arms once for whatever is left when the drain ends.
+        self._armed_at = _DRAINING
+        try:
+            while True:
+                head = self._peek()
+                if head is None:
+                    break
+                late = self.now - head.time
+                if late < 0:
+                    break
+                heapq.heappop(self._heap)
+                self.timer_lateness_sum += late
+                if late > self.timer_lateness_max:
+                    self.timer_lateness_max = late
+                fn, args = head.fn, head.args
+                head.fn, head.args = None, ()  # break reference cycles
+                assert fn is not None
+                try:
+                    fn(*args)
+                except Exception as exc:  # keep draining; report like asyncio does
+                    self.callback_errors += 1
+                    self._loop.call_exception_handler(
+                        {"message": "exception in realtime engine callback",
+                         "exception": exc}
+                    )
+                self.events_executed += 1
+        finally:
+            self._pump_handle = None
             head = self._peek()
-            if head is None or head.time > self.now:
-                break
-            heapq.heappop(self._heap)
-            fn, args = head.fn, head.args
-            head.fn, head.args = None, ()  # break reference cycles
-            assert fn is not None
-            try:
-                fn(*args)
-            except Exception as exc:  # keep draining; report like asyncio does
-                self.callback_errors += 1
-                self._loop.call_exception_handler(
-                    {"message": "exception in realtime engine callback",
-                     "exception": exc}
-                )
-            self.events_executed += 1
-        self._rearm()
+            if head is not None:
+                self._arm(head.time)
 
     def __repr__(self) -> str:
         return f"<RealtimeEngine now={self.now:.6f} pending={self.pending()}>"

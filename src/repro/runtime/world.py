@@ -85,6 +85,29 @@ class RealtimeWorld(_WorldBase):
             UdpTransport(self.engine, mtu=mtu, metrics=self.metrics), coalesce
         )
         self._host = host
+        self._export_timer_lateness()
+
+    def _export_timer_lateness(self) -> None:
+        """Publish the engine's timer lateness when the registry is read.
+
+        The engine keeps two floats on its hot path; the gauge is only
+        reconciled at export time (a collector), like the layers' event
+        counters.
+        """
+        family = self.metrics.gauge(
+            "runtime_engine_timer_lateness_seconds",
+            "How long after its deadline the realtime engine ran an event",
+            labels=("stat",),
+        )
+        mean, peak = family.labels(stat="mean"), family.labels(stat="max")
+        engine = self.engine
+
+        def collect() -> None:
+            executed = engine.events_executed
+            mean.set(engine.timer_lateness_sum / executed if executed else 0.0)
+            peak.set(engine.timer_lateness_max)
+
+        self.metrics.add_collector(collect)
 
     # -- topology -----------------------------------------------------------
 

@@ -8,11 +8,15 @@ past deadlines, exception containment in the pump).
 
 from __future__ import annotations
 
+from statistics import median
+
 import pytest
 
 from repro.core.process import GuardedScheduler, World
+from repro.net.address import EndpointAddress
 from repro.runtime.clock import Clock, PeriodicTimer, Timer
 from repro.runtime.engine import RealtimeEngine
+from repro.runtime.world import RealtimeWorld
 from repro.sim.scheduler import Scheduler
 
 
@@ -116,6 +120,121 @@ class TestRealtimeEngine:
         engine.call_soon(reenter)
         engine.run_for(0.02)
         assert len(errors) == 1
+
+
+@pytest.mark.realtime
+class TestTimerResolution:
+    """Deadlines fire when asked, not at the next whole millisecond."""
+
+    def test_short_deadlines_fire_on_time_and_never_early(self, engine):
+        late = []
+
+        def arm():
+            due = engine.now + 0.0002
+            engine.call_after(0.0002, fired, due)
+
+        def fired(due):
+            late.append(engine.now - due)
+            if len(late) < 200:
+                arm()
+
+        arm()
+        assert engine.run_until(lambda: len(late) >= 200, timeout=5.0)
+        assert min(late) >= 0
+        # epoll's millisecond rounding puts the median near 930 us.
+        assert median(late) < 0.0004, f"median lateness {median(late) * 1e6:.0f} us"
+
+    def test_equal_deadlines_keep_order_behind_a_cancelled_head(
+        self, engine, monkeypatch
+    ):
+        armed = []
+        loop_call_at = engine.loop.call_at
+
+        def counting_call_at(when, callback, *args, **kwargs):
+            if getattr(callback, "__self__", None) is engine:  # the pump
+                armed.append(when)
+            return loop_call_at(when, callback, *args, **kwargs)
+
+        monkeypatch.setattr(engine.loop, "call_at", counting_call_at)
+        fired = []
+        engine.call_after(0.002, fired.append, "cancelled").cancel()
+        deadline = engine.now + 0.006
+        for i in range(20):
+            engine.call_at(deadline, fired.append, i)
+        # A head that moved later (its event was cancelled) re-arms nothing ...
+        assert len(armed) == 1
+        engine.run_for(0.004)
+        # ... the stale pump found nothing due and armed the real head.
+        assert fired == [] and len(armed) == 2
+        engine.run_for(0.006)
+        assert fired == list(range(20))
+        assert engine.pending() == 0
+
+    def test_busy_run_until_returns_with_the_predicate(self, engine):
+        fired = []
+        engine.call_after(0.003, fired.append, "x")
+        t0 = engine.now
+        assert engine.run_until(lambda: bool(fired), timeout=1.0, poll=0)
+        assert engine.now - t0 < 0.05
+
+    def test_many_sockets_do_not_hit_an_fd_set_ceiling(self):
+        # The engine waits on the epoll fd alone; a select()-based loop
+        # would cap the sockets one world can bind.
+        with RealtimeWorld(seed=1) as world:
+            for i in range(64):
+                world.process(f"n{i}")
+            assert len(world.network.peers) == 64
+            got = []
+            dest = EndpointAddress("n63", 0)
+            world.network.attach(dest, got.append)
+            world.network.unicast(EndpointAddress("n0", 0), dest, b"ping")
+            assert world.run_while(lambda: bool(got), timeout=2.0)
+            assert got[0].payload == b"ping"
+
+    def test_lone_message_leaves_the_coalescer_at_max_delay(self, monkeypatch):
+        max_delay = 0.0002
+        with RealtimeWorld(
+            seed=1, coalesce={"max_delay": max_delay, "max_batch": 32}
+        ) as world:
+            world.process("a")
+            world.process("b")
+            source = EndpointAddress("a", 0)
+            transport = world.network.inner
+            send, left = transport.unicast, []
+
+            def leaving(*args):
+                left.append(world.now)
+                send(*args)
+
+            monkeypatch.setattr(transport, "unicast", leaving)
+            entered = []
+
+            def enter(dest):
+                entered.append(world.now)
+                world.network.unicast(source, dest, b"x" * 64)
+
+            # Spaced so the loop sleeps before each send and again until
+            # the flush timer: only that timer can wake it.  One
+            # destination each, so late sends cannot share a batch.
+            for i in range(50):
+                world.engine.call_after(
+                    0.003 * (i + 1), enter, EndpointAddress("b", i)
+                )
+            world.run(0.003 * 52)
+            holds = [out - into for into, out in zip(entered, left)]
+            assert len(left) == 50
+            assert min(holds) >= max_delay
+            assert median(holds) < max_delay + 0.0004, (
+                f"median hold {median(holds) * 1e6:.0f} us"
+            )
+
+    def test_world_exports_timer_lateness(self):
+        with RealtimeWorld(seed=1) as world:
+            world.engine.call_after(0.001, lambda: None)
+            world.run(0.005)
+            family = world.metrics.get("runtime_engine_timer_lateness_seconds")
+            stats = {s.labels["stat"]: s.value for s in family.series()}
+            assert 0 < stats["mean"] <= stats["max"] == world.engine.timer_lateness_max
 
 
 class TestTimersOnTheEngine:
