@@ -170,9 +170,9 @@ class Endpoint:
             return
         try:
             # On the lazy path this decodes the bottom header; a
-            # value-level failure (or a table reference whose install
-            # datagram was lost) surfaces here and drops the packet,
-            # the same outcome the eager path produces above.
+            # value-level failure surfaces here and drops the packet,
+            # the same outcome the eager path produces above.  (Table
+            # rows, lost installs included, already failed above.)
             bottom = message.peek_header()
         except HeaderError:
             self.undecodable_packets += 1

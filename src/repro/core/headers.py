@@ -17,17 +17,19 @@ implement both strategies so the trade-off can be measured:
 * ``compact`` — headers are concatenated with no padding.
 * ``packed`` — one bit-compacted header block (the Section 10 proposal
   made executable; :func:`packed_bit_size` is its analytic size).
-* ``table`` — HPACK-style header-table compression: a per-channel
-  dynamic table indexes repetitive per-flow values (sender and group
-  addresses, flow ids) so steady-state messages carry small table
-  references and varint/delta-coded integers instead of full fields.
+* ``table`` — pay only for the fields you use: each header is a
+  presence-coded row (a bitmap of the fields that differ from their
+  defaults, then only those, ints as varints), and a per-channel
+  HPACK-style dynamic table turns repetitive per-flow values (sender
+  and group addresses) into one-byte references.
 
-Receive-side cost is bounded by *lazy unmarshalling*: for the framed
-modes (everything but ``packed``) :meth:`HeaderRegistry.unmarshal` can
-validate the datagram's structure once and push lazy ``(codec, offset,
-length)`` windows onto the message, decoding a header only when its
-owning layer pops or peeks it and sharing the body as a ``memoryview``
-slice instead of a copied ``bytes``.
+Receive-side cost is bounded by *lazy unmarshalling*: for ``aligned``
+and ``compact`` :meth:`HeaderRegistry.unmarshal` can validate the
+datagram's structure once and push lazy ``(codec, offset, length)``
+windows onto the message, decoding a header only when its owning layer
+pops or peeks it.  ``table`` rows are a few bytes each and decode in
+place in the unmarshal pass.  In all three the body can be shared as a
+``memoryview`` slice instead of a copied ``bytes``.
 """
 
 from __future__ import annotations
@@ -520,6 +522,12 @@ class HeaderCodec:
             else:
                 self._var_fields.append((name, ftype))
         self._plan = self._build_plan()
+        # Table-mode row decode: every field at its default (None where
+        # there is none) in declaration order, and the per-bitmap plans.
+        self._row_base: Header = {
+            name: self.defaults.get(name) for name, _ in self.fields
+        }
+        self._row_plans: Dict[int, Tuple[Any, ...]] = {}
 
     def _build_plan(self) -> List[Tuple[Any, ...]]:
         """Compile the field list into an encode/decode plan.
@@ -644,47 +652,42 @@ class HeaderCodec:
         return header
 
     def encode_table(self, header: Header, channel: "HeaderChannelEncoder") -> bytes:
-        """Encode ``header`` with table compression for ``channel``.
+        """Encode ``header`` as a presence-coded row for ``channel``.
 
-        Each field gets a one-byte tag: blob-like values (addresses,
-        groups, text, bytes) intern into the channel table and travel as
-        u16 references; unsigned ints travel as varints or zigzag deltas
-        against a per-field base entry, whichever is smaller; everything
-        else falls back to the literal canonical encoding.
+        The row is one LEB128 bitmap — bit *i* set when declared field
+        *i* differs from the codec default — then only those fields,
+        typed by the codec: unsigned ints as bare varints; addresses,
+        groups, text and bytes as a varint reference into the channel
+        table (``0``: the table is full, the canonical encoding
+        follows); everything else canonical.
 
-        A header that repeats verbatim on a channel (COM's, every
-        message) is replayed from a per-layer cache: same dict, same
-        bytes, same table touches — without walking the fields.  A
-        header that differs from the cached one only in its unsigned-int
-        fields (a sequence number ticking up, every data message) takes
-        a *template* path: unchanged fields replay their cached byte
-        spans, and only the ints re-encode, inline.
+        A header with the same keys as the last one this layer sent on
+        the channel takes the *template* path: non-int fields must equal
+        their cached values and replay their byte spans and table
+        touches, and only the ints re-encode.
         """
-        cached = channel._enc_cache.get(self.layer)
-        if cached is not None:
-            if cached[0] == header:
-                touch = channel.touch
-                for idx in cached[2]:
-                    touch(idx)
-                return cached[1]
-            template = cached[3]
-            if template is not None:
-                blob = self._encode_from_template(header, channel, template)
-                if blob is not None:
-                    return blob
-        channel._touch_log = touches = []
-        channel._cacheable = True
+        template = channel._templates.get(self.layer)
+        if template is not None:
+            blob = self._encode_from_template(header, channel, template)
+            if blob is not None:
+                return blob
         out = bytearray()
-        template = []
-        layer = self.layer
+        bitmap = 0
+        segments = []
+        touches = []
         defaults = self.defaults
-        try:
-            for name, ftype in self.fields:
-                value = self._value(header, name)
-                start = len(out)
-                tstart = len(touches)
+        for bit, (name, ftype) in enumerate(self.fields):
+            dflt = defaults.get(name, _REQUIRED)
+            value = header.get(name, dflt)
+            if value is _REQUIRED:
+                raise HeaderError(f"{self.layer}: missing header field {name!r}")
+            present = dflt is _REQUIRED or value != dflt
+            start = len(out)
+            idx = None
+            if present:
+                bitmap |= 1 << bit
                 try:
-                    self._encode_table_field(name, ftype, value, channel, out)
+                    idx = self._encode_row_field(name, ftype, value, channel, out)
                 except HeaderError:
                     raise
                 except Exception as exc:
@@ -692,173 +695,179 @@ class HeaderCodec:
                         f"{self.layer}: cannot encode field "
                         f"{name!r}={value!r}: {exc}"
                     ) from exc
-                if template is None:
-                    continue
-                dflt = defaults.get(name, _REQUIRED)
-                if type(ftype) is _UInt:
-                    base = channel.base_for(layer, name)
-                    if base is not None:
-                        idx, base_value = base
-                        template.append((
-                            True, name, dflt, idx, base_value,
-                            bytes((_TAG_DELTA,)) + struct.pack(">H", idx),
-                        ))
-                    elif ftype._bits < 16:
-                        template.append((True, name, dflt, None, 0, b""))
-                    else:
-                        # Install failed (table full); the slow path
-                        # retries it every message, so don't template.
-                        template = None
-                else:
-                    template.append((
-                        False, name, dflt, value,
-                        bytes(out[start:]), tuple(touches[tstart:]),
-                    ))
-        finally:
-            channel._touch_log = None
-        blob = bytes(out)
-        if channel._cacheable:
-            channel._enc_cache[self.layer] = (
-                dict(header), blob, tuple(touches),
-                tuple(template) if template is not None else None,
-            )
-        return blob
+            if name not in header:
+                continue
+            if type(ftype) is _UInt:
+                segments.append((True, name, dflt, present, 1 << ftype._bits))
+            else:
+                if type(value) in (list, dict):
+                    value = value.copy()  # the caller may reuse its container
+                segments.append((False, name, value, bytes(out[start:])))
+                if idx is not None:
+                    touches.append(idx)
+        prefix = bytearray()
+        _write_uvarint(prefix, bitmap)
+        if len(segments) == len(header):
+            # (A header with keys the codec does not declare would make
+            # the template's equal-length-means-equal-keys test unsound;
+            # it takes this walk every time.)
+            channel._templates[self.layer] = (
+                bytes(prefix), tuple(segments), tuple(touches))
+        return bytes(prefix + out)
 
     def _encode_from_template(
         self, header: Header, channel: "HeaderChannelEncoder", template
     ) -> Optional[bytes]:
-        """Re-encode against a cached field template; None means bail.
+        """Re-encode against the cached template; None means bail.
 
-        Unsigned-int fields re-encode inline (the delta-vs-varint choice
-        and the table touches are byte-identical to the slow path);
-        every other field must equal its cached value and replays its
-        recorded span and touches.  Any surprise — a changed address, a
-        missing field, a non-int — falls back to the full walk, which
-        re-caches.
+        Bytes and table touches are identical to the full walk's.  Any
+        surprise — different keys, a changed address, an int that
+        crossed its default or is not a plain in-range int — falls back
+        to the full walk, which raises or re-caches.
         """
-        out = bytearray()
-        touch = channel.touch
-        get = header.get
+        prefix, segments, touches = template
+        if len(header) != len(segments):
+            return None
+        out = bytearray(prefix)
         append = out.append
-        for seg in template:
+        get = header.get
+        for seg in segments:
             if seg[0]:
-                _, name, dflt, idx, base_value, delta_prefix = seg
-                number = get(name, dflt)
-                if type(number) is not int or number < 0:
+                _, name, dflt, present, limit = seg
+                number = get(name, _REQUIRED)
+                if (type(number) is not int or not 0 <= number < limit
+                        or (number != dflt) is not present):
                     return None
-                if number < 0x200000:
-                    # Varint ≤ 3 bytes; a delta (tag + u16 index + varint,
-                    # ≥ 4 bytes) can never win, so skip the base entirely.
-                    append(_TAG_VARINT)
-                    if number < 0x80:
-                        append(number)
-                    elif number < 0x4000:
-                        append((number & 0x7F) | 0x80)
-                        append(number >> 7)
-                    else:
-                        append((number & 0x7F) | 0x80)
-                        append(((number >> 7) & 0x7F) | 0x80)
-                        append(number >> 14)
+                if not present:
                     continue
-                if idx is not None:
-                    delta = number - base_value
-                    zz = (delta << 1) if delta >= 0 else ((-delta << 1) - 1)
-                    if 3 + _uvarint_len(zz) < 1 + _uvarint_len(number):
-                        touch(idx)
-                        out += delta_prefix
-                        _write_uvarint(out, zz)
-                        continue
-                append(_TAG_VARINT)
-                _write_uvarint(out, number)
+                if number < 0x80:
+                    append(number)
+                elif number < 0x4000:
+                    append((number & 0x7F) | 0x80)
+                    append(number >> 7)
+                else:
+                    _write_uvarint(out, number)
             else:
-                _, name, dflt, value, span, idxs = seg
-                if get(name, dflt) != value:
+                _, name, value, span = seg
+                if get(name, _REQUIRED) != value:
                     return None
                 out += span
-                for idx in idxs:
-                    touch(idx)
+        # Only now that nothing can bail: the full walk would count them again.
+        for idx in touches:
+            channel.touch(idx)
         return bytes(out)
 
-    def _encode_table_field(
+    def _encode_row_field(
         self,
         name: str,
         ftype: FieldType,
         value: Any,
         channel: "HeaderChannelEncoder",
         out: bytearray,
-    ) -> None:
+    ) -> Optional[int]:
+        """Append one present field; returns the table entry it references."""
         kind = type(ftype)
         if kind is _UInt:
             number = int(value)
-            if number < 0:
+            if number < 0 or number >> ftype._bits:
                 raise HeaderError(
-                    f"{self.layer}: negative value for unsigned field {name!r}"
+                    f"{self.layer}: {number} does not fit unsigned field {name!r}"
                 )
-            base = channel.base_for(self.layer, name)
-            if base is None and ftype._bits >= 16:
-                # First sighting: install the canonical encoding as the
-                # delta base for this (layer, field).
-                raw = bytearray()
-                ftype.encode(number, raw)
-                idx = channel.intern(bytes(raw))
-                if idx is not None:
-                    channel.set_base(self.layer, name, idx, number)
-            elif base is not None:
-                idx, base_value = base
-                zz = _zigzag(number - base_value)
-                if 3 + _uvarint_len(zz) < 1 + _uvarint_len(number):
-                    channel.touch(idx)
-                    out.append(_TAG_DELTA)
-                    out += struct.pack(">H", idx)
-                    _write_uvarint(out, zz)
-                    return
-            out.append(_TAG_VARINT)
             _write_uvarint(out, number)
-            return
-        if kind in (_Address, _Group, _Text, _VarBytes):
+            return None
+        if kind in _TABLE_KINDS:
             raw = bytearray()
             ftype.encode(value, raw)
-            raw = bytes(raw)
-            idx = channel.intern(raw) if len(raw) > 3 else None
+            idx = channel.intern(bytes(raw))
             if idx is not None:
-                out.append(_TAG_REF)
-                out += struct.pack(">H", idx)
-                return
-        out.append(_TAG_LITERAL)
+                _write_uvarint(out, idx + 1)
+                return idx
+            out.append(0)
+            out += raw
+            return None
         ftype.encode(value, out)
+        return None
 
-    def decode_table(self, data: bytes, table: "_ChannelTable") -> Header:
-        """Decode bytes produced by :meth:`encode_table`."""
-        header: Header = {}
-        offset = 0
-        size = len(data)
-        for name, ftype in self.fields:
-            try:
-                if offset >= size:
-                    raise HeaderError("truncated table-coded header")
-                tag = data[offset]
-                offset += 1
-                if tag == _TAG_LITERAL:
-                    header[name], offset = ftype.decode(data, offset)
-                elif tag == _TAG_VARINT:
-                    header[name], offset = _read_uvarint(data, offset)
-                elif tag == _TAG_REF:
-                    (idx,) = struct.unpack_from(">H", data, offset)
-                    offset += 2
-                    header[name] = table.value(idx, ftype)
-                elif tag == _TAG_DELTA:
-                    (idx,) = struct.unpack_from(">H", data, offset)
-                    offset += 2
-                    zz, offset = _read_uvarint(data, offset)
-                    header[name] = table.value(idx, ftype) + _unzigzag(zz)
-                else:
-                    raise HeaderError(f"bad field tag {tag}")
-            except HeaderError:
-                raise
-            except Exception as exc:
+    def _row_plan(self, bitmap: int) -> Tuple[Any, ...]:
+        """Decode plan for one presence bitmap, validated and cached.
+
+        ``(steps, fresh)``: the present fields as ``(name, code, ftype)``
+        and the absent fields whose default is a list or map, which every
+        decoded header must own a copy of.
+        """
+        if bitmap >> len(self.fields):
+            raise HeaderError(
+                f"{self.layer}: presence bit beyond the {len(self.fields)} "
+                f"declared fields"
+            )
+        steps = []
+        fresh = []
+        for bit, (name, ftype) in enumerate(self.fields):
+            if bitmap >> bit & 1:
+                kind = type(ftype)
+                code = (_ROW_INT if kind is _UInt
+                        else _ROW_REF if kind in _TABLE_KINDS else _ROW_CANONICAL)
+                steps.append((name, code, ftype))
+            elif name not in self.defaults:
                 raise HeaderError(
-                    f"{self.layer}: cannot decode field {name!r}: {exc}"
-                ) from exc
+                    f"{self.layer}: required field {name!r} absent from row"
+                )
+            elif isinstance(self.defaults[name], (list, dict)):
+                fresh.append((name, self.defaults[name]))
+        plan = (tuple(steps), tuple(fresh))
+        # Bitmaps arrive from the wire: cap what a hostile sender can
+        # make us remember.  Real traffic uses a handful per codec.
+        if len(self._row_plans) < _ROW_PLAN_CAP:
+            self._row_plans[bitmap] = plan
+        return plan
+
+    def decode_row(
+        self, data: bytes, pos: int, end: int, table: "_ChannelTable"
+    ) -> Header:
+        """Decode the row :meth:`encode_table` wrote at ``data[pos:end]``.
+
+        Reads in place (no slice); absent fields take the codec default.
+        """
+        try:
+            bitmap = data[pos]
+            pos += 1
+            if bitmap >= 0x80:
+                bitmap, pos = _read_uvarint(data, pos - 1)
+            plan = self._row_plans.get(bitmap)
+            if plan is None:
+                plan = self._row_plan(bitmap)
+            header = self._row_base.copy()
+            for name, code, ftype in plan[0]:
+                if code == _ROW_INT:
+                    value = data[pos]
+                    pos += 1
+                    if value >= 0x80:
+                        value, pos = _read_uvarint(data, pos - 1)
+                        if value >> ftype._bits:
+                            raise HeaderError(f"{value} overflows field {name!r}")
+                    header[name] = value
+                elif code == _ROW_REF:
+                    ref = data[pos]
+                    pos += 1
+                    if ref >= 0x80:
+                        ref, pos = _read_uvarint(data, pos - 1)
+                    if ref:
+                        header[name] = table.value(ref - 1, ftype)
+                    else:
+                        header[name], pos = ftype.decode(data, pos)
+                else:
+                    header[name], pos = ftype.decode(data, pos)
+            for name, default in plan[1]:
+                header[name] = default.copy()
+        except HeaderError:
+            raise
+        except Exception as exc:
+            raise HeaderError(f"{self.layer}: corrupt table row: {exc}") from exc
+        if pos != end:
+            raise HeaderError(
+                f"{self.layer}: table row's fields end at byte {pos}, "
+                f"its frame at {end}"
+            )
         return header
 
     def bit_size(self, header: Header) -> int:
@@ -920,22 +929,25 @@ class HeaderCodec:
 # ----------------------------------------------------------------------
 #
 # HPACK-style: each sender channel (one per endpoint × group) owns a
-# dynamic table mapping small u16 indices to canonically-encoded field
+# dynamic table mapping small indices to canonically-encoded field
 # values.  Installs ride in an eagerly-applied updates section of the
-# datagram preamble; steady-state headers then reference values by
-# index, and integers travel as varints or zigzag deltas against a
-# per-field base entry.  Unknown references raise HeaderError — the
-# datagram is rejected whole and the sender's periodic refresh
-# re-installs the entry, so loss heals without acks.
+# datagram preamble; steady-state rows then carry a presence bitmap,
+# varints and one-byte references (HeaderCodec.encode_table).  Unknown
+# references raise HeaderError — the datagram is rejected whole and the
+# sender's periodic refresh re-installs the entry, so loss heals without
+# acks.
 
-_TAG_LITERAL = 0  # canonical field encoding follows
-_TAG_REF = 1      # u16 table index
-_TAG_VARINT = 2   # unsigned LEB128
-_TAG_DELTA = 3    # u16 base index + zigzag LEB128 delta
+#: Field types whose values intern into the channel table.
+_TABLE_KINDS = (_Address, _Group, _Text, _VarBytes)
 
-#: Sentinel default for template fields with no registered default: a
-#: missing required field can never equal it, so the template bails to
-#: the slow path, which raises the proper error.
+#: Row decode steps: bare varint, table reference, canonical encoding.
+_ROW_INT, _ROW_REF, _ROW_CANONICAL = range(3)
+
+#: Presence bitmaps whose decode plan a codec will cache.
+_ROW_PLAN_CAP = 64
+
+#: Stands in for the default of a field that has none: no header value
+#: is ever equal to it, so such a field is always present in a row.
 _REQUIRED = object()
 
 
@@ -963,22 +975,6 @@ def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
             raise HeaderError("varint too long")
 
 
-def _uvarint_len(value: int) -> int:
-    length = 1
-    while value > 0x7F:
-        value >>= 7
-        length += 1
-    return length
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not (value & 1) else -((value + 1) >> 1)
-
-
 class HeaderChannelEncoder:
     """Sender-side dynamic table for one wire channel.
 
@@ -990,8 +986,7 @@ class HeaderChannelEncoder:
     """
 
     __slots__ = ("channel_id", "epoch", "refresh_every", "max_entries",
-                 "_by_raw", "_raws", "_uses", "_bases", "_pending",
-                 "_enc_cache", "_touch_log", "_cacheable")
+                 "_by_raw", "_raws", "_uses", "_pending", "_templates")
 
     def __init__(
         self,
@@ -1009,20 +1004,12 @@ class HeaderChannelEncoder:
         self._by_raw: Dict[bytes, int] = {}
         self._raws: List[bytes] = []
         self._uses: List[int] = []
-        #: (layer, field) -> (entry idx, base int value) for delta coding.
-        self._bases: Dict[Tuple[str, str], Tuple[int, int]] = {}
         #: Installs/refreshes to emit in the next datagram's preamble.
         self._pending: List[Tuple[int, bytes]] = []
-        #: layer -> (header snapshot, encoded bytes, touched entries,
-        #: field template): steady-state headers that repeat verbatim
-        #: (COM's group/source/kind above all) skip field-by-field
-        #: encoding entirely, and headers whose ints tick (sequence
-        #: numbers) re-encode only those via the template.  Touched
-        #: entries are replayed on a hit so refresh cadence is identical
-        #: to an uncached encode.
-        self._enc_cache: Dict[str, Tuple[Header, bytes, Tuple[int, ...], Any]] = {}
-        self._touch_log: Optional[List[int]] = None
-        self._cacheable = False
+        #: layer -> (bitmap bytes, per-key segments, entries referenced)
+        #: of the last header that layer sent here
+        #: (HeaderCodec._encode_from_template).
+        self._templates: Dict[str, Tuple[Any, ...]] = {}
 
     def intern(self, raw: bytes) -> Optional[int]:
         """Index for ``raw``, installing it if new; None if table full."""
@@ -1035,10 +1022,6 @@ class HeaderChannelEncoder:
             self._uses.append(0)
             self._by_raw[raw] = idx
             self._pending.append((idx, raw))
-            # A fresh install: the next encode of the same header will
-            # reference the table instead, so these bytes must not be
-            # replayed from the cache.
-            self._cacheable = False
             return idx
         self.touch(idx)
         return idx
@@ -1050,18 +1033,6 @@ class HeaderChannelEncoder:
             self._pending.append((idx, self._raws[idx]))
             uses = 0
         self._uses[idx] = uses
-        log = self._touch_log
-        if log is not None:
-            log.append(idx)
-
-    def base_for(self, layer: str, field: str) -> Optional[Tuple[int, int]]:
-        return self._bases.get((layer, field))
-
-    def set_base(self, layer: str, field: str, idx: int, value: int) -> None:
-        self._bases[(layer, field)] = (idx, value)
-        # First sighting of a delta field: later encodes of the same
-        # value emit a delta against this base, so don't cache this one.
-        self._cacheable = False
 
     def refresh_all(self) -> None:
         """Re-emit every entry in the next datagram.
@@ -1083,41 +1054,23 @@ class HeaderChannelEncoder:
 class _ChannelTable:
     """Receiver-side entries for one channel (one epoch's worth)."""
 
-    __slots__ = ("epoch", "entries", "_decoded", "_rows")
+    __slots__ = ("epoch", "entries", "_decoded")
 
     def __init__(self, epoch: int) -> None:
         self.epoch = epoch
         self.entries: Dict[int, bytes] = {}
-        # Decoded-value cache: repetitive values (addresses above all)
-        # are parsed once per install, not once per message.
-        self._decoded: Dict[Tuple[int, int], Any] = {}
-        # Whole-header row cache: layer -> (encoded bytes, decoded
-        # snapshot).  Steady-state headers repeat byte-identically
-        # (COM's, every message); a hit costs one bytes compare and a
-        # small dict copy instead of a field walk.  Installs clear it
-        # (they are rare — first datagrams and periodic refreshes).
-        self._rows: Dict[str, Tuple[bytes, Header]] = {}
+        # Decoded-value cache, index -> {field type: value}: repetitive
+        # values (addresses above all) are parsed once per install, not
+        # once per message.
+        self._decoded: Dict[int, Dict[FieldType, Any]] = {}
 
     def install(self, idx: int, raw: bytes) -> None:
         self.entries[idx] = raw
-        # Invalidate any cached decode for this slot.
-        for key in [k for k in self._decoded if k[0] == idx]:
-            del self._decoded[key]
-        self._rows.clear()
-
-    def decode_row(self, codec: "HeaderCodec", blob: bytes) -> Header:
-        """Decode one table-coded header via the row cache."""
-        entry = self._rows.get(codec.layer)
-        if entry is not None and entry[0] == blob:
-            return dict(entry[1])
-        header = codec.decode_table(blob, self)
-        self._rows[codec.layer] = (blob, dict(header))
-        return header
+        self._decoded.pop(idx, None)
 
     def value(self, idx: int, ftype: FieldType) -> Any:
-        key = (idx, id(ftype))
         try:
-            return self._decoded[key]
+            return self._decoded[idx][ftype]
         except KeyError:
             pass
         raw = self.entries.get(idx)
@@ -1125,8 +1078,10 @@ class _ChannelTable:
             raise HeaderError(
                 f"unknown header-table index {idx} (install lost?)"
             )
-        value, _ = ftype.decode(raw, 0)
-        self._decoded[key] = value
+        value, used = ftype.decode(raw, 0)
+        if used != len(raw):
+            raise HeaderError(f"header-table entry {idx} has trailing bytes")
+        self._decoded.setdefault(idx, {})[ftype] = value
         return value
 
 
@@ -1179,27 +1134,20 @@ class _LazyHeader:
     copies.
     """
 
-    __slots__ = ("codec", "data", "offset", "length", "table")
+    __slots__ = ("codec", "data", "offset", "length")
 
     def __init__(
-        self,
-        codec: "HeaderCodec",
-        data: bytes,
-        offset: int,
-        length: int,
-        table: Optional["_ChannelTable"] = None,
+        self, codec: "HeaderCodec", data: bytes, offset: int, length: int
     ) -> None:
         self.codec = codec
         self.data = data
         self.offset = offset
         self.length = length
-        self.table = table
 
     def materialize(self) -> Header:
-        blob = bytes(self.data[self.offset : self.offset + self.length])
-        if self.table is not None:
-            return self.table.decode_row(self.codec, blob)
-        return self.codec.decode(blob)
+        return self.codec.decode(
+            bytes(self.data[self.offset : self.offset + self.length])
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1223,6 +1171,8 @@ WIRE_MODES = ("aligned", "compact", "packed", "table")
 #: Preamble extension for table mode: channel id, epoch, update count.
 _TABLE_PREAMBLE = struct.Struct(">IHH")
 _TABLE_UPDATE = struct.Struct(">HH")
+_ROW_FRAME = struct.Struct(">BH")
+_BODY_LEN = struct.Struct(">I")
 
 
 class HeaderRegistry:
@@ -1322,9 +1272,8 @@ class HeaderRegistry:
                         f"no codec registered for layer {owner!r}"
                     ) from None
                 blobs.append((layer_id, codec.encode_table(header, channel)))
-            # Installs must precede the headers that reference them, so
-            # they ride in the preamble and are applied eagerly by the
-            # receiver even when header decode itself is lazy.
+            # Installs must precede the rows that reference them, so
+            # they ride in the preamble.
             updates = channel.take_updates()
             out += _TABLE_PREAMBLE.pack(
                 channel.channel_id, channel.epoch, len(updates)
@@ -1333,7 +1282,7 @@ class HeaderRegistry:
                 out += _TABLE_UPDATE.pack(idx, len(raw))
                 out += raw
             for layer_id, blob in blobs:
-                out += struct.pack(">BH", layer_id, len(blob))
+                out += _ROW_FRAME.pack(layer_id, len(blob))
                 out += blob
         else:
             for owner, header in headers:
@@ -1366,11 +1315,12 @@ class HeaderRegistry:
         corruption confined to the body passes through silently, which
         is exactly why the checksum layer exists.
 
-        With ``lazy=True`` (framed modes only — ``packed`` is a single
-        sequential bit stream and always decodes eagerly) the datagram's
-        structure is validated once, but each header is decoded only
-        when its owning layer pops or peeks it, and the body is shared
-        as a ``memoryview`` slice.  Lazy and eager decode accept and
+        With ``lazy=True`` (``aligned`` and ``compact`` only — ``packed``
+        is a single sequential bit stream and ``table`` rows decode in
+        place, both always here) the datagram's structure is validated
+        once, but each header is decoded only when its owning layer pops
+        or peeks it, and the body is shared as a ``memoryview`` slice
+        (in ``table`` mode too).  Lazy and eager decode accept and
         reject exactly the same datagrams; laziness only moves *when* a
         value-level ``HeaderError`` surfaces (at access instead of
         here), which is why receive paths feed known-garbled packets
@@ -1391,10 +1341,9 @@ class HeaderRegistry:
         message = Message()
         if mode_byte == _MODE_PACKED:
             return self._unmarshal_packed(data, offset, n_headers, message)
-        table: Optional[_ChannelTable] = None
         if mode_byte == _MODE_TABLE:
-            table, offset = self._apply_table_preamble(data, offset, tables)
-        elif mode_byte not in (_MODE_ALIGNED, _MODE_COMPACT):
+            return self._unmarshal_table(data, offset, n_headers, message, lazy, tables)
+        if mode_byte not in (_MODE_ALIGNED, _MODE_COMPACT):
             raise HeaderError(f"bad mode byte {mode_byte}")
         # Structural scan: frame every header span and the body before
         # decoding anything, so truncation is caught here even when the
@@ -1428,18 +1377,59 @@ class HeaderRegistry:
         if lazy:
             push_lazy = message.push_lazy_header
             for codec, start, length in spans:
-                push_lazy(codec.layer, _LazyHeader(codec, data, start, length, table))
+                push_lazy(codec.layer, _LazyHeader(codec, data, start, length))
             if body_len:
                 message.add_segment(memoryview(data)[offset : offset + body_len])
         else:
             push = message.push_owned_header
             for codec, start, length in spans:
-                blob = bytes(data[start : start + length])
-                if table is not None:
-                    push(codec.layer, table.decode_row(codec, blob))
-                else:
-                    push(codec.layer, codec.decode(blob))
+                push(codec.layer, codec.decode(bytes(data[start : start + length])))
             message.add_segment(bytes(data[offset : offset + body_len]))
+        return message
+
+    def _unmarshal_table(
+        self,
+        data: bytes,
+        offset: int,
+        n_headers: int,
+        message: Message,
+        lazy: bool,
+        tables: Optional[HeaderTableStore],
+    ) -> Message:
+        """Table mode: apply the preamble, decode every row in place.
+
+        Rows are a few bytes each, so they decode here in the one pass
+        over the datagram (no per-header thunk, slice or re-dispatch);
+        ``lazy`` only decides whether the body is shared or copied.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        table, offset = self._apply_table_preamble(data, offset, tables)
+        size = len(data)
+        by_id = self._by_id
+        push = message.push_owned_header
+        try:
+            for _ in range(n_headers):
+                layer_id, length = _ROW_FRAME.unpack_from(data, offset)
+                offset += 3
+                end = offset + length
+                if end > size:
+                    raise HeaderError("truncated header")
+                codec = by_id.get(layer_id)
+                if codec is None:
+                    raise HeaderError(f"unknown header id {layer_id}")
+                push(codec.layer, codec.decode_row(data, offset, end, table))
+                offset = end
+            (body_len,) = _BODY_LEN.unpack_from(data, offset)
+            offset += 4
+            if offset + body_len > size:
+                raise HeaderError("truncated body")
+        except HeaderError:
+            raise
+        except Exception as exc:
+            raise HeaderError(f"corrupt packet: {exc}") from exc
+        body = memoryview(data) if lazy else data
+        message.add_segment(body[offset : offset + body_len])
         return message
 
     def _apply_table_preamble(

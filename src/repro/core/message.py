@@ -19,10 +19,11 @@ We reproduce both aspects:
   delivered body shares the datagram buffer until someone asks for
   :meth:`Message.body_bytes`.
 
-Received messages may additionally carry **lazy headers**: the wire
-unmarshaller pushes placeholder entries that hold a ``(codec, offset,
-length)`` window into the datagram instead of a decoded dict, and the
-dict is materialized only when the owning layer pops or peeks it (see
+Received messages may additionally carry **lazy headers**: in the
+``aligned`` and ``compact`` wire modes the unmarshaller pushes
+placeholder entries that hold a ``(codec, offset, length)`` window into
+the datagram instead of a decoded dict, and the dict is materialized
+only when the owning layer pops or peeks it (see
 :meth:`Message.push_lazy_header`).  Layers never observe the
 difference — every accessor materializes on demand.
 """

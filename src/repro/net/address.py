@@ -9,17 +9,20 @@ own addressing.  Two address kinds exist:
   membership: views are lists of endpoint addresses.
 * :class:`GroupAddress` — names a group.  Messages are addressed to
   groups, never directly to endpoints (Section 3).
+
+Both are named tuples: every per-peer table in the stack is keyed by an
+address, so hashing and equality run in C.  Hash values are those of the
+plain field tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _WIRE_ENCODING = "utf-8"
 
 
-@dataclass(frozen=True, order=True)
-class EndpointAddress:
+class EndpointAddress(NamedTuple):
     """Globally unique name of a communication endpoint.
 
     ``node`` identifies the simulated process/machine; ``port``
@@ -45,8 +48,7 @@ class EndpointAddress:
         return f"{self.node}:{self.port}"
 
 
-@dataclass(frozen=True, order=True)
-class GroupAddress:
+class GroupAddress(NamedTuple):
     """Name of a process group.
 
     The group address is what applications send to; the set of endpoints

@@ -94,6 +94,34 @@ class WalWriter:
         self.clock = clock
         self.label = label
         self.metrics = metrics
+        if metrics is not None:
+            # Series handles, resolved once: the observe calls below run
+            # per record.
+            self._flush_batches = metrics.counter(
+                "store_flush_batches_total",
+                "WAL flush batches written, by trigger",
+                labels=("trigger",),
+            )
+            self._batch_records = metrics.histogram(
+                "store_flush_batch_records",
+                "Records per WAL flush batch",
+                buckets=_RECORD_BUCKETS,
+            ).labels()
+            self._batch_bytes = metrics.histogram(
+                "store_flush_batch_bytes",
+                "Encoded bytes per WAL flush batch",
+                buckets=_BYTE_BUCKETS,
+            ).labels()
+            self._commit_tickets = metrics.counter(
+                "store_commit_tickets_total",
+                "Commit tickets completed, by durability mode",
+                labels=("mode",),
+            ).labels(mode=self.policy.mode)
+            self._commit_latency = metrics.histogram(
+                "store_commit_latency_seconds",
+                "Append-to-durable latency per record",
+                buckets=_LATENCY_BUCKETS,
+            ).labels() if clock is not None else None
         #: Chaos seam: called as ``fault_hook(phase, records, bytes)``
         #: with phase in {"before_write", "after_write", "after_sync"}
         #: around every flush; may raise to crash at that boundary.
@@ -396,36 +424,16 @@ class WalWriter:
     def _observe_flush(self, records: int, nbytes: int, trigger: str) -> None:
         if self.metrics is None:
             return
-        self.metrics.counter(
-            "store_flush_batches_total",
-            "WAL flush batches written, by trigger",
-            labels=("trigger",),
-        ).labels(trigger=trigger).inc()
-        self.metrics.histogram(
-            "store_flush_batch_records",
-            "Records per WAL flush batch",
-            buckets=_RECORD_BUCKETS,
-        ).observe(float(records))
-        self.metrics.histogram(
-            "store_flush_batch_bytes",
-            "Encoded bytes per WAL flush batch",
-            buckets=_BYTE_BUCKETS,
-        ).observe(float(nbytes))
+        self._flush_batches.labels(trigger=trigger).inc()
+        self._batch_records.observe(float(records))
+        self._batch_bytes.observe(float(nbytes))
 
     def _observe_commit(self, latency: float) -> None:
         if self.metrics is None:
             return
-        self.metrics.counter(
-            "store_commit_tickets_total",
-            "Commit tickets completed, by durability mode",
-            labels=("mode",),
-        ).labels(mode=self.policy.mode).inc()
-        if self.clock is not None:
-            self.metrics.histogram(
-                "store_commit_latency_seconds",
-                "Append-to-durable latency per record",
-                buckets=_LATENCY_BUCKETS,
-            ).observe(latency)
+        self._commit_tickets.inc()
+        if self._commit_latency is not None:
+            self._commit_latency.observe(latency)
 
     def __repr__(self) -> str:
         return (

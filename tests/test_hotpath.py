@@ -7,6 +7,9 @@ The ISSUE 7 test surface:
   :class:`HeaderError` or decodes to a well-formed message, and the
   lazy path always agrees with the eager path (never a wrong decode);
 * lazy-message parity with eager decode;
+* table mode's presence-coded rows (ISSUE 15): every codec against its
+  canonical encoding as the oracle, the sender template against the full
+  walk, hostile rows;
 * bit-IO byte-aligned fast paths pinned against the bit-by-bit slow
   path at odd offsets;
 * the ``canonical_content`` framing-collision regression;
@@ -19,6 +22,7 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
 from repro.core import headers as hdr
@@ -274,6 +278,182 @@ class TestHeaderTableMode:
         msg.push_header("FRAG", {"last": True})
         with pytest.raises(HeaderError):
             DEFAULT_REGISTRY.marshal(msg, "table")
+
+
+# ----------------------------------------------------------------------
+# Presence-coded table rows
+# ----------------------------------------------------------------------
+
+_EDGE_INTS = (0, 1, 127, 128, 16383, 16384, 2**21, 2**32 - 1, 2**63, 2**64 - 1)
+
+
+def value_strategy(ftype):
+    kind = type(ftype).__name__
+    if kind == "_UInt":
+        limit = 1 << ftype._bits
+        return st.one_of(
+            st.sampled_from([n for n in _EDGE_INTS if n < limit]),
+            st.integers(0, limit - 1),
+        )
+    if kind == "_Bool":
+        return st.booleans()
+    if kind == "_Float":
+        return st.floats(allow_nan=False)
+    if kind == "_Text":
+        return st.text(max_size=12)
+    if kind == "_VarBytes":
+        return st.binary(max_size=12)
+    if kind == "_Address":
+        return st.builds(EndpointAddress, st.sampled_from(["", "a", "node-b"]),
+                         st.integers(0, 3))
+    if kind == "_Group":
+        return st.builds(GroupAddress, st.sampled_from(["", "g", "grp-2"]))
+    if kind == "ListOf":
+        return st.lists(value_strategy(ftype.element), max_size=3)
+    if kind == "MapOf":
+        return st.dictionaries(value_strategy(ftype.key),
+                               value_strategy(ftype.value), max_size=3)
+    raise AssertionError(f"unhandled field type {kind}")
+
+
+def header_strategy(codec):
+    """Headers with each defaulted key omitted, at its default, or set."""
+    fields = {}
+    for name, ftype in codec.fields:
+        choices = [value_strategy(ftype).map(lambda v: (True, v))]
+        if name in codec.defaults:
+            choices.append(st.just((False, None)))
+            choices.append(st.just((True, codec.defaults[name])))
+        fields[name] = st.one_of(choices)
+    return st.fixed_dictionaries(fields).map(
+        lambda picked: {k: v for k, (own, v) in picked.items() if own})
+
+
+def table_roundtrip(layer, header, channel, tables):
+    msg = Message(b"row")
+    msg.push_header(layer, header)
+    data = DEFAULT_REGISTRY.marshal(msg, "table", channel=channel)
+    out = DEFAULT_REGISTRY.unmarshal(data, tables=tables)
+    assert out.body_bytes() == b"row"
+    return out.pop_header(layer)
+
+
+def raw_table_datagram(layer, row, updates=()):
+    """A table-mode datagram carrying one hand-written row."""
+    layer_id = DEFAULT_REGISTRY._by_name[layer][0]
+    out = struct.pack(">HBB", 0x4852, 3, 1) + struct.pack(">IHH", 7, 1, len(updates))
+    for idx, raw in updates:
+        out += struct.pack(">HH", idx, len(raw)) + raw
+    return out + struct.pack(">BH", layer_id, len(row)) + row + struct.pack(">I", 0)
+
+
+class TestPresenceCodedRows:
+    @pytest.mark.parametrize("layer", registered_layers())
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_codec_matches_its_canonical_decode(self, layer, data):
+        codec = DEFAULT_REGISTRY.codec_for(layer)
+        first = data.draw(header_strategy(codec))
+        second = data.draw(header_strategy(codec))
+        channel = make_channel_encoder(SRC, GRP, epoch=2)
+        full = make_channel_encoder(SRC, GRP, epoch=2)
+        full.max_entries = 0  # every table-typed field falls back to a literal
+        tables, no_tables = HeaderTableStore(), HeaderTableStore()
+        # first: full walk with installs; again: template and references;
+        # second: whatever the change of keys and values demands.
+        for header in (first, first, second):
+            expected = codec.decode(codec.encode(header))
+            assert table_roundtrip(layer, header, channel, tables) == expected
+            assert table_roundtrip(layer, header, full, no_tables) == expected
+        assert not full._raws
+
+    def test_default_valued_fields_cost_nothing(self):
+        codec = DEFAULT_REGISTRY.codec_for("MBRSHIP")
+        channel = make_channel_encoder(SRC, GRP, epoch=2)
+        short = codec.encode_table({"kind": 0}, channel)
+        spelled = codec.encode_table(dict(codec.defaults, kind=0), channel)
+        assert short == spelled == b"\x01\x00"
+
+    def test_absent_containers_are_fresh_per_header(self):
+        channel = make_channel_encoder(SRC, GRP, epoch=2)
+        tables = HeaderTableStore()
+        header = {"kind": 0, "vid": 3, "seq": 9, "origin": SRC}
+        one = table_roundtrip("MBRSHIP", header, channel, tables)
+        one["members"].append(SRC)
+        one["vector"][SRC] = 1
+        two = table_roundtrip("MBRSHIP", header, channel, tables)
+        assert two["members"] == [] and two["vector"] == {}
+        assert DEFAULT_REGISTRY.codec_for("MBRSHIP").defaults["members"] == []
+
+    def test_template_is_byte_identical_to_the_full_walk(self):
+        """Same datagrams (rows *and* refresh installs) with and without it."""
+        def run(use_template):
+            channel = make_channel_encoder(SRC, GRP, epoch=4, refresh_every=8)
+            datagrams = []
+            for seq in list(range(120, 140)) + [0, 0, 2**21, 5]:
+                msg = Message(b"t")
+                msg.push_header("TOTAL", {"kind": 0, "gseq": seq, "epoch": 1})
+                msg.push_header("MBRSHIP", {"kind": 0, "vid": 3, "seq": seq,
+                                            "origin": SRC})
+                msg.push_header("NAK", {"kind": 0, "era": 3, "seq": seq})
+                # One header bails *after* a replayed reference (group).
+                source = EndpointAddress("bob", 2) if seq == 130 else SRC
+                msg.push_header("COM", {"group": GRP, "source": source, "kind": 0})
+                if not use_template:
+                    channel._templates.clear()
+                datagrams.append(
+                    DEFAULT_REGISTRY.marshal(msg, "table", channel=channel))
+            return datagrams, list(channel._uses)
+
+        with_template, without = run(True), run(False)
+        assert with_template == without
+        # The run is long enough to have refreshed entries mid-stream.
+        installs = [struct.unpack_from(">H", d, 10)[0] for d in with_template[0]]
+        assert installs[0] > 0 and any(installs[1:])
+
+    def test_reinstall_replaces_the_cached_value(self):
+        table = HeaderTableStore().channel(1, 1)
+        a, b = EndpointAddress("a", 1), EndpointAddress("b", 2)
+        for addr in (a, b, a):
+            raw = bytearray()
+            hdr.ADDRESS.encode(addr, raw)
+            table.install(0, bytes(raw))
+            assert table.value(0, hdr.ADDRESS) == addr
+
+    @pytest.mark.parametrize("layer, row, updates", [
+        ("FRAG", b"\x02\x01", ()),                 # presence bit beyond the fields
+        ("FRAG", b"\x00", ()),                     # required field absent
+        ("NAK", b"\x04\x05", ()),                  # required `kind` absent
+        ("NAK", b"\x05\x00\x80", ()),              # truncated varint
+        ("NAK", b"\x01" + b"\xff" * 11 + b"\x01", ()),  # varint too long
+        ("NAK", b"\x01\xac\x02", ()),              # 300 in a U8
+        ("FRAG", b"\x01\x01\x00", ()),             # trailing byte
+        ("FRAG", b"", ()),                         # no bitmap at all
+        ("COM", b"\x07\x05\x05\x00", ()),          # unknown table ref
+        ("COM", b"\x07\x01\x01\x00", [(0, b"\x01g!")]),  # entry with trailing byte
+        ("COM", b"\x07\x00\x09g", ()),             # literal longer than the row
+    ])
+    @pytest.mark.parametrize("lazy", (False, True))
+    def test_hostile_rows_raise_header_error_at_unmarshal(
+            self, layer, row, updates, lazy):
+        with pytest.raises(HeaderError):
+            DEFAULT_REGISTRY.unmarshal(
+                raw_table_datagram(layer, row, updates), lazy=lazy,
+                tables=HeaderTableStore())
+
+    @pytest.mark.parametrize("layer", ("COM", "NAK", "MBRSHIP"))
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.binary(max_size=24))
+    def test_arbitrary_rows_decode_or_raise_header_error(self, layer, row):
+        try:
+            message = DEFAULT_REGISTRY.unmarshal(
+                raw_table_datagram(layer, row, [(0, b"\x03a:1")]),
+                tables=HeaderTableStore())
+        except HeaderError:
+            return
+        header = message.pop_header(layer)
+        assert set(header) == {
+            name for name, _ in DEFAULT_REGISTRY.codec_for(layer).fields}
 
 
 class TestBitIOFastPath:

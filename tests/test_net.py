@@ -31,6 +31,34 @@ class TestAddresses:
     def test_endpoint_hashable(self):
         assert len({EndpointAddress("a", 0), EndpointAddress("a", 0)}) == 1
 
+    def test_hashes_are_those_of_the_field_tuple(self):
+        # Set and dict iteration orders — and so the DES digests — hang
+        # on these values.
+        assert hash(EndpointAddress("n", 7)) == hash(("n", 7))
+        assert hash(GroupAddress("g")) == hash(("g",))
+
+    def test_kinds_never_compare_equal(self):
+        assert EndpointAddress("g", 0) != GroupAddress("g")
+        assert GroupAddress("a") < GroupAddress("b")
+
+    def test_repr_and_str(self):
+        assert repr(EndpointAddress("n", 7)) == "EndpointAddress(node='n', port=7)"
+        assert repr(GroupAddress("g")) == "GroupAddress(name='g')"
+        assert (str(EndpointAddress("n")), str(GroupAddress("g"))) == ("n:0", "g")
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            EndpointAddress("n", 7).port = 8
+        with pytest.raises(AttributeError):
+            GroupAddress("g").name = "h"
+
+    def test_pickle_roundtrip(self):
+        import pickle
+
+        for addr in (EndpointAddress("n", 7), GroupAddress("g")):
+            back = pickle.loads(pickle.dumps(addr))
+            assert back == addr and type(back) is type(addr)
+
     @given(node=st.text(min_size=1, max_size=20), port=st.integers(0, 1000))
     def test_property_endpoint_roundtrip(self, node, port):
         addr = EndpointAddress(node, port)
