@@ -25,17 +25,18 @@ implement both strategies so the trade-off can be measured:
 
 Receive-side cost is bounded by *lazy unmarshalling*: for ``aligned``
 and ``compact`` :meth:`HeaderRegistry.unmarshal` can validate the
-datagram's structure once and push lazy ``(codec, offset, length)``
-windows onto the message, decoding a header only when its owning layer
-pops or peeks it.  ``table`` rows are a few bytes each and decode in
-place in the unmarshal pass.  In all three the body can be shared as a
-``memoryview`` slice instead of a copied ``bytes``.
+datagram's structure once and push lazy ``(codec, span)`` entries onto
+the message, decoding a header only when its owning layer pops or peeks
+it; the integrity layers cover the spans as they arrived
+(:func:`content_chunks`).  ``table`` rows are a few bytes each and
+decode in place in the unmarshal pass.  In all three the body can be
+shared as a ``memoryview`` slice instead of a copied ``bytes``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.message import Header, Message
 from repro.errors import HeaderError
@@ -509,6 +510,9 @@ class HeaderCodec:
         defaults: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.layer = layer
+        owner = layer.encode("utf-8")
+        #: The owner name as the integrity layers frame it (content_chunks).
+        self.owner_frame = struct.pack(">H", len(owner)) + owner
         self.fields = list(fields)
         self.defaults = dict(defaults or {})
         # Precomputed split for wire_size: fixed-width fields contribute
@@ -623,8 +627,12 @@ class HeaderCodec:
                     f"{self.layer}: cannot encode field {name!r}={value!r}: {exc}"
                 ) from exc
 
-    def decode(self, data: bytes) -> Header:
-        """Decode bytes produced by :meth:`encode` back into a dict."""
+    def decode(self, data: bytes, exact: bool = False) -> Header:
+        """Decode bytes produced by :meth:`encode` back into a dict.
+
+        Bytes after the last field are ignored, or with ``exact`` raise
+        :class:`HeaderError` (see :class:`_LazyHeader`).
+        """
         header: Header = {}
         offset = 0
         for step in self._plan:
@@ -649,6 +657,10 @@ class HeaderCodec:
                     raise HeaderError(
                         f"{self.layer}: cannot decode field {name!r}: {exc}"
                     ) from exc
+        if exact and offset != len(data):
+            raise HeaderError(
+                f"{self.layer}: {len(data) - offset} bytes after the last field"
+            )
         return header
 
     def encode_table(self, header: Header, channel: "HeaderChannelEncoder") -> bytes:
@@ -1126,28 +1138,30 @@ def make_channel_encoder(
 
 
 class _LazyHeader:
-    """A deferred header: a (codec, offset, length) window into a datagram.
+    """A deferred header: its codec and its span of the datagram.
 
-    :meth:`Message.pop_header` / ``peek_header`` call
-    :meth:`materialize` on first access; decoding is a pure function of
-    the immutable datagram bytes, so thunks may be shared by message
-    copies.
+    ``span`` is the header's bytes exactly as they arrived.  Two
+    customers: :meth:`Message.pop_header` / ``peek_header`` call
+    :meth:`materialize` on first access, and the integrity layers cover
+    the span itself (:func:`content_chunks`) without decoding it.
+    Decoding is a pure function of the immutable span, so thunks may be
+    shared by message copies.
+
+    The header must fill its span.  The covered bytes carry no span
+    lengths, so a datagram re-framed to declare body bytes, or a whole
+    upper header, part of the header below covers the same byte string
+    and passes CHKSUM / SIGN; but fields are self-delimiting, so refusing
+    a tail here (the stack then drops the message) binds the boundaries.
     """
 
-    __slots__ = ("codec", "data", "offset", "length")
+    __slots__ = ("codec", "span")
 
-    def __init__(
-        self, codec: "HeaderCodec", data: bytes, offset: int, length: int
-    ) -> None:
+    def __init__(self, codec: "HeaderCodec", span: bytes) -> None:
         self.codec = codec
-        self.data = data
-        self.offset = offset
-        self.length = length
+        self.span = span
 
     def materialize(self) -> Header:
-        return self.codec.decode(
-            bytes(self.data[self.offset : self.offset + self.length])
-        )
+        return self.codec.decode(bytes(self.span), exact=True)
 
 
 # ----------------------------------------------------------------------
@@ -1321,10 +1335,18 @@ class HeaderRegistry:
         once, but each header is decoded only when its owning layer pops
         or peeks it, and the body is shared as a ``memoryview`` slice
         (in ``table`` mode too).  Lazy and eager decode accept and
-        reject exactly the same datagrams; laziness only moves *when* a
-        value-level ``HeaderError`` surfaces (at access instead of
-        here), which is why receive paths feed known-garbled packets
-        through the eager path.
+        reject exactly the same datagrams *at unmarshal*; laziness only
+        moves *when* a value-level ``HeaderError`` surfaces (at access
+        instead of here), which is why receive paths feed known-garbled
+        packets through the eager path.  Past unmarshal the lazy path
+        is stricter about spans that are not ``encode(decode(span))``:
+        bytes after a lazy header's last field raise at access
+        (:class:`_LazyHeader` says why), where eager decode ignores
+        them; and the integrity layers cover the span as it arrived
+        (:func:`content_chunks`), so a ``BOOL`` byte of ``0x02`` or junk
+        inside a frame's declared length fails CHKSUM / SIGN even with
+        a sum valid for the decoded values, where the eager path
+        re-encodes the values and passes it.
 
         ``tables`` carries the receiver's per-channel state for ``table``
         mode; without it each datagram gets a throwaway store (only
@@ -1377,7 +1399,9 @@ class HeaderRegistry:
         if lazy:
             push_lazy = message.push_lazy_header
             for codec, start, length in spans:
-                push_lazy(codec.layer, _LazyHeader(codec, data, start, length))
+                push_lazy(
+                    codec.layer, _LazyHeader(codec, data[start : start + length])
+                )
             if body_len:
                 message.add_segment(memoryview(data)[offset : offset + body_len])
         else:
@@ -1494,13 +1518,19 @@ class HeaderRegistry:
         return len(self.marshal(message, mode)) - message.body_size - 8
 
 
-def canonical_content(registry: HeaderRegistry, message: Message) -> bytes:
-    """Deterministic byte encoding of a message's headers and body.
+def content_chunks(registry: HeaderRegistry, message: Message) -> Iterator[bytes]:
+    """The bytes an integrity layer covers, in order, as chunks.
 
-    Integrity layers (checksumming, signing) cover everything pushed
-    *above* themselves by encoding the current header stack plus the
-    body through the registered codecs.  Both sides compute the same
-    bytes because codecs are deterministic.
+    Checksumming and signing cover everything pushed *above* the layer:
+    per header, bottom first, the owner's name length-prefixed
+    (``>H`` + UTF-8) and then the header's canonical bytes
+    (:meth:`HeaderCodec.encode`); after the headers, the body segments.
+    A header that is still lazy contributes the span that arrived — in
+    ``aligned``/``compact`` mode those *are* the sender's canonical
+    bytes — and stays lazy, so a receiver verifies the datagram it got
+    without decoding or re-encoding what sits above it; a dict is
+    encoded.  The layers fold the chunks (``zlib.crc32(chunk, crc)``,
+    ``hmac.update``) and build no joined buffer.
 
     Owner names are length-prefixed: bare concatenation let distinct
     stacks collide (owners ``"AB"`` + ``"C"`` framed identically to
@@ -1508,14 +1538,20 @@ def canonical_content(registry: HeaderRegistry, message: Message) -> bytes:
     attacker — or plain bad luck — could use to swap headers without
     moving the checksum.  The prefix makes the framing injective.
     """
-    out = bytearray()
-    for owner, header in message.headers():
-        name = owner.encode("utf-8")
-        out += struct.pack(">H", len(name))
-        out += name
-        out += registry.codec_for(owner).encode(header)
-    out += message.body_bytes()
-    return bytes(out)
+    for owner, header in message.header_entries():
+        if type(header) is dict:
+            codec = registry.codec_for(owner)
+            yield codec.owner_frame
+            yield codec.encode(header)
+        else:
+            yield header.codec.owner_frame
+            yield header.span
+    yield from message.segments
+
+
+def canonical_content(registry: HeaderRegistry, message: Message) -> bytes:
+    """:func:`content_chunks` joined: the covered bytes as one string."""
+    return b"".join(content_chunks(registry, message))
 
 
 def packed_bit_size(registry: HeaderRegistry, message: Message) -> int:

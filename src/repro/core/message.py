@@ -21,11 +21,14 @@ We reproduce both aspects:
 
 Received messages may additionally carry **lazy headers**: in the
 ``aligned`` and ``compact`` wire modes the unmarshaller pushes
-placeholder entries that hold a ``(codec, offset, length)`` window into
-the datagram instead of a decoded dict, and the dict is materialized
-only when the owning layer pops or peeks it (see
+placeholder entries that hold a ``(codec, span)`` pair — the header's
+bytes as they arrived — instead of a decoded dict, and the dict is
+materialized only when the owning layer pops or peeks it (see
 :meth:`Message.push_lazy_header`).  Layers never observe the
-difference — every accessor materializes on demand.
+difference — every accessor materializes on demand, except
+:meth:`Message.header_entries`, through which the integrity layers
+(CHKSUM, SIGN) read the arrived bytes of the headers above them without
+decoding them.
 """
 
 from __future__ import annotations
@@ -73,10 +76,14 @@ class Message:
     def push_lazy_header(self, layer: str, entry: Any) -> None:
         """Push a deferred header owned by ``layer``.
 
-        ``entry`` is anything with a ``materialize()`` method returning
-        the header dict (and raising ``HeaderError`` on corrupt bytes).
-        Used by the wire unmarshaller so a received message decodes a
-        header only when its owning layer actually pops or peeks it.
+        ``entry`` is a :class:`repro.core.headers._LazyHeader` or
+        anything shaped like one: ``materialize()`` returns the header
+        dict (raising ``HeaderError`` on corrupt bytes), ``span`` is the
+        header's bytes as they arrived and ``codec`` its
+        :class:`~repro.core.headers.HeaderCodec` (the integrity layers
+        read those two through :meth:`header_entries`).  Used by the wire
+        unmarshaller so a received message decodes a header only when
+        its owning layer actually pops or peeks it.
         """
         self._headers.append((layer, entry))
 
@@ -130,8 +137,8 @@ class Message:
     def headers(self) -> List[Tuple[str, Header]]:
         """A snapshot of the header stack, bottom-of-stack first.
 
-        Materializes any lazy entries (marshalling and the integrity
-        layers need every header decoded).
+        Materializes any lazy entries and copies every dict: for
+        inspection (tests, size accounting), not for the hot path.
         """
         entries = self._headers
         out: List[Tuple[str, Header]] = []
@@ -145,15 +152,26 @@ class Message:
     def iter_headers(self) -> List[Tuple[str, Header]]:
         """The header stack, bottom-first, materialized but NOT copied.
 
-        Hot-path variant of :meth:`headers` for read-only walks (the
-        marshaller, canonical-content hashing): callers must not mutate
-        the dicts.
+        Hot-path variant of :meth:`headers` for the marshaller's
+        read-only walk: callers must not mutate the dicts.
         """
         entries = self._headers
         for i, (owner, h) in enumerate(entries):
             if type(h) is not dict:
                 entries[i] = (owner, h.materialize())
         return entries
+
+    def header_entries(self) -> List[Tuple[str, Any]]:
+        """The header stack, bottom-first, as stored: nothing decoded.
+
+        Each entry is ``(owner, header)`` where ``header`` is a dict or
+        — ``type(header) is not dict`` — a lazy entry still holding its
+        datagram span, which this walk leaves lazy.  The one reader is
+        the integrity layers' covered-bytes walk
+        (:func:`repro.core.headers.content_chunks`); callers must not
+        mutate the list or the dicts.
+        """
+        return self._headers
 
     # ------------------------------------------------------------------
     # Body segments (iovec)

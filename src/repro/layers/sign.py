@@ -4,11 +4,13 @@
 dependent on a secret key), making it impossible for a malignant
 intruder to impersonate a member process of the application."
 
-A keyed HMAC (SHA-256, truncated) over the canonical content — body
-plus the headers above this layer, with owner names length-prefixed in
-the covered bytes so no two header stacks share an encoding.  All
-group members share the key (group-key distribution is the KEYDIST
-protocol type of Figure 1; here the key arrives via layer config).
+A keyed HMAC (SHA-256, truncated) over the covered bytes — body plus
+the headers above this layer, with owner names length-prefixed so no
+two header stacks share an encoding (the same bytes CHKSUM covers,
+:func:`repro.core.headers.content_chunks`; a receiver reads them from
+the datagram that arrived).  All group members share the key
+(group-key distribution is the KEYDIST protocol type of Figure 1; here
+the key arrives via layer config).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import hashlib
 
 from repro.core import headers as hdr
 from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
-from repro.core.headers import canonical_content
+from repro.core.headers import content_chunks
 from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
@@ -46,30 +48,36 @@ class SigningLayer(Layer):
         self.verified = 0
 
     def _mac(self, message) -> bytes:
-        content = canonical_content(self.context.registry, message)
-        return hmac.new(self.key, content, hashlib.sha256).digest()[:_MAC_BYTES]
+        mac = hmac.new(self.key, digestmod=hashlib.sha256)
+        for chunk in content_chunks(self.context.registry, message):
+            mac.update(chunk)
+        return mac.digest()[:_MAC_BYTES]
 
     def handle_down(self, downcall: Downcall) -> None:
         if (
             downcall.type in (DowncallType.CAST, DowncallType.SEND)
             and downcall.message is not None
         ):
-            downcall.message.push_header(
+            downcall.message.push_owned_header(
                 self.name, {"mac": self._mac(downcall.message)}
             )
         self.pass_down(downcall)
 
     def handle_up(self, upcall: Upcall) -> None:
         message = upcall.message
-        if (
-            upcall.type not in (UpcallType.CAST, UpcallType.SEND)
-            or message is None
-            or message.peek_header(self.name) is None
-        ):
+        if upcall.type not in (UpcallType.CAST, UpcallType.SEND) or message is None:
             self.pass_up(upcall)
             return
-        header = message.pop_header(self.name)
-        if not hmac.compare_digest(bytes(header["mac"]), self._mac(message)):
+        # A message whose top header is not ours carries no MAC: passing
+        # it up would let anyone impersonate a member by omitting the
+        # header, so it is rejected like a bad one.
+        header = (
+            message.pop_header(self.name)
+            if message.top_owner() == self.name else None
+        )
+        if header is None or not hmac.compare_digest(
+            bytes(header["mac"]), self._mac(message)
+        ):
             self.rejected += 1
             self.trace("signature_rejected", source=str(upcall.source))
             return

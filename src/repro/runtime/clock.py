@@ -42,7 +42,8 @@ class EventHandle:
     """A cancellable reference to a scheduled event.
 
     Cancellation is *lazy*: the entry stays in the owner's heap but is
-    skipped when popped.  This keeps :meth:`Clock.cancel` O(1).
+    skipped when popped.  This keeps :meth:`Clock.cancel` O(1).  Handles
+    are not ordered: the owners heap ``(time, seq, handle)`` tuples.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -59,9 +60,6 @@ class EventHandle:
         self.cancelled = True
         self.fn = None
         self.args = ()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"

@@ -8,9 +8,10 @@ Two properties carry over from the discrete-event scheduler so protocol
 code behaves identically on both substrates:
 
 * **Deterministic same-deadline ordering.**  The engine keeps its own
-  ``(time, seq)`` heap and drains all due events through a single asyncio
-  timer, so events scheduled for the same instant fire in scheduling
-  order — asyncio's raw heap makes no such promise for ties.
+  heap of ``(time, seq, handle)`` tuples (ordered in C; the unique seq
+  means handles are never compared) and drains all due events through a
+  single asyncio timer, so events scheduled for the same instant fire in
+  scheduling order — asyncio's raw heap makes no such promise for ties.
 * **No re-entrancy.**  ``call_soon`` work runs from the pump, never
   inside the scheduling call.
 
@@ -37,7 +38,7 @@ import heapq
 import itertools
 import select
 import selectors
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.runtime.clock import Clock, EventHandle
 
@@ -90,7 +91,7 @@ class RealtimeEngine(Clock):
     def __init__(self) -> None:
         self._loop = _new_loop()
         self._epoch = self._loop.time()
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._pump_handle: Optional[asyncio.TimerHandle] = None
         #: Engine time the pump is armed for (meaningful while
@@ -117,9 +118,11 @@ class RealtimeEngine(Clock):
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at engine time ``when`` (past ⇒ ASAP)."""
-        handle = EventHandle(max(when, self.now), next(self._seq), fn, args)
-        heapq.heappush(self._heap, handle)
-        self._arm(handle.time)
+        when = max(when, self.now)
+        seq = next(self._seq)
+        handle = EventHandle(when, seq, fn, args)
+        heapq.heappush(self._heap, (when, seq, handle))
+        self._arm(when)
         return handle
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -132,7 +135,7 @@ class RealtimeEngine(Clock):
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     # ------------------------------------------------------------------
     # Driving the loop
@@ -219,10 +222,11 @@ class RealtimeEngine(Clock):
 
     def _peek(self) -> Optional[EventHandle]:
         while self._heap:
-            if self._heap[0].cancelled:
+            handle = self._heap[0][2]
+            if handle.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return self._heap[0]
+            return handle
         return None
 
     def _arm(self, when: float) -> None:

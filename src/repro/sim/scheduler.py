@@ -1,9 +1,11 @@
 """Virtual-time discrete-event scheduler.
 
-The scheduler is a priority queue of ``(time, sequence, callback)``
-entries.  Ties on time are broken by insertion order, which makes every
-simulation run fully deterministic for a given seed: two events scheduled
-for the same instant always fire in the order they were scheduled.
+The scheduler is a priority queue of ``(time, sequence, handle)``
+tuples, so the heap orders itself in C and never compares handles (the
+sequence is unique).  Ties on time are broken by insertion order, which
+makes every simulation run fully deterministic for a given seed: two
+events scheduled for the same instant always fire in the order they
+were scheduled.
 
 This is the virtual-time substrate beneath every simulated network and
 protocol stack in the package.  Layers never spin or block; they
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime.clock import Clock, EventHandle
@@ -41,7 +43,7 @@ class Scheduler(Clock):
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         #: Total number of events executed; useful in benchmarks.
@@ -58,8 +60,9 @@ class Scheduler(Clock):
             raise SimulationError(
                 f"cannot schedule event at {when:.6f}, now is {self._now:.6f}"
             )
-        handle = EventHandle(when, next(self._seq), fn, args)
-        heapq.heappush(self._heap, handle)
+        seq = next(self._seq)
+        handle = EventHandle(when, seq, fn, args)
+        heapq.heappush(self._heap, (when, seq, handle))
         return handle
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -79,7 +82,7 @@ class Scheduler(Clock):
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     def step(self) -> bool:
         """Execute the single next event.
@@ -87,7 +90,7 @@ class Scheduler(Clock):
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
         while self._heap:
-            handle = heapq.heappop(self._heap)
+            _, _, handle = heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
             self._now = handle.time
@@ -152,10 +155,11 @@ class Scheduler(Clock):
     def _peek(self) -> Optional[EventHandle]:
         """Return the next live event without popping it, or ``None``."""
         while self._heap:
-            if self._heap[0].cancelled:
+            handle = self._heap[0][2]
+            if handle.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return self._heap[0]
+            return handle
         return None
 
     def __repr__(self) -> str:

@@ -48,6 +48,60 @@ class TestSign:
         assert drain(handles["b"]) == []
 
 
+class TestUnverifiableIsDropped:
+    """A CAST/SEND that does not carry the integrity layer's header cannot
+    be verified.  It used to be passed up untouched, so omitting the
+    header was all an intruder needed; now it is dropped and counted."""
+
+    @pytest.mark.parametrize("stack, layer, counter, category", [
+        ("NAK:SIGN(key='secret'):COM", "SIGN", "rejected", "signature_rejected"),
+        ("NAK:CHKSUM:COM", "CHKSUM", "garbled_dropped", "garbled_dropped"),
+    ])
+    def test_forged_without_header_is_not_delivered(
+            self, lan_world, stack, layer, counter, category):
+        from repro.core.message import Message
+        from repro.net.address import GroupAddress
+
+        handles = pair(lan_world, stack)
+        a, b = handles["a"], handles["b"]
+        # What NAK and COM would have pushed for a's first cast, and
+        # nothing in between: no key, no sum needed to build it.
+        forged = Message(b"forged")
+        forged.push_header("NAK", {"kind": 0, "era": 0, "seq": 1})
+        forged.push_header("COM", {"group": GroupAddress("grp"),
+                                   "source": a.endpoint_address, "kind": 0})
+        lan_world.network.unicast(
+            a.endpoint_address, b.endpoint_address,
+            lan_world.registry.marshal(forged, lan_world.wire_mode))
+        lan_world.run(1.0)
+        assert drain(b) == []
+        assert getattr(b.focus(layer), counter) == 1
+        assert any(r.category == category and r.detail["layer"] == layer
+                   for r in lan_world.trace.records)
+        # The legitimate flow, and the sender's loopback self-delivery
+        # (which skips the wire but not the layers), still get through.
+        a.cast(b"authentic")
+        lan_world.run(1.0)
+        assert drain(b) == [b"authentic"]
+        assert drain(a) == [b"authentic"]
+        assert getattr(b.focus(layer), counter) == 1
+
+    def test_other_upcalls_and_messageless_upcalls_pass(self, lan_world):
+        from repro.core.events import Upcall, UpcallType
+
+        handles = pair(lan_world, "SIGN:CHKSUM:COM")
+        stack = handles["a"].stack
+        problems = []
+        handles["a"].on_problem = problems.append
+        peer = handles["b"].endpoint_address
+        stack.deliver_from_network(Upcall(UpcallType.PROBLEM, source=peer))
+        stack.layers[1].up(Upcall(UpcallType.CAST, source=peer))  # no message
+        assert problems == [peer]
+        assert [d.data for d in handles["a"].delivery_log] == [b""]
+        assert stack.focus("SIGN").rejected == 0
+        assert stack.focus("CHKSUM").garbled_dropped == 0
+
+
 class TestCrypt:
     def test_roundtrip(self, lan_world):
         handles = pair(lan_world, "NAK:CRYPT:COM")

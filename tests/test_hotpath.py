@@ -13,16 +13,25 @@ The ISSUE 7 test surface:
 * bit-IO byte-aligned fast paths pinned against the bit-by-bit slow
   path at odd offsets;
 * the ``canonical_content`` framing-collision regression;
+* the integrity layers' span path (ISSUE 17): covered bytes equal on
+  both sides in every wire mode, a golden vector from the parent commit,
+  zero encodes / one decode per verified datagram, every bit flip
+  dropped, the stricter verdict on non-canonical spans, and moved frame
+  boundaries (which the sum cannot see) refused by the header's owner;
 * batch-frame coalescing: round-trip, rejected-whole corruption, and
   the Clock-driven flush budget.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import math
 import struct
+import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
 from repro.core import headers as hdr
@@ -34,8 +43,10 @@ from repro.core.headers import (
     HeaderRegistry,
     HeaderTableStore,
     canonical_content,
+    content_chunks,
     make_channel_encoder,
 )
+from repro.core.events import cast_down
 from repro.core.message import Message
 from repro.errors import HeaderError
 from repro.net.address import EndpointAddress, GroupAddress
@@ -515,6 +526,325 @@ class TestCanonicalContentFraming:
         msg.push_header("XY", {})
         content = canonical_content(registry, msg)
         assert content == struct.pack(">H", 2) + b"XY" + b"tail"
+
+
+# ----------------------------------------------------------------------
+# CHKSUM / SIGN over the spans that arrived
+# ----------------------------------------------------------------------
+
+_GOLDEN_KEY = "golden-key"
+#: Covered bytes, CRC-32 and truncated HMAC of :func:`golden_message`,
+#: computed with ``canonical_content`` at the parent commit (492f29f).
+#: They pin the coverage definition: if these move, every sum on the
+#: wire moved.
+_GOLDEN_COVERED = bytes.fromhex(
+    "00074d42525348495000000000030000000000000000000000000000002907616c"
+    "6963653a31000207616c6963653a3105626f623a3200000000000207616c696365"
+    "3a31000000000000000705626f623a3200000000000000090004465241470100034e"
+    "414b0000000003000000000000012c00000000000000000000000000000000676f"
+    "6c64656e20626f6479"
+)
+_GOLDEN_CRC = 0xBCBC400C
+_GOLDEN_MAC = bytes.fromhex("0b991b052cf5399e")
+
+#: (stack spec, the layer's drop counter, its header's verdict field)
+INTEGRITY_LAYERS = [
+    ("CHKSUM", "garbled_dropped", "sum"),
+    (f"SIGN(key='{_GOLDEN_KEY}')", "rejected", "mac"),
+]
+SPAN_MODES = ("aligned", "compact")  # the modes that unmarshal lazily
+
+
+def golden_message():
+    """What CHKSUM/SIGN see on the way down the Section 7 stack."""
+    bob = EndpointAddress("bob", 2)
+    msg = Message(b"golden ")
+    msg.add_segment(b"body")
+    msg.push_header("MBRSHIP", {"kind": 0, "vid": 3, "seq": 41, "origin": SRC,
+                                "members": [SRC, bob],
+                                "vector": {SRC: 7, bob: 9}})
+    msg.push_header("FRAG", {"last": True})
+    msg.push_header("NAK", {"kind": 0, "era": 3, "seq": 300})
+    return msg
+
+
+def header_spans(data):
+    """``{owner: (start, end)}`` of every header's bytes in an aligned or
+    compact datagram, plus ``"body"``."""
+    _, mode, n_headers = struct.unpack_from(">HBB", data, 0)
+    offset, spans = 4, {}
+    for _ in range(n_headers):
+        layer_id, length = struct.unpack_from(">BH", data, offset)
+        offset += 3
+        spans[DEFAULT_REGISTRY._by_id[layer_id].layer] = (offset, offset + length)
+        offset += length
+        if mode == 0:
+            offset += (-(3 + length)) % 4
+    (body_len,) = struct.unpack_from(">I", data, offset)
+    spans["body"] = (offset + 4, offset + 4 + body_len)
+    return spans
+
+
+def split_datagram(data):
+    """``({owner: span bytes}, body)``, header order kept."""
+    spans = header_spans(data)
+    body = data[slice(*spans.pop("body"))]
+    return {owner: data[start:end] for owner, (start, end) in spans.items()}, body
+
+
+def join_datagram(mode_byte, frames, body):
+    """The inverse of :func:`split_datagram`, lengths and padding redone."""
+    out = bytearray(struct.pack(">HBB", 0x4852, mode_byte, len(frames)))
+    for owner, span in frames.items():
+        out += struct.pack(">BH", DEFAULT_REGISTRY._by_name[owner][0], len(span))
+        out += span
+        if mode_byte == 0:
+            out += b"\x00" * ((-(3 + len(span))) % 4)
+    return bytes(out + struct.pack(">I", len(body)) + body)
+
+
+class IntegrityRig:
+    """Two members on ``<layer>:COM``.  ``a``'s datagrams are captured
+    instead of sent and handed to ``b``'s demux by hand: clean packets
+    take the lazy path, ``eager=True`` marks them garbled so the demux
+    decodes every header up front."""
+
+    def __init__(self, spec, mode, above=""):
+        from repro.core.process import World
+
+        self.world = World(seed=5, network="lan", wire_mode=mode)
+        self.a = self.world.process("a").endpoint()
+        self.b = self.world.process("b").endpoint()
+        self.ha = self.a.join("grp", stack=f"{above}{spec}:COM")
+        self.hb = self.b.join("grp", stack=f"{above}{spec}:COM")
+        members = [self.ha.endpoint_address, self.hb.endpoint_address]
+        self.ha.set_destinations(members)
+        self.hb.set_destinations(members)
+        self.sent = []
+        self.world.network.multicast = (
+            lambda source, dests, data: self.sent.append(bytes(data)))
+        self.layer = self.hb.stack.layers[-2]
+
+    def datagram(self, message):
+        """``message`` — upper headers already pushed — cast down a's stack."""
+        self.ha.stack.down(cast_down(message))
+        return self.sent.pop()
+
+    def cast(self, data):
+        """The datagram of an application cast through the layers ``above``."""
+        self.ha.cast(data)
+        return self.sent.pop()
+
+    def receive(self, data, eager=False):
+        """Hand ``data`` to b; returns what its application got from it."""
+        before = len(self.hb.delivery_log)
+        self.b._on_packet(Packet(
+            source=self.ha.endpoint_address, dest=self.hb.endpoint_address,
+            payload=data, garbled=eager))
+        return self.hb.delivery_log[before:]
+
+    def undecodable(self):
+        return self.b.undecodable_packets + self.hb.stack.undecodable_messages
+
+
+class TestCoveredBytes:
+    """(a) Receiver and sender cover the same bytes, and those bytes are
+    the ones the parent commit covered."""
+
+    @pytest.mark.parametrize("layer", registered_layers())
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_mode_lazy_and_eager_covers_the_senders_bytes(self, layer, data):
+        header = data.draw(header_strategy(DEFAULT_REGISTRY.codec_for(layer)))
+        # Known gap, older than this test and not the span path's: table
+        # rows omit a field that *compares* equal to its default, so a
+        # -0.0 float arrives as the 0.0 default and re-encodes differently.
+        assume(not any(type(v) is float and v == 0 and math.copysign(1, v) < 0
+                       for v in header.values()))
+        msg = Message(b"seg one, ")
+        msg.add_segment(b"seg two")
+        msg.push_header(layer, header)
+        expected = b"".join(content_chunks(DEFAULT_REGISTRY, msg))
+        for mode in WIRE_MODES:
+            wire = marshal_mode(DEFAULT_REGISTRY, msg, mode)
+            for lazy in (False, True):
+                out = unmarshal_mode(DEFAULT_REGISTRY, wire, mode, lazy=lazy)
+                assert b"".join(content_chunks(DEFAULT_REGISTRY, out)) == expected, (
+                    mode, lazy)
+                if lazy and mode in SPAN_MODES:
+                    # The walk read the span; it decoded nothing.
+                    assert type(out.header_entries()[0][1]) is not dict
+
+    def test_golden_vector(self):
+        msg = golden_message()
+        assert b"".join(content_chunks(DEFAULT_REGISTRY, msg)) == _GOLDEN_COVERED
+        assert zlib.crc32(_GOLDEN_COVERED) == _GOLDEN_CRC
+        assert hmac.new(_GOLDEN_KEY.encode(), _GOLDEN_COVERED,
+                        hashlib.sha256).digest()[:8] == _GOLDEN_MAC
+
+    @pytest.mark.parametrize("mode", WIRE_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_golden_vector_on_the_wire(self, spec, counter, field, mode):
+        rig = IntegrityRig(spec, mode)
+        msg = golden_message()
+        wire = rig.datagram(msg)
+        pushed = dict(msg.headers())[rig.layer.name][field]
+        assert pushed == (_GOLDEN_CRC if field == "sum" else _GOLDEN_MAC)
+        for eager in (False, True):
+            (got,) = rig.receive(wire, eager=eager)
+            assert got.data == b"golden body"
+        assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 0
+
+
+class TestIntegritySpanPath:
+    @pytest.fixture
+    def codec_calls(self, monkeypatch):
+        """Owner names of every ``HeaderCodec.encode`` / ``decode`` call."""
+        calls = {"encode": [], "decode": []}
+        for name in calls:
+            real = getattr(hdr.HeaderCodec, name)
+
+            def recording(self, *args, _real=real, _name=name, **kwargs):
+                calls[_name].append(self.layer)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(hdr.HeaderCodec, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_intact_datagram_costs_no_encode_and_one_decode(
+            self, spec, counter, field, mode, codec_calls):
+        """(b) The mechanism, deterministically: on the way up the layer
+        decodes its own header, encodes nothing, and hands the headers
+        above it to the next layer still lazy."""
+        rig = IntegrityRig(spec, mode)
+        wire = rig.datagram(golden_message())
+        codec_calls["encode"].clear()
+        (got,) = rig.receive(wire)
+        # COM's decode is the demux reading the group; the other is ours.
+        assert codec_calls == {"encode": [], "decode": ["COM", rig.layer.name]}
+        entries = got.message.header_entries()
+        assert [owner for owner, _ in entries] == ["MBRSHIP", "FRAG", "NAK"]
+        assert all(type(header) is not dict for _, header in entries)
+        assert rig.layer.verified == 1
+
+    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_every_bit_flip_is_dropped(self, spec, counter, field, mode):
+        """(c) Covered region, ``sum`` or ``mac``.  Lazy: every flip is
+        dropped, and counted by the layer itself.  Eager: dropped too,
+        unless the flipped span still decodes to the sender's values
+        (FRAG's ``0x01`` -> ``0x03``: case (d)), which eager re-encodes
+        and passes, as it always has — never a wrong value."""
+        rig = IntegrityRig(spec, mode)
+        wire = rig.datagram(golden_message())
+        spans = header_spans(wire)
+        own = spans[rig.layer.name]
+        regions = {name: spans[name] for name in ("MBRSHIP", "FRAG", "NAK", "body")}
+        regions[field] = (own[1] - (4 if field == "sum" else 8), own[1])
+        assert sum(end - start for start, end in regions.values()) == (
+            len(_GOLDEN_COVERED) - 20  # the three owner frames
+            + (4 if field == "sum" else 8))
+        same_values = 0
+        for name, (start, end) in regions.items():
+            for pos in range(start, end):
+                for bit in range(8):
+                    garbled = bytearray(wire)
+                    garbled[pos] ^= 1 << bit
+                    garbled = bytes(garbled)
+                    if rig.receive(garbled, eager=True):
+                        decode = DEFAULT_REGISTRY.codec_for(name).decode
+                        assert decode(garbled[start:end]) == decode(wire[start:end])
+                        same_values += 1
+                    dropped = getattr(rig.layer, counter)
+                    undecodable = rig.undecodable()
+                    assert rig.receive(garbled) == []
+                    assert getattr(rig.layer, counter) == dropped + 1
+                    assert rig.undecodable() == undecodable
+        assert rig.layer.verified == same_values == 7  # the BOOL's other bits
+
+    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_non_canonical_span_fails_on_the_lazy_path_only(
+            self, spec, counter, field, mode):
+        """(d) Where the verdict got stricter.  A span that is not
+        ``encode(decode(span))`` carrying a sum valid for its decoded
+        *values*: the eager path re-encodes the values and passes it (as
+        every path did before ISSUE 17); the lazy path covers the bytes
+        that arrived, they differ from what the sender summed, so it is
+        dropped.  No honest encoder emits such a span."""
+        rig = IntegrityRig(spec, mode)
+        wire = rig.datagram(golden_message())
+        start, end = header_spans(wire)["FRAG"]
+        assert wire[start:end] == b"\x01"
+        odd_bool = wire[:start] + b"\x02" + wire[end:]  # decodes to True
+        # Four junk bytes inside the frame's declared length (four keeps
+        # the aligned mode's padding where it was); decode ignores them.
+        junk = (wire[:start - 2] + struct.pack(">H", 5) + b"\x01junk"
+                + wire[end:])
+        for forged in (odd_bool, junk):
+            dropped = getattr(rig.layer, counter)
+            (got,) = rig.receive(forged, eager=True)
+            assert got.data == b"golden body"
+            assert rig.receive(forged) == []
+            assert getattr(rig.layer, counter) == dropped + 1
+        assert rig.undecodable() == 0
+
+
+class TestFrameBoundariesAreBound:
+    """The covered bytes carry no span lengths, so a datagram whose frame
+    boundaries were moved covers the same byte string as the sender's and
+    its sum verifies — without the key.  A lazy header must therefore
+    fill its span: the owner's pop raises and the stack drops the
+    message.  (Eager re-encodes what it decoded, loses the moved bytes
+    from the covered string and fails the sum, as every path did before
+    ISSUE 17.)"""
+
+    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    @pytest.mark.parametrize("moved", ("body bytes", "a whole header"))
+    def test_moved_boundary_is_never_delivered(
+            self, spec, counter, field, mode, moved):
+        rig = IntegrityRig(spec, mode, above="FRAG:NAK:")
+        wire = rig.cast(b"0123456789abcdef")
+        (got,) = rig.receive(wire)
+        assert got.data == b"0123456789abcdef"
+        frames, body = split_datagram(wire)
+        assert list(frames)[:2] == ["FRAG", "NAK"]  # covered in this order
+        if moved == "body bytes":
+            # ... |NAK|S_nak|body  ==  ... |NAK|S_nak + body[:5]|body[5:]
+            frames["NAK"] += body[:5]
+            body = body[5:]
+        else:
+            # FRAG|S_frag|NAK|S_nak|body  ==  FRAG|S_frag + NAK|S_nak|body
+            frames["FRAG"] += (DEFAULT_REGISTRY.codec_for("NAK").owner_frame
+                               + frames.pop("NAK"))
+        forged = join_datagram(wire[2], frames, body)
+        assert rig.receive(forged) == []
+        # The sum verified (that is the hole); the owner refused the span.
+        assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 0
+        assert rig.undecodable() == 1
+        assert rig.receive(forged, eager=True) == []
+        assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 1
+        assert rig.undecodable() == 1
+
+    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("layer", registered_layers())
+    def test_lazy_header_must_fill_its_span(self, layer, mode):
+        codec = DEFAULT_REGISTRY.codec_for(layer)
+        header = full_header(codec, salt=3)
+        span = codec.encode(header)
+        for tail in (b"", b"\x00", b"junk"):
+            data = join_datagram(SPAN_MODES.index(mode), {layer: span + tail}, b"b")
+            # Eager decoding is unchanged: it ignores the tail.
+            assert DEFAULT_REGISTRY.unmarshal(data).pop_header(layer) == header
+            message = DEFAULT_REGISTRY.unmarshal(data, lazy=True)
+            if tail:
+                with pytest.raises(HeaderError):
+                    message.pop_header(layer)
+            else:
+                assert message.pop_header(layer) == header
 
 
 class _StubClock:
