@@ -76,7 +76,7 @@ class Message:
     def push_lazy_header(self, layer: str, entry: Any) -> None:
         """Push a deferred header owned by ``layer``.
 
-        ``entry`` is a :class:`repro.core.headers._LazyHeader` or
+        ``entry`` is a :class:`repro.core.headers.wire._LazyHeader` or
         anything shaped like one: ``materialize()`` returns the header
         dict (raising ``HeaderError`` on corrupt bytes), ``span`` is the
         header's bytes as they arrived and ``codec`` its

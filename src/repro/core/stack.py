@@ -324,10 +324,12 @@ class Stack:
 
         Lazily-unmarshalled messages decode each header when its layer
         pops it, so a corrupt header that eager decode would have
-        rejected at the demux can surface *here*, mid-traversal (the
-        realtime substrate injects garbling sender-side, with no flag
-        for the receiver to route the packet onto the eager path).  The
-        whole message is dropped, matching the eager outcome.
+        rejected at the demux can surface *here*, mid-traversal.  Both
+        substrates mark the packets their fault model garbled (the DES
+        on the ``Packet``, the realtime frame with ``FLAG_GARBLED``) and
+        the demux decodes those eagerly; this is for bytes no fault
+        model marked.  The whole message is dropped, matching the eager
+        outcome.
         """
         try:
             self.layers[-1].up(upcall)

@@ -50,15 +50,6 @@ class AtmNetwork(Network):
             metrics=metrics,
         )
 
-    def unicast(self, source, dest, payload: bytes) -> None:
-        """Unicast with per-cell serialization latency added."""
-        cells = max(1, (len(payload) + 47) // 48)
-        extra = cells * self.cell_time
-        saved = self.fault_model.base_delay
-        # Temporarily extend base delay by serialization time; the fault
-        # model is shared, so restore it afterwards.
-        self.fault_model.base_delay = saved + extra
-        try:
-            super().unicast(source, dest, payload)
-        finally:
-            self.fault_model.base_delay = saved
+    def _serialization_time(self, payload: bytes) -> float:
+        """One cell time per 48 payload bytes, at least one cell."""
+        return max(1, (len(payload) + 47) // 48) * self.cell_time

@@ -49,14 +49,16 @@ class FaultModel:
             raise ValueError("delays must be non-negative")
 
     def plan_deliveries(
-        self, rng: random.Random, payload: bytes
+        self, rng: random.Random, payload: bytes, extra_delay: float = 0.0
     ) -> List[Tuple[float, bytes, bool]]:
         """Decide the fate of one packet.
 
         Returns a list of ``(delay, payload, garbled)`` tuples — empty if
-        the packet is lost, length two if duplicated.  The payload in a
-        garbled delivery has exactly one byte flipped; garbling never
-        changes the payload length, so a fixed-size frame stays a
+        the packet is lost, length two if duplicated.  ``extra_delay`` is
+        what this packet adds to ``base_delay`` (a medium's serialization
+        time); the model itself is shared and never mutated.  The payload
+        in a garbled delivery has exactly one byte flipped; garbling
+        never changes the payload length, so a fixed-size frame stays a
         fixed-size frame.  An empty payload carries no bytes to corrupt
         and is delivered intact (``garbled=False``) — it used to come
         back as a fabricated ``b"\\xff"``, which no checksum layer could
@@ -67,7 +69,7 @@ class FaultModel:
         copies = 2 if rng.random() < self.duplicate_rate else 1
         deliveries: List[Tuple[float, bytes, bool]] = []
         for _ in range(copies):
-            delay = self.base_delay
+            delay = self.base_delay + extra_delay
             if self.jitter > 0:
                 delay += rng.random() * self.jitter
             if self.reorder_rate > 0 and rng.random() < self.reorder_rate:

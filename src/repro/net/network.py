@@ -177,47 +177,25 @@ for _attr, (_metric, _help) in NetworkStats._counter_specs.items():
 del _attr, _metric, _help
 
 
-class Network:
-    """Best-effort datagram network (property P1).
+class _NetworkBase:
+    """What a network is before it moves a byte, on either substrate.
 
-    Endpoints :meth:`attach` with a callback; senders call
-    :meth:`unicast` or :meth:`multicast` with flat byte payloads.  The
-    fault model decides loss/duplication/garbling/delay per packet; the
-    partition controller decides reachability per node pair; crashed
-    nodes neither send nor receive.
+    The endpoint registry, the fail-stop node set, the partition oracle
+    and software multicast — shared by the simulated :class:`Network`
+    and the real-socket :class:`~repro.runtime.transport.UdpTransport`,
+    which add the medium: ``unicast``, delivery, ``stats``, ``mtu`` and
+    ``set_faults``.  Together that is the contract the COM layer and the
+    :class:`repro.chaos.FaultPlane` protocol drive; nodes are plain
+    string names, the same on both substrates, so a chaos scenario runs
+    on either through identical calls.
     """
 
-    #: Maximum payload size; subclasses override.
-    default_mtu = 65536
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        fault_model: Optional[FaultModel] = None,
-        rng: Optional[random.Random] = None,
-        mtu: Optional[int] = None,
-        name: str = "net",
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.scheduler = scheduler
-        self.fault_model = fault_model or FaultModel.perfect()
-        # Fault decisions draw from a per-component seeded stream (the
-        # sim.rand derivation), never the global random module, so a
-        # network built without an explicit rng is still reproducible
-        # and independent of every other consumer of randomness.
-        self.rng = rng or random.Random(derive_seed(0, f"net.{name}"))
-        self.mtu = mtu if mtu is not None else self.default_mtu
+    def __init__(self, name: str) -> None:
         self.name = name
+        #: Reachability oracle (the FaultPlane partition op).
         self.partitions = PartitionController()
-        # Without an explicit registry the stats get a private one; a
-        # world rebinds them onto its shared registry on adoption.
-        self.stats = NetworkStats(metrics, component=name)
         self._endpoints: Dict[EndpointAddress, DeliveryCallback] = {}
         self._dead_nodes: Set[str] = set()
-
-    # ------------------------------------------------------------------
-    # Attachment and node lifecycle
-    # ------------------------------------------------------------------
 
     def attach(self, address: EndpointAddress, deliver: DeliveryCallback) -> None:
         """Register ``address``; incoming packets invoke ``deliver``."""
@@ -239,10 +217,6 @@ class Network:
         """Snapshot of currently attached addresses."""
         return list(self._endpoints)
 
-    # The network implements the :class:`repro.chaos.FaultPlane`
-    # protocol at the substrate level: nodes are plain string names,
-    # identical to the names the worlds and the realtime transport use.
-
     def crash(self, node: str) -> None:
         """Fail-stop ``node``: it stops sending and receiving immediately.
 
@@ -254,14 +228,15 @@ class Network:
     def recover(self, node: str) -> None:
         """Bring a crashed node back.
 
-        Recovery at this level only re-opens the pipes; any group state
-        the node held is gone, so its endpoints must re-join (the
-        MBRSHIP join/merge path) — they never resume silently.
+        Recovery at this level only re-opens the pipes (a realtime
+        node's socket was never closed); any group state the node held
+        is gone, so its endpoints must re-join (the MBRSHIP join/merge
+        path) — they never resume silently.
         """
         self._dead_nodes.discard(node)
 
     def node_alive(self, node: str) -> bool:
-        """Whether ``node`` is currently up."""
+        """Whether ``node`` is currently up (as far as this process knows)."""
         return node not in self._dead_nodes
 
     def partition(self, *components: Iterable[str]) -> None:
@@ -271,6 +246,60 @@ class Network:
     def heal(self) -> None:
         """Remove all partitions; full connectivity returns (FaultPlane op)."""
         self.partitions.heal()
+
+    def multicast(
+        self,
+        source: EndpointAddress,
+        dests: Iterable[EndpointAddress],
+        payload: bytes,
+    ) -> None:
+        """Send ``payload`` to each destination (software multicast).
+
+        Neither substrate has a broadcast medium by default, so this is
+        a loop of independent unicasts — each destination sees
+        independent loss and delay, exactly the failure mode the flush
+        protocol of Section 5 exists to handle.
+        """
+        for dest in dests:
+            if dest == source:
+                continue
+            self.unicast(source, dest, payload)
+
+
+class Network(_NetworkBase):
+    """Best-effort datagram network (property P1).
+
+    Endpoints :meth:`attach` with a callback; senders call
+    :meth:`unicast` or :meth:`multicast` with flat byte payloads.  The
+    fault model decides loss/duplication/garbling/delay per packet; the
+    partition controller decides reachability per node pair; crashed
+    nodes neither send nor receive.
+    """
+
+    #: Maximum payload size; subclasses override.
+    default_mtu = 65536
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        fault_model: Optional[FaultModel] = None,
+        rng: Optional[random.Random] = None,
+        mtu: Optional[int] = None,
+        name: str = "net",
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(name)
+        self.scheduler = scheduler
+        self.fault_model = fault_model or FaultModel.perfect()
+        # Fault decisions draw from a per-component seeded stream (the
+        # sim.rand derivation), never the global random module, so a
+        # network built without an explicit rng is still reproducible
+        # and independent of every other consumer of randomness.
+        self.rng = rng or random.Random(derive_seed(0, f"net.{name}"))
+        self.mtu = mtu if mtu is not None else self.default_mtu
+        # Without an explicit registry the stats get a private one; a
+        # world rebinds them onto its shared registry on adoption.
+        self.stats = NetworkStats(metrics, component=name)
 
     def set_faults(self, model: Optional[FaultModel]) -> None:
         """Install ``model`` as the path behaviour; ``None`` = pristine."""
@@ -297,7 +326,9 @@ class Network:
         if not self.partitions.reachable(source.node, dest.node):
             self.stats.packets_partitioned += 1
             return
-        deliveries = self.fault_model.plan_deliveries(self.rng, payload)
+        deliveries = self.fault_model.plan_deliveries(
+            self.rng, payload, self._serialization_time(payload)
+        )
         if not deliveries:
             self.stats.packets_lost += 1
             return
@@ -313,23 +344,10 @@ class Network:
             )
             self.scheduler.call_after(delay, self._deliver, packet)
 
-    def multicast(
-        self,
-        source: EndpointAddress,
-        dests: Iterable[EndpointAddress],
-        payload: bytes,
-    ) -> None:
-        """Send ``payload`` to each destination (software multicast).
-
-        The base network has no broadcast medium, so this is a loop of
-        independent unicasts — each destination sees independent loss
-        and delay, exactly the failure mode the flush protocol of
-        Section 5 exists to handle.
-        """
-        for dest in dests:
-            if dest == source:
-                continue
-            self.unicast(source, dest, payload)
+    def _serialization_time(self, payload: bytes) -> float:
+        """Seconds the medium needs to clock ``payload`` out (per-packet
+        hook, added to the fault model's base delay); none by default."""
+        return 0.0
 
     # ------------------------------------------------------------------
     # Delivery

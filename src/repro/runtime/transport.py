@@ -47,18 +47,16 @@ import asyncio
 import random
 import struct
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import AddressError, NetworkError, PacketTooLargeError
 from repro.net.address import EndpointAddress
 from repro.net.faults import FaultModel
+from repro.net.network import _NetworkBase
 from repro.net.packet import Packet
-from repro.net.partition import PartitionController
 from repro.runtime.engine import RealtimeEngine
 from repro.runtime.metrics import TransportStats
 from repro.sim.rand import derive_seed
-
-DeliveryCallback = Callable[[Packet], None]
 
 _MAGIC = b"HRS2"
 _HEADER = struct.Struct("!4sdHHB")
@@ -121,12 +119,19 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         pass
 
 
-class UdpTransport:
+class UdpTransport(_NetworkBase):
     """Best-effort datagram transport over real OS UDP sockets.
 
     Drop-in for the ``network`` slot of a world: endpoints
     :meth:`attach` with a callback, the COM layer calls :meth:`unicast`
     / :meth:`multicast`, counters land in :attr:`stats`.
+
+    Crashes and partitions are emulated: the sockets stay open and real
+    UDP keeps flowing underneath, and the transport drops what a dead
+    node or a component boundary would have — partitions on both the
+    send and the receive path, so in a multi-process deployment
+    installing the same partition on every transport cuts the link in
+    both directions.
     """
 
     def __init__(
@@ -137,25 +142,18 @@ class UdpTransport:
         metrics=None,
         rng: Optional[random.Random] = None,
     ) -> None:
+        super().__init__(name)
         self.engine = engine
         self.mtu = mtu
-        self.name = name
         self.stats = TransportStats(metrics, component=name)
         #: node name -> (host, port) for every known node, local or remote.
         self.peers: Dict[str, Tuple[str, int]] = {}
-        #: Emulated reachability oracle (the FaultPlane partition op).
-        #: Checked on both the send and the receive path, so in a
-        #: multi-process deployment installing the same partition on
-        #: every transport cuts the link in both directions.
-        self.partitions = PartitionController()
         #: Optional software fault injection applied before the socket
         #: write.  ``None`` (the default) keeps the hot path untouched:
         #: no rng draw, no extra allocation, straight to ``sendto``.
         self.fault_model: Optional[FaultModel] = None
         self.rng = rng or random.Random(derive_seed(0, f"transport.{name}"))
         self._socks: Dict[str, asyncio.DatagramTransport] = {}
-        self._endpoints: Dict[EndpointAddress, DeliveryCallback] = {}
-        self._dead_nodes: Set[str] = set()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -199,63 +197,6 @@ class UdpTransport:
         for transport in self._socks.values():
             transport.close()
         self._socks.clear()
-
-    # ------------------------------------------------------------------
-    # Attachment and node lifecycle (Network contract)
-    # ------------------------------------------------------------------
-
-    def attach(self, address: EndpointAddress, deliver: DeliveryCallback) -> None:
-        """Register ``address``; incoming packets invoke ``deliver``."""
-        if address in self._endpoints:
-            raise AddressError(f"address {address} already attached to {self.name}")
-        self._endpoints[address] = deliver
-
-    def detach(self, address: EndpointAddress) -> None:
-        """Unregister ``address``.  Unknown addresses raise."""
-        if address not in self._endpoints:
-            raise AddressError(f"address {address} not attached to {self.name}")
-        del self._endpoints[address]
-
-    def attached(self, address: EndpointAddress) -> bool:
-        """Whether ``address`` is currently registered."""
-        return address in self._endpoints
-
-    def addresses(self) -> Iterable[EndpointAddress]:
-        """Snapshot of currently attached addresses."""
-        return list(self._endpoints)
-
-    # The transport implements the :class:`repro.chaos.FaultPlane`
-    # protocol with the same node naming as the simulated network, so a
-    # chaos scenario drives either substrate through identical calls.
-
-    def crash(self, node: str) -> None:
-        """Fail-stop ``node`` locally: it stops sending and receiving."""
-        self._dead_nodes.add(node)
-
-    def recover(self, node: str) -> None:
-        """Bring a crashed node back.
-
-        The socket was never closed, so packets flow again immediately —
-        but any group state died with the crash, and the node's
-        endpoints must re-join (MBRSHIP join/merge), never resume.
-        """
-        self._dead_nodes.discard(node)
-
-    def node_alive(self, node: str) -> bool:
-        """Whether ``node`` is currently up (locally, as far as we know)."""
-        return node not in self._dead_nodes
-
-    def partition(self, *components: Iterable[str]) -> None:
-        """Emulate a partition: cut packet flow between components.
-
-        Real UDP keeps flowing underneath; the transport drops frames
-        that would cross a component boundary, on send and on receive.
-        """
-        self.partitions.partition(components)
-
-    def heal(self) -> None:
-        """Remove the emulated partition."""
-        self.partitions.heal()
 
     def set_faults(self, model: Optional[FaultModel]) -> None:
         """Install software fault injection; ``None`` restores passthrough.
@@ -334,19 +275,6 @@ class UdpTransport:
         sock.sendto(
             encode_frame(source, dest, payload, time.monotonic(), flags), target
         )
-
-    def multicast(
-        self,
-        source: EndpointAddress,
-        dests: Iterable[EndpointAddress],
-        payload: bytes,
-    ) -> None:
-        """Unicast fan-out, the same software multicast the DES network
-        performs: each destination sees independent loss and delay."""
-        for dest in dests:
-            if dest == source:
-                continue
-            self.unicast(source, dest, payload)
 
     # ------------------------------------------------------------------
     # Delivery

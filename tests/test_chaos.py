@@ -243,6 +243,29 @@ class TestChaosCli:
         assert "replay: seed=0" in out
 
 
+    #: What "no behaviour change" means, mechanically: the soak digest
+    #: folds every scenario's delivery trace and checker verdicts, is a
+    #: pure function of the seed (``PYTHONHASHSEED`` included), and is
+    #: printed by the same code path CI's chaos-smoke job runs.  A PR
+    #: that *means* to change delivery order, views or verdicts re-cuts
+    #: these in the same diff and says why; any other PR leaves them be.
+    PINNED_SOAKS = [
+        (["--seed", "0", "--scenarios", "10", "--substrate", "sim"],
+         "538177f27181fa60"),
+        (["--seed", "7", "--scenarios", "3", "--overload"],
+         "7bb5eb4cfdd05f1f"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", PINNED_SOAKS)
+    def test_soak_digests_are_pinned(self, capsys, argv, digest):
+        from repro.__main__ import main
+
+        assert main(["chaos", *argv]) == 0
+        soak_line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert soak_line.startswith("soak: ") and " 0 failed" in soak_line
+        assert soak_line.rsplit("digest=", 1)[1] == digest
+
+
 @pytest.mark.realtime
 class TestRealtimeChaos:
     def test_realtime_smoke_scenario(self):

@@ -284,3 +284,63 @@ class TestRealtimeFaultPlane:
             assert old_address not in handles["a"].view.members
         finally:
             world.close()
+
+
+@pytest.mark.realtime
+class TestRealtimeInjectedFrames:
+    """Sends under an installed ``FaultModel`` leave through
+    ``UdpTransport._emit_frame`` — late, twice or garbled — not through
+    the fault-free ``sendto`` fast path."""
+
+    @pytest.fixture
+    def wire(self):
+        """A realtime world, a raw sink on node ``b`` and a sender on ``a``."""
+        from repro.runtime.world import RealtimeWorld
+
+        world = RealtimeWorld(seed=4)
+        try:
+            world.process("a")
+            world.process("b")
+            source, sink = EndpointAddress("a", 98), EndpointAddress("b", 99)
+            got = []
+            world.network.attach(sink, got.append)
+            yield world, got, lambda payload: world.network.unicast(
+                source, sink, payload)
+        finally:
+            world.close()
+
+    def test_duplicates_arrive_and_are_counted(self, wire):
+        world, got, send = wire
+        # The default base_delay holds each copy back on the engine first.
+        world.set_faults(FaultModel(duplicate_rate=1.0))
+        for i in range(3):
+            send(b"twice-%d" % i)
+        assert world.run_while(lambda: len(got) == 6, timeout=5.0)
+        assert sorted(p.payload for p in got) == sorted(
+            [b"twice-0", b"twice-1", b"twice-2"] * 2)
+        assert not any(p.garbled for p in got)
+        assert world.stats.packets_duplicated == 3
+
+    def test_garbled_frames_arrive_flagged_and_are_counted(self, wire):
+        world, got, send = wire
+        world.set_faults(FaultModel(base_delay=0.0, garble_rate=1.0))
+        send(b"clean bytes")
+        assert world.run_while(lambda: got, timeout=5.0)
+        (packet,) = got
+        # The flag is what routes the packet onto the eager demux path.
+        assert packet.garbled
+        assert packet.payload != b"clean bytes"
+        assert len(packet.payload) == len(b"clean bytes")
+        assert world.stats.packets_garbled == 1
+
+    def test_delayed_frame_of_a_node_crashed_meanwhile_is_not_sent(self, wire):
+        world, got, send = wire
+        world.set_faults(FaultModel(base_delay=0.2))
+        send(b"in flight at the crash")
+        world.network.crash("a")
+        world.run(0.5)
+        assert got == []
+        world.network.recover("a")
+        send(b"after recovery")
+        assert world.run_while(lambda: got, timeout=5.0)
+        assert [p.payload for p in got] == [b"after recovery"]

@@ -46,6 +46,7 @@ from repro.core.headers import (
     content_chunks,
     make_channel_encoder,
 )
+from repro.core.headers.table import _MAX_CHANNELS, _MAX_ENTRIES
 from repro.core.events import cast_down
 from repro.core.message import Message
 from repro.errors import HeaderError
@@ -55,25 +56,26 @@ from repro.net.packet import Packet
 
 SRC = EndpointAddress("alice", 1)
 GRP = GroupAddress("grp")
+_UINTS = (hdr.U8, hdr.U16, hdr.U32, hdr.U64)
 
 
 def sample_value(ftype, salt: int):
     """A deterministic, type-appropriate value for any field type."""
-    kind = type(ftype).__name__
-    if kind == "_UInt":
-        return (salt * 7919 + 13) % (1 << ftype._bits)
-    if kind == "_Bool":
+    if ftype in _UINTS:
+        return (salt * 7919 + 13) % (1 << ftype.bits)
+    if ftype is hdr.BOOL:
         return salt % 2 == 0
-    if kind == "_Float":
+    if ftype is hdr.F64:
         return salt * 0.4375  # exact in binary
-    if kind == "_Text":
+    if ftype is hdr.TEXT:
         return f"value-{salt}"
-    if kind == "_VarBytes":
+    if ftype is hdr.VARBYTES:
         return bytes([salt % 251]) * (salt % 6 + 1)
-    if kind == "_Address":
+    if ftype is hdr.ADDRESS:
         return EndpointAddress(f"node{salt % 5}", salt % 4)
-    if kind == "_Group":
+    if ftype is hdr.GROUP:
         return GroupAddress(f"group{salt % 3}")
+    kind = type(ftype).__name__
     if kind == "ListOf":
         return [sample_value(ftype.element, salt + i) for i in range(2)]
     if kind == "MapOf":
@@ -299,26 +301,26 @@ _EDGE_INTS = (0, 1, 127, 128, 16383, 16384, 2**21, 2**32 - 1, 2**63, 2**64 - 1)
 
 
 def value_strategy(ftype):
-    kind = type(ftype).__name__
-    if kind == "_UInt":
-        limit = 1 << ftype._bits
+    if ftype in _UINTS:
+        limit = 1 << ftype.bits
         return st.one_of(
             st.sampled_from([n for n in _EDGE_INTS if n < limit]),
             st.integers(0, limit - 1),
         )
-    if kind == "_Bool":
+    if ftype is hdr.BOOL:
         return st.booleans()
-    if kind == "_Float":
+    if ftype is hdr.F64:
         return st.floats(allow_nan=False)
-    if kind == "_Text":
+    if ftype is hdr.TEXT:
         return st.text(max_size=12)
-    if kind == "_VarBytes":
+    if ftype is hdr.VARBYTES:
         return st.binary(max_size=12)
-    if kind == "_Address":
+    if ftype is hdr.ADDRESS:
         return st.builds(EndpointAddress, st.sampled_from(["", "a", "node-b"]),
                          st.integers(0, 3))
-    if kind == "_Group":
+    if ftype is hdr.GROUP:
         return st.builds(GroupAddress, st.sampled_from(["", "g", "grp-2"]))
+    kind = type(ftype).__name__
     if kind == "ListOf":
         return st.lists(value_strategy(ftype.element), max_size=3)
     if kind == "MapOf":
@@ -465,6 +467,57 @@ class TestPresenceCodedRows:
         header = message.pop_header(layer)
         assert set(header) == {
             name for name, _ in DEFAULT_REGISTRY.codec_for(layer).fields}
+
+
+class TestReceiverTableBounds:
+    """Indices and channel ids arrive from the wire; what a receiver
+    keeps for them is bounded by constants, the sender's own among them."""
+
+    def test_install_past_the_senders_bound_is_refused(self):
+        row = b"\x01\x01"  # FRAG {"last": True}
+        tables = HeaderTableStore()
+        inside = raw_table_datagram("FRAG", row, [(_MAX_ENTRIES - 1, b"\x01g")])
+        DEFAULT_REGISTRY.unmarshal(inside, tables=tables)
+        for idx in (_MAX_ENTRIES, 0xFFFF):
+            with pytest.raises(HeaderError):
+                DEFAULT_REGISTRY.unmarshal(
+                    raw_table_datagram("FRAG", row, [(idx, b"\x01g")]),
+                    tables=tables)
+        assert list(tables.channel(7, 1).entries) == [_MAX_ENTRIES - 1]
+
+    def test_a_full_sender_and_its_receiver_agree_on_the_bound(self):
+        """Every install a sender can emit is one its receiver accepts."""
+        channel = make_channel_encoder(SRC, GRP, epoch=3)
+        tables = HeaderTableStore()
+        for i in range(_MAX_ENTRIES + 50):  # the last 50 go out as literals
+            header = {"group": GroupAddress(f"g{i}"), "source": SRC, "kind": 0}
+            assert table_roundtrip("COM", header, channel, tables) == header
+        assert len(channel._raws) == _MAX_ENTRIES
+        table = tables.channel(channel.channel_id, channel.epoch)
+        assert len(table.entries) == _MAX_ENTRIES
+
+    def test_channels_per_store_are_capped_oldest_first(self):
+        tables = HeaderTableStore()
+        installing = bytearray(raw_table_datagram(
+            "COM", b"\x07\x01\x02\x00", [(0, b"\x01g"), (1, b"\x03a:1")]))
+        referencing = bytearray(raw_table_datagram("COM", b"\x07\x01\x02\x00"))
+
+        def on_channel(datagram, channel_id):
+            struct.pack_into(">I", datagram, 4, channel_id)
+            return bytes(datagram)
+
+        for channel_id in range(10**4):
+            DEFAULT_REGISTRY.unmarshal(
+                on_channel(installing, channel_id), tables=tables)
+        assert len(tables._channels) == _MAX_CHANNELS
+        # The newest channels are live; the oldest was evicted, which a
+        # reference reports exactly as it reports a lost install.
+        newest = DEFAULT_REGISTRY.unmarshal(
+            on_channel(referencing, 10**4 - 1), tables=tables)
+        assert newest.pop_header("COM")["group"] == GroupAddress("g")
+        with pytest.raises(HeaderError):
+            DEFAULT_REGISTRY.unmarshal(on_channel(referencing, 0), tables=tables)
+        assert len(tables._channels) == _MAX_CHANNELS
 
 
 class TestBitIOFastPath:

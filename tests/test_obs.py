@@ -283,6 +283,31 @@ class TestLayerSeam:
         assert recorder.recorded == 10
         assert [span.started for span in recorder.spans()] == [6.0, 7.0, 8.0, 9.0]
 
+    def test_sampling_keeps_counts_exact_and_thins_the_spans(self):
+        """``sample=N`` observes one traversal in N in detail; what it
+        *counts* — layer events, traversals — stays exact."""
+        def observe(obs):
+            world, _ = run_observed_world(obs=obs, casts=40)
+
+            def series(name):
+                return {
+                    tuple(sorted(s.labels.items())): s.value
+                    for s in world.metrics.get(name).series()
+                }
+
+            return (series("stack_layer_events_total"),
+                    series("stack_spans_total"), world.spans.recorded)
+
+        events, traversals, spans = observe(
+            ObsOptions(layer_metrics=True, spans=True))
+        sampled = ObsOptions.production(sample=4)
+        assert sampled == ObsOptions(layer_metrics=True, spans=True, sample=4)
+        sampled_events, sampled_traversals, sampled_spans = observe(sampled)
+        assert sampled_events == events
+        assert sampled_traversals == traversals
+        assert spans == sum(traversals.values())  # sample=1 records them all
+        assert 0.2 * spans <= sampled_spans <= 0.3 * spans
+
     def test_per_stack_obs_override_beats_world_default(self):
         world = World(seed=13, network="lan")
         config = StackConfig(spec="NAK:COM", obs=ObsOptions(layer_metrics=True))
