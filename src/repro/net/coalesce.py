@@ -30,9 +30,15 @@ A buffered batch is flushed when any of these holds:
 * appending the next payload would exceed the substrate MTU;
 * the batch reached ``max_batch`` sub-payloads (or 255, the count
   field's ceiling);
-* ``max_delay`` seconds of Clock time passed since the first append
-  (the flush-latency budget; timers run on whichever Clock seam the
-  world uses, so the DES stays deterministic).
+* its :class:`~repro.runtime.clock.FlushPacer` deadline arrives: the
+  end of the current turn when nothing left for these destinations in
+  the last ``max_delay`` seconds of Clock time (a lone message is not
+  held for company that never comes, yet everything one handler
+  produces — a FRAG train, a burst of casts — still shares datagrams),
+  else ``max_delay`` after the previous flush.  No payload waits longer
+  than ``max_delay`` and the deadline sends at most one datagram per
+  ``max_delay`` per destination set; it runs on whichever Clock seam
+  the world uses, so the DES stays deterministic.
 
 Payloads that cannot gain from batching (``payload + overhead > mtu``)
 bypass the buffer after flushing it, preserving per-destination FIFO
@@ -57,6 +63,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import AddressError, NetworkError, PacketTooLargeError
 from repro.net.address import EndpointAddress
 from repro.net.packet import Packet
+from repro.runtime.clock import FlushPacer
 
 DeliveryCallback = Callable[[Packet], None]
 
@@ -108,17 +115,15 @@ def decode_batch(payload: bytes) -> Optional[List[bytes]]:
 
 
 class _Buffer:
-    """One pending batch: reused bytearray plus flush-timer generation."""
+    """One pending batch: reused bytearray plus its flush deadline."""
 
-    __slots__ = ("buf", "count", "generation")
+    __slots__ = ("buf", "count", "pacer")
 
-    def __init__(self) -> None:
+    def __init__(self, pacer: Optional[FlushPacer]) -> None:
         self.buf = bytearray()
         self.count = 0
-        #: Bumped on every flush so a stale timer callback (scheduled
-        #: for an earlier fill) becomes a no-op without needing a
-        #: cancellable timer API on the Clock seam.
-        self.generation = 0
+        #: None when ``max_delay`` is 0 (every payload leaves at once).
+        self.pacer = pacer
 
 
 #: Buffer key: cast kind, sender, ordered destination tuple.
@@ -156,6 +161,10 @@ class Coalescer:
         self.batches_sent = 0
         self.messages_batched = 0
         self.batches_rejected = 0
+        #: Deadline flushes, by which half of the pacer's rule sent them:
+        #: at the end of the turn (quiet wire) or spaced after the last.
+        self.flushes_idle = 0
+        self.flushes_paced = 0
 
     # -- send path ----------------------------------------------------------
 
@@ -186,33 +195,35 @@ class Coalescer:
             return
         entry = self._buffers.get(key)
         if entry is None:
-            entry = self._buffers[key] = _Buffer()
+            pacer = (
+                FlushPacer(self.clock, self.max_delay, self._deadline_flush, key)
+                if self.max_delay > 0 else None
+            )
+            entry = self._buffers[key] = _Buffer(pacer)
         if entry.count and len(entry.buf) + _SUBLEN.size + len(payload) > self.inner.mtu:
             self.flush(key)
         if entry.count == 0:
             entry.buf += _PREAMBLE.pack(_MAGIC, _MODE_BATCH, 0)
-            if self.max_delay > 0:
-                self.clock.call_after(
-                    self.max_delay, self._timer_flush, key, entry.generation
-                )
+            if entry.pacer is not None:
+                entry.pacer.batch_started()
         entry.buf += _SUBLEN.pack(len(payload))
         entry.buf += payload
         entry.count += 1
-        if entry.count >= self.max_batch or self.max_delay == 0:
+        if entry.count >= self.max_batch or entry.pacer is None:
             self.flush(key)
 
-    def _timer_flush(self, key: _Key, generation: int) -> None:
-        entry = self._buffers.get(key)
-        if entry is None or entry.generation != generation or entry.count == 0:
-            return
+    def _deadline_flush(self, key: _Key, trigger: str) -> None:
+        if trigger == "idle":
+            self.flushes_idle += 1
+        else:
+            self.flushes_paced += 1
         try:
             self.flush(key)
         except (NetworkError, AddressError, PacketTooLargeError):
             # The sender crashed or detached while the batch sat in the
-            # buffer; a real NIC would drop the queue the same way.
-            entry.buf.clear()
-            entry.count = 0
-            entry.generation += 1
+            # buffer (``flush`` emptied it before sending); a real NIC
+            # would drop the queue the same way.
+            pass
 
     def flush(self, key: _Key) -> None:
         """Send ``key``'s pending batch now (no-op when empty)."""
@@ -231,7 +242,8 @@ class Coalescer:
             self.messages_batched += entry.count
         entry.buf.clear()
         entry.count = 0
-        entry.generation += 1
+        if entry.pacer is not None:
+            entry.pacer.flushed()
         self._send_raw(key, payload)
 
     def flush_all(self) -> None:

@@ -28,8 +28,9 @@ Contract notes shared by all implementations:
   "as soon as possible" (wall clocks cannot refuse late work).
 
 The :class:`Timer` and :class:`PeriodicTimer` shapes used by every
-protocol layer live here too, written against :class:`Clock` alone so
-they tick identically in simulation and in real time.
+protocol layer, and the :class:`FlushPacer` both batchers below the
+stack share, live here too, written against :class:`Clock` alone so they
+tick identically in simulation and in real time.
 """
 
 from __future__ import annotations
@@ -137,6 +138,61 @@ class Timer:
     def _fire(self) -> None:
         self._handle = None
         self._callback(*self._args)
+
+
+class FlushPacer:
+    """When a batcher's open batch leaves for its device (wire, disk).
+
+    :meth:`batch_started` schedules ``callback(*args, trigger)`` once
+    per batch: with trigger ``"idle"`` at the end of the current turn
+    (``call_soon`` — after the handler that produced the first item, so
+    everything that handler produces shares the flush) when the device
+    has been quiet for ``interval``, else with trigger ``"paced"`` at
+    ``last flush + interval``.  Both halves of the budget hold: no item
+    waits longer than ``interval``, and the device is flushed by this
+    clock at most once per ``interval`` — under load batches fill
+    exactly as if the timer ran from the previous flush.  The owner
+    reports every flush, whatever triggered it, through :meth:`flushed`.
+    """
+
+    __slots__ = ("_clock", "interval", "_callback", "_args", "_handle", "_last_flush")
+
+    def __init__(
+        self,
+        clock: Clock,
+        interval: float,
+        callback: Callable[..., Any],
+        *args: Any,
+    ) -> None:
+        self._clock = clock
+        self.interval = interval
+        self._callback = callback
+        self._args = args
+        self._handle: Optional[EventHandle] = None
+        self._last_flush = float("-inf")
+
+    def batch_started(self) -> None:
+        """The first item of a batch was buffered: schedule its flush."""
+        due = self._last_flush + self.interval
+        if due <= self._clock.now:
+            self._handle = self._clock.call_soon(self._fire, "idle")
+        else:
+            self._handle = self._clock.call_at(due, self._fire, "paced")
+
+    def flushed(self) -> None:
+        """The batch left (by any trigger): disarm, restart the spacing."""
+        self.cancel()
+        self._last_flush = self._clock.now
+
+    def cancel(self) -> None:
+        """The batch was dropped unsent: disarm.  Idempotent."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self, trigger: str) -> None:
+        self._handle = None
+        self._callback(*self._args, trigger)
 
 
 class PeriodicTimer:

@@ -9,10 +9,12 @@ record becomes durable:
   returned ticket is already done.
 * ``group`` — appends are buffered and flushed as one write + one
   fsync when the batch reaches ``max_batch_bytes`` / ``max_batch_records``
-  or when ``max_delay`` seconds of Clock time pass since the first
-  buffered record (the same bounded-latency-budget idiom as
-  :class:`repro.net.coalesce.Coalescer`).  ``append`` returns
-  immediately; the ticket completes at the flush that covers it.
+  or at its deadline: the end of the appending turn when the disk has
+  been quiet for ``max_delay`` seconds of Clock time, else ``max_delay``
+  after the previous flush (the :class:`~repro.runtime.clock.FlushPacer`
+  rule it shares with :class:`repro.net.coalesce.Coalescer`).
+  ``append`` returns immediately; the ticket completes at the flush
+  that covers it.
 * ``async`` — like ``group``, but the write/fsync pipeline is moved off
   the caller entirely: a background writer thread on the realtime
   substrate (record encoding overlaps I/O), a deterministic
@@ -57,8 +59,10 @@ class DurabilityPolicy:
     max_batch_bytes: int = 256 * 1024
     #: Flush when the buffered batch reaches this many records.
     max_batch_records: int = 4096
-    #: Flush latency budget in Clock seconds: the longest a buffered
-    #: record may wait before a flush is forced (needs a bound clock;
+    #: Flush budget in Clock seconds: the longest a buffered record may
+    #: wait for its flush, and the closest two deadline flushes may
+    #: follow each other — a record that finds the disk quiet for this
+    #: long is flushed at the end of its turn (needs a bound clock;
     #: without one, flushes happen on the size triggers and on
     #: ``wait()`` / ``flush()`` alone).
     max_delay: float = 0.002

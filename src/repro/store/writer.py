@@ -7,10 +7,13 @@ One :class:`WalWriter` owns all appends to one WAL blob and turns the
   No buffering, no timers: byte-for-byte the original behavior.
 * ``group`` — records are buffered (payloads, not yet encoded) and
   flushed as one ``append_many`` + one ``sync`` when the batch hits
-  ``max_batch_bytes`` / ``max_batch_records``, when ``max_delay``
-  Clock seconds pass since the first buffered record (the Coalescer's
-  bounded-latency-budget idiom, timer generations and all), or when a
-  caller forces it (``flush()`` / ``ticket.wait()``).
+  ``max_batch_bytes`` / ``max_batch_records``, at its
+  :class:`~repro.runtime.clock.FlushPacer` deadline (the end of the
+  current turn when the disk has been quiet for ``max_delay`` Clock
+  seconds — every record one handler appends shares the fsync — else
+  ``max_delay`` after the previous flush; the Coalescer's rule, the
+  same class), or when a caller forces it (``flush()`` /
+  ``ticket.wait()``).
 * ``async`` — the same batching, but the encode+write+fsync pipeline
   runs off the caller: on a realtime clock a daemon writer thread
   drains a queue (record encoding overlaps the previous batch's I/O);
@@ -43,6 +46,7 @@ import threading
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
+from repro.runtime.clock import FlushPacer
 from repro.store.policy import (
     ASYNC,
     FSYNC_PER_RECORD,
@@ -72,7 +76,7 @@ class WalWriter:
         name: the WAL blob name (``wal.log``).
         policy: the :class:`DurabilityPolicy` to implement.
         clock: optional :class:`~repro.runtime.clock.Clock` for the
-            ``max_delay`` flush timer and for marshalling completions.
+            ``max_delay`` flush deadline and for marshalling completions.
             Without one, relaxed modes flush on the size triggers and
             on explicit ``flush()``/``wait()`` alone.
         label: ``node/namespace`` tag for metrics.
@@ -131,9 +135,12 @@ class WalWriter:
         #: Buffered (payload, ticket, enqueue_time) triples, oldest first.
         self._pending: List[Tuple[bytes, CommitTicket, float]] = []
         self._pending_bytes = 0
-        #: Timer staleness guard (same idiom as net.coalesce._Buffer).
-        self._generation = 0
-        self._timer_handle = None
+        #: Schedules the deadline flush of a batch that no size trigger
+        #: or caller flushes first (needs a clock and a budget).
+        self._pacer = (
+            FlushPacer(clock, self.policy.max_delay, self.flush)
+            if clock is not None and self.policy.max_delay > 0 else None
+        )
         #: Lifetime counters (mirrored into metrics when present).
         self.flushes = 0
         self.records_written = 0
@@ -196,11 +203,8 @@ class WalWriter:
             or len(self._pending) >= self.policy.max_batch_records
         ):
             self.flush("size")
-        elif len(self._pending) == 1 and self.clock is not None \
-                and self.policy.max_delay > 0:
-            self._timer_handle = self.clock.call_after(
-                self.policy.max_delay, self._timer_flush, self._generation
-            )
+        elif len(self._pending) == 1 and self._pacer is not None:
+            self._pacer.batch_started()
         return ticket
 
     def flush(self, trigger: str = "explicit") -> None:
@@ -212,10 +216,8 @@ class WalWriter:
             return
         batch, self._pending = self._pending, []
         self._pending_bytes = 0
-        self._generation += 1
-        if self._timer_handle is not None:
-            self._timer_handle.cancel()
-            self._timer_handle = None
+        if self._pacer is not None:
+            self._pacer.flushed()
         self._write_batch(batch, trigger)
 
     def drain(self) -> None:
@@ -233,10 +235,8 @@ class WalWriter:
         dropped = len(self._pending)
         self._pending = []
         self._pending_bytes = 0
-        self._generation += 1
-        if self._timer_handle is not None:
-            self._timer_handle.cancel()
-            self._timer_handle = None
+        if self._pacer is not None:
+            self._pacer.cancel()
         if self._threaded:
             with self._cv:
                 dropped += len(self._queue)
@@ -321,12 +321,6 @@ class WalWriter:
                 self._cv.notify()
         else:
             self.flush("wait")
-
-    def _timer_flush(self, generation: int) -> None:
-        self._timer_handle = None
-        if generation != self._generation or not self._pending:
-            return
-        self.flush("timer")
 
     def _note_batch_boundary(self) -> None:
         """Append the post-flush WAL offset to the advisory sidecar."""

@@ -54,15 +54,20 @@ def check_view_agreement(handles: Iterable[GroupHandle]) -> None:
     _fail(violations, "view agreement violated")
 
 
-def _deliveries_by_view(
-    handle: GroupHandle,
-) -> Dict[ViewId, List[Tuple[str, bytes]]]:
-    """Per view: the (source, data) sequence delivered while it was current."""
-    result: Dict[ViewId, List[Tuple[str, bytes]]] = defaultdict(list)
+#: source -> the cast bodies delivered from it, in delivery order.
+_Stream = Dict[str, List[bytes]]
+
+#: Differing messages spelled out per sender in one violation.
+_MAX_SHOWN = 3
+
+
+def _deliveries_by_view(handle: GroupHandle) -> Dict[ViewId, _Stream]:
+    """Per view, per source: what was delivered while it was current."""
+    result: Dict[ViewId, _Stream] = defaultdict(lambda: defaultdict(list))
     for delivered in handle.delivery_log:
         if delivered.view is not None and delivered.was_cast:
-            result[delivered.view.view_id].append(
-                (str(delivered.source), delivered.data)
+            result[delivered.view.view_id][str(delivered.source)].append(
+                delivered.data
             )
     return result
 
@@ -77,37 +82,96 @@ def check_virtual_synchrony(handles: Iterable[GroupHandle]) -> None:
     *different* successor views (they were partitioned) are allowed
     different delivery sets, so the comparison groups members by the
     (view, successor-view) transition they took.
+
+    In Set-Constrained Delivery terms a view's closing cut is one set,
+    identical at every member that installs the successor.  A violation
+    therefore names, per sender, the symmetric difference of two
+    members' sets and, for each differing message, the view in which
+    every member of the run delivered it — "delivered everywhere: v8 at
+    n4, v9 at 6 members" is a message that crossed the cut, "not
+    delivered at n4" is one that was lost.
     """
     handles = list(handles)
+    # One pass over each delivery log, however many transitions follow.
+    logs = [
+        (str(handle.endpoint_address), _deliveries_by_view(handle))
+        for handle in handles
+    ]
     violations: List[str] = []
     # Who completed which view, toward which successor?
-    completed: Dict[Tuple[ViewId, ViewId], List[GroupHandle]] = defaultdict(list)
-    for handle in handles:
+    completed: Dict[Tuple[ViewId, ViewId], List[int]] = defaultdict(list)
+    for index, handle in enumerate(handles):
         history = handle.view_history
         for view, successor in zip(history, history[1:]):
-            completed[(view.view_id, successor.view_id)].append(handle)
+            completed[(view.view_id, successor.view_id)].append(index)
     for (view_id, _successor_id), members in completed.items():
-        if len(members) < 2:
-            continue
-        streams = {}
-        for handle in members:
-            per_view = _deliveries_by_view(handle)
-            per_source: Dict[str, List[bytes]] = defaultdict(list)
-            for source, data in per_view.get(view_id, []):
-                per_source[source].append(data)
-            streams[str(handle.endpoint_address)] = dict(per_source)
-        reference_member, reference = next(iter(streams.items()))
-        for member, stream in streams.items():
-            if stream != reference:
+        closing = [logs[index][0] for index in members]
+        reference, reference_views = logs[members[0]]
+        expected = reference_views.get(view_id, {})
+        for index in members[1:]:
+            member, views = logs[index]
+            stream = views.get(view_id, {})
+            if stream != expected:
+                # The diagnosis first: callers keep ~160 characters.
                 violations.append(
-                    f"view {view_id}: {member} delivered {_summ(stream)} but "
-                    f"{reference_member} delivered {_summ(reference)}"
+                    f"view {view_id}: {member} vs {reference}: "
+                    + _difference(stream, expected, closing, logs)
                 )
     _fail(violations, "virtual synchrony violated")
 
 
-def _summ(stream: Dict[str, List[bytes]]) -> str:
-    return "{" + ", ".join(f"{s}:{len(msgs)}" for s, msgs in sorted(stream.items())) + "}"
+def _difference(
+    stream: _Stream, expected: _Stream,
+    closing: List[str], logs: List[Tuple[str, Dict[ViewId, _Stream]]],
+) -> str:
+    """Per sender: what ``stream`` has extra or is missing against
+    ``expected`` (bodies by their first 8 bytes), and where each went."""
+    parts = []
+    for source in sorted(set(stream) | set(expected)):
+        mine, theirs = stream.get(source, []), expected.get(source, [])
+        if mine == theirs:
+            continue
+        had, has = set(theirs), set(mine)
+        extra = [data for data in mine if data not in had]
+        missing = [data for data in theirs if data not in has]
+        if not extra and not missing:
+            parts.append(f"from {source} the same {len(mine)} in another order")
+            continue
+        differing = extra + missing
+        shown = "; ".join(
+            f"{data[:8]!r} {_whereabouts(source, data, closing, logs)}"
+            for data in differing[:_MAX_SHOWN]
+        )
+        if len(differing) > _MAX_SHOWN:
+            shown += f"; and {len(differing) - _MAX_SHOWN} more"
+        parts.append(
+            f"from {source} {len(extra)} extra, {len(missing)} missing: {shown}"
+        )
+    return " | ".join(parts)
+
+
+def _whereabouts(
+    source: str, data: bytes, closing: List[str],
+    logs: List[Tuple[str, Dict[ViewId, _Stream]]],
+) -> str:
+    """In which view each member of the run delivered one message."""
+    seen: Dict[ViewId, List[str]] = defaultdict(list)
+    for name, views in logs:
+        for view_id, stream in views.items():
+            if data in stream.get(source, ()):
+                seen[view_id].append(name)
+    delivered = {name for members in seen.values() for name in members}
+    absent = [name for name in closing if name not in delivered]
+    verdict = (
+        f"not delivered at {', '.join(absent)}" if absent
+        else "delivered everywhere"
+    )
+    places = ", ".join(
+        f"{view_id} at "
+        + (", ".join(members) if len(members) <= 3 else f"{len(members)} members")
+        for view_id, members in sorted(seen.items())
+    )
+    return f"{verdict}: {places}" if places else verdict
 
 
 def check_view_synchrony_relacs(handles: Iterable[GroupHandle]) -> None:

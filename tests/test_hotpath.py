@@ -53,6 +53,7 @@ from repro.errors import HeaderError
 from repro.net.address import EndpointAddress, GroupAddress
 from repro.net.coalesce import Coalescer, decode_batch
 from repro.net.packet import Packet
+from repro.sim.scheduler import Scheduler
 
 SRC = EndpointAddress("alice", 1)
 GRP = GroupAddress("grp")
@@ -900,22 +901,6 @@ class TestFrameBoundariesAreBound:
                 assert message.pop_header(layer) == header
 
 
-class _StubClock:
-    """Captures call_after so tests fire flush timers by hand."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.timers = []
-
-    def call_after(self, delay, fn, *args):
-        self.timers.append((delay, fn, args))
-
-    def fire_all(self):
-        timers, self.timers = self.timers, []
-        for _, fn, args in timers:
-            fn(*args)
-
-
 class _StubNet:
     mtu = 200
 
@@ -938,29 +923,40 @@ B = EndpointAddress("b", 0)
 C = EndpointAddress("c", 0)
 
 
+def advance(clock, seconds=0.0):
+    """Hand-crank the DES clock: end the current turn, then run on."""
+    clock.run(until=clock.now + seconds)
+
+
 class TestCoalescer:
+    MAX_DELAY = 0.0005
+
     def make(self, **kw):
-        net, clock = _StubNet(), _StubClock()
-        return Coalescer(net, clock, **kw), net, clock
+        net, clock = _StubNet(), Scheduler()
+        return Coalescer(net, clock, max_delay=self.MAX_DELAY, **kw), net, clock
 
     def test_batch_roundtrip(self):
         co, net, clock = self.make(max_batch=3)
         payloads = [b"one", b"two", b"three"]
         for p in payloads:
             co.unicast(A, B, p)
-        assert len(net.sent) == 1  # max_batch flush, no timer needed
+        assert len(net.sent) == 1  # max_batch flush, no deadline needed
         kind, src, dst, wire = net.sent[0]
         assert (kind, src, dst) == ("u", A, B)
         assert decode_batch(wire) == payloads
         assert co.batches_sent == 1 and co.messages_batched == 3
+        advance(clock, self.MAX_DELAY)  # its deadline was cancelled with it
+        assert len(net.sent) == 1
+        assert (co.flushes_idle, co.flushes_paced) == (0, 0)
 
     def test_singleton_flush_is_raw(self):
         co, net, clock = self.make()
         co.unicast(A, B, b"lonely")
-        assert not net.sent
-        clock.fire_all()
+        assert not net.sent  # not inside the producing call ...
+        advance(clock)      # ... but at the end of its turn
         assert net.sent == [("u", A, B, b"lonely")]
         assert co.batches_sent == 0
+        assert (co.flushes_idle, co.flushes_paced) == (1, 0)
         assert decode_batch(b"lonely") is None
 
     def test_mtu_forces_flush(self):
@@ -969,12 +965,21 @@ class TestCoalescer:
         co.unicast(A, B, b"y" * 120)  # cannot share a 200 B datagram
         assert len(net.sent) == 1
         assert decode_batch(net.sent[0][3]) is None  # singleton went raw
+        # The forced flush counts as the wire's last use: the second
+        # payload is spaced max_delay behind it, not sent this turn.
+        advance(clock)
+        assert len(net.sent) == 1
+        advance(clock, self.MAX_DELAY)
+        assert net.sent[1][3] == b"y" * 120
+        assert (co.flushes_idle, co.flushes_paced) == (0, 1)
 
     def test_oversize_bypasses_after_flushing(self):
         co, net, clock = self.make()
         co.unicast(A, B, b"small")
         co.unicast(A, B, b"z" * 199)  # > mtu - overhead: straight down
         assert [p[3] for p in net.sent] == [b"small", b"z" * 199]
+        advance(clock, self.MAX_DELAY)
+        assert len(net.sent) == 2
 
     def test_multicast_and_unicast_do_not_mix(self):
         co, net, clock = self.make(max_batch=2)
@@ -983,18 +988,19 @@ class TestCoalescer:
         co.multicast(A, (B, C), b"m2")
         kinds = [s[0] for s in net.sent]
         assert kinds == ["m"]  # multicast pair flushed; unicast pending
-        clock.fire_all()
-        assert ("u", A, B, b"u1") in net.sent
+        advance(clock)
+        assert net.sent[1:] == [("u", A, B, b"u1")]
 
-    def test_timer_flush_respects_generation(self):
+    def test_cancelled_deadline_does_not_flush_the_next_batch(self):
         co, net, clock = self.make(max_batch=2)
-        co.unicast(A, B, b"p1")
-        co.unicast(A, B, b"p2")          # flushed by count
-        co.unicast(A, B, b"p3")          # new buffer, new timer
-        clock.fire_all()                  # stale timer no-ops, fresh flushes
-        assert len(net.sent) == 2
-        assert decode_batch(net.sent[0][3]) == [b"p1", b"p2"]
-        assert net.sent[1][3] == b"p3"
+        co.unicast(A, B, b"p1")          # arms the end-of-turn deadline
+        co.unicast(A, B, b"p2")          # flushed by count: deadline cancelled
+        co.unicast(A, B, b"p3")          # new batch, paced behind that flush
+        advance(clock)                   # end of turn: nothing is due
+        assert [decode_batch(s[3]) for s in net.sent] == [[b"p1", b"p2"]]
+        advance(clock, self.MAX_DELAY)
+        assert len(net.sent) == 2 and net.sent[1][3] == b"p3"
+        assert (co.flushes_idle, co.flushes_paced) == (0, 1)
 
     def test_receive_unwraps_batches(self):
         co, net, clock = self.make(max_batch=2)

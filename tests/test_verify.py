@@ -88,6 +88,26 @@ class TestVirtualSynchrony:
         with pytest.raises(VerificationError):
             check_virtual_synchrony([ha, hb])
 
+    def test_violation_says_where_each_differing_message_went(self):
+        v1, v2 = view(1, A, B, C), view(2, A, B, C)
+        logs = {addr: handle_with_views(addr, v1, v2) for addr in (A, B, C)}
+        for addr, handle in logs.items():
+            delivered(handle, A, b"both", v1)
+            # "crossed" is delivered by all three, but b logs it a view late.
+            delivered(handle, A, b"crossed", v2 if addr == B else v1)
+        delivered(logs[A], C, b"lost", v1)  # only a ever delivers this one
+        with pytest.raises(VerificationError) as exc:
+            check_virtual_synchrony(logs.values())
+        at_b, at_c = exc.value.violations
+        assert at_b == (
+            "view v1@a:0: b:0 vs a:0: "
+            "from a:0 0 extra, 1 missing: "
+            "b'crossed' delivered everywhere: v1@a:0 at a:0, c:0, v2@a:0 at b:0 | "
+            "from c:0 0 extra, 1 missing: "
+            "b'lost' not delivered at b:0, c:0: v1@a:0 at a:0"
+        )
+        assert "b'crossed'" not in at_c and "b'lost' not delivered at" in at_c
+
     def test_crashed_member_exempt(self):
         v1, v2 = view(1, A, B), view(2, A)
         ha = handle_with_views(A, v1, v2)
