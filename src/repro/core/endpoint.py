@@ -157,11 +157,14 @@ class Endpoint:
             # Known-garbled packets (the DES fault model marks them) go
             # through the eager path so a value-level decode error still
             # surfaces — and drops the packet — right here at the demux,
-            # exactly as before laziness existed.
+            # exactly as before laziness existed.  The world's frame
+            # store is for the clean path only: the other endpoints of
+            # this process are handed the same bytes.
             message = world.registry.unmarshal(
                 packet.payload,
                 lazy=not packet.garbled,
                 tables=self._header_tables,
+                frames=world.header_frames,
             )
         except HeaderError:
             # Garbled beyond parsing; without a checksum layer this is
@@ -191,7 +194,6 @@ class Endpoint:
             type=UpcallType.CAST,
             message=message,
             source=packet.source,
-            extra={"packet": packet},
         )
         stack.deliver_from_network(upcall)
 

@@ -32,6 +32,34 @@ it; the integrity layers cover the spans as they arrived
 decode in place in the unmarshal pass.  In every mode the body can be
 shared as a ``memoryview`` slice instead of a copied ``bytes``.
 
+What a clean ``aligned`` / ``compact`` datagram says is a pure function
+of its bytes, so receivers that share a process need not each work it
+out: ``unmarshal`` takes the caller's :class:`HeaderFrameStore`
+(``frames=``; a world owns one, its endpoints pass it) and a datagram
+that unmarshalled before is neither framed nor decoded again.
+
+* *Shared:* the framing (every later receiver gets a fresh message whose
+  own header list points at the same lazy headers), each decoded value
+  (a lazy header decodes once; every pop or peek gets a private copy —
+  the dict and each list and map in it — so a popped header is still its
+  layer's to change) and the body view.
+* *Not shared:* ``table`` rows, which read the receiver's own channel
+  tables, and ``packed`` (a :class:`WireFormat` says whether its frames
+  are ``receiver_independent``); the integrity sums — CHKSUM and SIGN
+  fold the spans at every receiver, a check is not a value to hand
+  round; packets the fault model garbled, which take the eager path and
+  neither read nor fill the store; failures — a datagram that does not
+  frame is stored nowhere and raises at every receiver, a span that
+  does not decode raises at every pop.
+* *Bounded:* a module constant of entries, oldest-stored first, each
+  pinning one datagram's bytes.  Content-addressed: a receiver gets the
+  frame of bytes it was itself handed, so what one receiver lost,
+  another's copy cannot supply.
+* *Who benefits:* a world hosting several members of a group — every
+  DES test, soak and experiment.  One member per process pays a dict
+  probe and an insert per datagram and gains nothing; ``table`` mode
+  pays one attribute test.
+
 The package is cut along those lines: ``codecs`` holds what every mode
 shares (field kinds, a codec's canonical bytes, the covered bytes);
 ``wire`` (aligned, compact, packed) and ``table`` each write their modes'
@@ -57,7 +85,8 @@ from repro.core.headers.table import (
     HeaderTableStore, make_channel_encoder,
 )
 from repro.core.headers.wire import (
-    FORMATS as _WIRE_FORMATS, BitReader, BitWriter, packed_bit_size,
+    FORMATS as _WIRE_FORMATS, BitReader, BitWriter, HeaderFrameStore,
+    packed_bit_size,
 )
 from repro.core.message import Message
 from repro.errors import HeaderError
@@ -68,6 +97,7 @@ __all__ = [
     "HeaderCodec", "HeaderRegistry", "DEFAULT_REGISTRY", "register",
     "WIRE_MODES", "WireFormat",
     "HeaderChannelEncoder", "HeaderTableStore", "make_channel_encoder",
+    "HeaderFrameStore",
     "BitReader", "BitWriter", "packed_bit_size",
     "canonical_content", "content_chunks",
 ]
@@ -158,6 +188,7 @@ class HeaderRegistry:
         data: bytes,
         lazy: bool = False,
         tables: Optional[HeaderTableStore] = None,
+        frames: Optional[HeaderFrameStore] = None,
     ) -> Message:
         """Rebuild a :class:`Message` from wire bytes.
 
@@ -188,6 +219,14 @@ class HeaderRegistry:
         mode; without it each datagram gets a throwaway store (only
         self-contained datagrams — ones installing everything they
         reference — decode).
+
+        ``frames`` is the caller's :class:`HeaderFrameStore`, for a caller
+        that hands byte-identical datagrams to several receivers (a world
+        hosting several members).  On the lazy path of a mode whose
+        frames are receiver-independent, a datagram that unmarshalled
+        before is not framed again: the receiver gets a fresh message
+        over the stored lazy headers and body view.  The result is the
+        one unmarshal without a store gives; only successes are stored.
         """
         try:
             magic, mode_byte, n_headers = unpack_preamble(data, 0)
@@ -195,8 +234,17 @@ class HeaderRegistry:
             raise HeaderError(f"short packet: {exc}") from exc
         if magic != MAGIC:
             raise HeaderError(f"bad magic 0x{magic:04x}")
+        fmt = _FORMATS_BY_BYTE[mode_byte]
+        shared = (
+            frames is not None and fmt.receiver_independent and lazy
+            and type(data) is bytes  # hashable, immutable
+        )
+        if shared:
+            framed = frames.get(data)
+            if framed is not None:
+                return framed.shallow_copy()
         message = Message()
-        offset = _FORMATS_BY_BYTE[mode_byte].read_headers(
+        offset = fmt.read_headers(
             data, PREAMBLE_SIZE, n_headers, self._by_id, message, lazy, tables
         )
         try:
@@ -211,6 +259,10 @@ class HeaderRegistry:
             message.add_segment(
                 memoryview(data)[offset:end] if lazy else bytes(data[offset:end])
             )
+        if shared:
+            # The stored message is never handed out, so it stays lazy.
+            frames.remember(data, message)
+            return message.shallow_copy()
         return message
 
     def header_overhead(self, message: Message, mode: str = "aligned") -> int:

@@ -105,6 +105,11 @@ class FieldType:
     #: fixed part of a header's wire size.
     fixed_byte_size: Optional[int] = None
 
+    #: For the kinds whose decoded value is mutable (a list, a dict): a
+    #: function returning a copy that shares nothing mutable with it.
+    #: ``None`` where values are immutable and may be shared as they are.
+    copy_value: Optional[Callable[[Any], Any]] = None
+
 
 class Scalar(FieldType):
     """A fixed-width value: one struct code in bytes, ``bits`` bits packed.
@@ -204,6 +209,9 @@ class ListOf(FieldType):
 
     def __init__(self, element: FieldType):
         self.element = element
+        inner = element.copy_value
+        self.copy_value = list if inner is None else (
+            lambda value: [inner(item) for item in value])
 
     def encode(self, value: Any, out: bytearray) -> None:
         items = list(value)
@@ -248,6 +256,9 @@ class MapOf(FieldType):
     def __init__(self, key: FieldType, value: FieldType):
         self.key = key
         self.value = value
+        inner = value.copy_value  # keys are hashable: nothing to copy
+        self.copy_value = dict if inner is None else (
+            lambda value: {k: inner(v) for k, v in value.items()})
 
     def encode(self, value: Any, out: bytearray) -> None:
         items = _sorted_items(value)
@@ -338,6 +349,10 @@ class CanonicalCodec:
         # a constant; only length-prefixed ones need the value.
         self._fixed_wire = sum(t.fixed_byte_size or 0 for _, t in self.fields)
         self._var_fields = [f for f in self.fields if f[1].fixed_byte_size is None]
+        #: The fields :meth:`private_copy` must copy, with their copiers.
+        self._containers = [
+            (name, t.copy_value) for name, t in self.fields if t.copy_value
+        ]
         self._plan = self._build_plan()
 
     def _build_plan(self) -> List[Tuple[Any, ...]]:
@@ -433,6 +448,17 @@ class CanonicalCodec:
             )
         return header
 
+    def private_copy(self, header: Header) -> Header:
+        """A copy of a decoded ``header`` sharing nothing mutable with it.
+
+        The dict and each list or map field are copied; every other
+        value a field kind decodes to is immutable.
+        """
+        clone = header.copy()
+        for name, copy in self._containers:
+            clone[name] = copy(clone[name])
+        return clone
+
     def bit_size(self, header: Header) -> int:
         """Bits this header would need in a packed single-header layout."""
         return sum(
@@ -476,6 +502,13 @@ class WireFormat:
     ``lazy`` permits deferring value decode, for the modes that can;
     ``tables`` is the receiver's per-channel state.
     """
+
+    #: Whether what ``read_headers`` pushes with ``lazy`` is a function
+    #: of the datagram's bytes alone and safe in several hands at once —
+    #: the condition for keeping it in a :class:`HeaderFrameStore`.
+    #: Decoded dicts are their owner's to change and ``table`` rows read
+    #: the receiver's own tables, so only the span modes say yes.
+    receiver_independent = False
 
     def __init__(self, name: str, mode_byte: int) -> None:
         self.name = name

@@ -435,6 +435,10 @@ class HeaderTableStore:
     resets that channel's entries.  Kept per-receiver — never shared
     across simulated nodes — so each receiver's view of a channel
     depends only on the datagrams *it* saw (per-receiver loss fidelity).
+    A :class:`~repro.core.headers.HeaderFrameStore` *is* shared, and keeps
+    that fidelity because it is keyed by a datagram's whole content: a
+    receiver is only given frames for bytes it was itself handed, and
+    table-mode datagrams never enter it.
     """
 
     __slots__ = ("_channels",)

@@ -114,8 +114,13 @@ class _LazyHeader:
     customers: :meth:`Message.pop_header` / ``peek_header`` call
     :meth:`materialize` on first access, and the integrity layers cover
     the span itself (:func:`content_chunks`) without decoding it.
-    Decoding is a pure function of the immutable span, so thunks may be
-    shared by message copies.
+    Decoding is a pure function of the immutable span, so a thunk may be
+    in many hands — message copies, and through a
+    :class:`HeaderFrameStore` every receiver of the datagram: it decodes
+    once, keeps that value to itself and gives each caller a private
+    copy (:meth:`CanonicalCodec.private_copy`), so a layer may do what
+    it likes to a header it popped.  A decode that raises is not kept;
+    it raises again for the next caller.
 
     The header must fill its span.  The covered bytes carry no span
     lengths, so a datagram re-framed to declare body bytes, or a whole
@@ -124,14 +129,44 @@ class _LazyHeader:
     a tail here (the stack then drops the message) binds the boundaries.
     """
 
-    __slots__ = ("codec", "span")
+    __slots__ = ("codec", "span", "_value")
 
     def __init__(self, codec: CanonicalCodec, span: bytes) -> None:
         self.codec = codec
         self.span = span
+        self._value: Any = None
 
     def materialize(self) -> Header:
-        return self.codec.decode(bytes(self.span), exact=True)
+        value = self._value
+        if value is None:
+            value = self._value = self.codec.decode(bytes(self.span), exact=True)
+        return self.codec.private_copy(value)
+
+
+#: Datagrams a frame store remembers; the oldest-stored goes first.  One
+#: is wanted from its first receiver to its last, a few milliseconds of
+#: traffic; each entry pins its datagram's bytes, so the bound is also
+#: the store's memory.
+_MAX_FRAMES = 256
+
+
+class HeaderFrameStore(dict):
+    """What clean datagrams said, by their bytes: datagram -> framed message.
+
+    Owned by whoever hosts several receivers (a world) and passed to
+    :meth:`HeaderRegistry.unmarshal`, which is the only writer and gives
+    each receiver a ``shallow_copy`` of the stored message: its own
+    header list over the same :class:`_LazyHeader` thunks and the same
+    body view.  Content-addressed, so a receiver is only ever given the
+    frame of bytes it was itself handed.
+    """
+
+    __slots__ = ()
+
+    def remember(self, data: bytes, message: Message) -> None:
+        if len(self) >= _MAX_FRAMES:
+            del self[next(iter(self))]  # insertion order: the oldest
+        self[data] = message
 
 
 class _Framed(WireFormat):
@@ -142,6 +177,8 @@ class _Framed(WireFormat):
     scheme, whose "considerable overhead of unused bits" Section 10
     laments); ``compact`` is the same with a word of one byte.
     """
+
+    receiver_independent = True  # spans in, thunks out: no receiver state
 
     def __init__(self, name: str, mode_byte: int, word: int) -> None:
         super().__init__(name, mode_byte)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.endpoint import Endpoint
-from repro.core.headers import DEFAULT_REGISTRY, HeaderRegistry, WIRE_MODES
+from repro.core.headers import (
+    DEFAULT_REGISTRY, HeaderFrameStore, HeaderRegistry, WIRE_MODES,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.membership.directory import GroupDirectory
 from repro.net.address import EndpointAddress
@@ -212,6 +214,10 @@ class _WorldBase:
         self.trace = TraceRecorder(enabled=trace)
         self.directory = GroupDirectory()
         self.registry = registry or DEFAULT_REGISTRY
+        #: What clean datagrams said, kept once for every endpoint of
+        #: this world (they share a process): a multicast is framed and
+        #: its headers decoded for its first receiver, not for each.
+        self.header_frames = HeaderFrameStore()
         #: The world's shared metrics registry: network counters always,
         #: per-layer seam counters when ``obs`` enables them.
         self.metrics = metrics if metrics is not None else MetricsRegistry()

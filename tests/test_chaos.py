@@ -149,6 +149,46 @@ class TestRunnerDeterminism:
         assert result.converged
 
 
+class TestRoadmapItem1Witness:
+    """The smallest known witness of ROADMAP item 1, pinned both ways.
+
+    ``python -m repro chaos --seed 1 --scenarios 10 --only 4``: four
+    members, ten ops, 5.5 simulated seconds.  Under the default direct
+    dispatch one cast of n2 is logged in v4 at n3 and in v5 at n0 and
+    n2 — delivered everywhere, in different views; under ``queued``
+    (one event at a time per stack) the same run is clean.  Whoever
+    closes item 1 is told by the strict xfail; CI's seed-0 soak never
+    generates this timeline.
+    """
+
+    SIGNATURE = "927fe98aa9bcc4e5"
+
+    @staticmethod
+    def _run():
+        scenario = generate_scenario(1, 4)
+        return scenario, ScenarioRunner(substrate="sim", seed=1).run(scenario)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1")
+    def test_direct_dispatch_keeps_virtual_synchrony(self):
+        _, result = self._run()
+        assert not [v for v in result.violations if v.startswith("vs:")]
+
+    def test_queued_dispatch_keeps_virtual_synchrony(self, monkeypatch):
+        from repro.core.endpoint import Endpoint
+
+        join = Endpoint.join
+        monkeypatch.setattr(
+            Endpoint, "join",
+            lambda self, group, **kw: join(self, group, dispatch="queued", **kw),
+        )
+        scenario, result = self._run()
+        # The generator still draws the witness the xfail above is about.
+        assert scenario.signature() == self.SIGNATURE
+        assert result.ok, result.violations
+        assert result.converged and result.casts_sent == 17
+
+
 def total_order_breaker() -> Scenario:
     """Two concurrent senders on a FIFO-only stack: total order is not
     promised, so demanding it must fail (the deliberate failure the
