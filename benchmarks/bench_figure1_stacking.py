@@ -3,9 +3,8 @@
 Figure 1 shows layers stacked at run time and tabulates ~20 protocol
 types.  This bench regenerates the protocol-type table from the live
 registry, composes a spread of distinct stacks at run time (the LEGO
-claim), and measures (a) composition cost and (b) the dispatch-mode
-ablation from DESIGN.md: direct procedure calls versus the queued
-event-pump across layer boundaries (the paper's Section 10 problem 1).
+claim), and measures (a) composition cost and (b) traffic through a
+composed stack (the paper's Section 10 problem 1: a call per boundary).
 """
 
 from repro import World
@@ -65,12 +64,12 @@ def test_figure1_runtime_stacking(benchmark):
     assert len(world.processes()) == len(STACKS)
 
 
-def _run_traffic(dispatch: str, messages: int = 100) -> float:
+def _run_traffic(messages: int = 100) -> int:
     world = World(seed=2, network="lan", trace=False)
     handles = {}
     for name in ("a", "b"):
         handles[name] = world.process(name).endpoint().join(
-            "grp", stack="MBRSHIP:FRAG:NAK:COM", dispatch=dispatch
+            "grp", stack="MBRSHIP:FRAG:NAK:COM"
         )
         world.run(0.4)
     world.run(2.0)
@@ -81,13 +80,8 @@ def _run_traffic(dispatch: str, messages: int = 100) -> float:
     return world.scheduler.events_executed
 
 
-def test_dispatch_direct(benchmark):
-    """Direct procedure calls across boundaries (production mode)."""
-    events = benchmark(_run_traffic, "direct")
-    assert events > 0
-
-
-def test_dispatch_queued(benchmark):
-    """The event-queue model: every boundary crossing is a queued event."""
-    events = benchmark(_run_traffic, "queued")
+def test_traffic_through_the_stack(benchmark):
+    """A hundred casts through the Section 7 stack: boundary crossings
+    are procedure calls, and none of them costs a scheduler event."""
+    events = benchmark(_run_traffic)
     assert events > 0

@@ -17,7 +17,9 @@ Commands:
   ``stateful=True`` recovery and the state-convergence check;
   ``--store-dir`` keeps the WALs on disk for inspection; ``--overload``
   widens the op palette with slow receivers, fan-in storms, and WAN
-  squeezes against the CREDIT overload stack; ``--large-n`` generates
+  squeezes against the CREDIT overload stack; ``--faults-through-flush``
+  keeps every member casting and the links lossy across every crash,
+  flush and install; ``--large-n`` generates
   thousand-node storm timelines and runs them through the gossip scale
   harness (SWIM agents, no stacks) instead of the verify checkers.
 * ``gossip --nodes 1000 --seed 0`` — SWIM failure detection at fleet
@@ -236,6 +238,7 @@ def _cmd_chaos(args) -> int:
                 else "sim",
                 stateful=args.stateful,
                 overload=args.overload,
+                faults_through_flush=args.faults_through_flush,
             )
             for index in range(args.scenarios)
         ]
@@ -474,6 +477,10 @@ def main(argv: List[str] = None) -> int:
                        help="widen the op palette with slow_receiver / "
                             "fanin_storm / wan_squeeze against the "
                             "CREDIT overload stack")
+    chaos.add_argument("--faults-through-flush", action="store_true",
+                       help="eight members casting at a Poisson rate "
+                            "with 1%% loss + 8%% reordering held across "
+                            "every crash, flush, install and recover")
     chaos.add_argument("--large-n", action="store_true", dest="large_n",
                        help="generate thousand-node storm timelines "
                             "(crash storms, minority partitions, "

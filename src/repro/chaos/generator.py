@@ -41,6 +41,7 @@ from repro.chaos.scenario import (
     SlowReceiver,
     WanSqueeze,
 )
+from repro.sim.rand import derive_seed
 
 #: Per-profile pacing: (min duration, max duration, settle, max ops).
 #: The realtime profile is shorter — its seconds are wall-clock.
@@ -80,6 +81,14 @@ _LARGE_N_PROFILE = (20.0, 40.0, 120.0, 8)
 _LARGE_N_MAX_DEAD = 0.05
 _LARGE_N_MAX_CUT = 0.10
 
+#: Faults-through-flush: what the links do from the first op to the end
+#: of the storm — every crash, flush, install and re-join included.
+_FLUSH_FAULTS = {"jitter": 0.0002, "loss_rate": 0.01,
+                 "reorder_rate": 0.08, "reorder_delay": 0.005}
+
+#: Its pacing: (crash→recover cycles, casts/s per member, settle).
+_FLUSH_PROFILES = {"sim": (3, 20.0, 25.0), "realtime": (1, 10.0, 10.0)}
+
 
 def generate_scenario(
     seed: int,
@@ -90,6 +99,7 @@ def generate_scenario(
     stateful: bool = False,
     overload: bool = False,
     large_n: bool = False,
+    faults_through_flush: bool = False,
 ) -> Scenario:
     """Deterministically generate scenario ``index`` of a soak.
 
@@ -114,17 +124,25 @@ def generate_scenario(
     family draws from its own rng stream (``chaos.gen.large.{index}``),
     so the base and overload ``(seed, index)`` timelines stay
     byte-identical whether or not large-n mode exists.
+
+    ``faults_through_flush=True`` generates the storm the base family
+    never does (``nodes`` is lifted to at least 8): every member casts
+    at a Poisson rate while 1 % loss + 8 % reordering stay on across
+    every crash → flush → install → recover.  Own rng stream
+    (``chaos.gen.flush.{index}``) again.
     """
     if profile not in _PROFILES:
         raise ValueError(f"unknown chaos profile {profile!r}")
     if large_n:
         return _generate_large_n(seed, index, max(nodes, 1000), stack)
+    if faults_through_flush:
+        return _generate_faults_through_flush(
+            seed, index, max(nodes, 8), stack, profile
+        )
     if stateful and stack == DEFAULT_CHAOS_STACK:
         stack = STATEFUL_CHAOS_STACK
     if overload and stack == DEFAULT_CHAOS_STACK:
         stack = OVERLOAD_CHAOS_STACK
-    from repro.sim.rand import derive_seed
-
     rng = random.Random(derive_seed(seed, f"chaos.gen.{index}"))
     lo, hi, settle, max_ops = _PROFILES[profile]
     duration = rng.uniform(lo, hi)
@@ -226,6 +244,48 @@ def generate_scenario(
     )
 
 
+def _generate_faults_through_flush(
+    seed: int, index: int, nodes: int, stack: str, profile: str
+) -> Scenario:
+    """The faults-through-flush family: closing cuts taken under traffic.
+
+    One :class:`SetFaults` at the start is never lifted; victims (never
+    the founding coordinator) crash and recover one after another, each
+    down ~3 s so the survivors flush it out (detection takes ~1.5 s);
+    every cast is its own :class:`InjectLoad`, for the shrinker's sake.
+    """
+    rng = random.Random(derive_seed(seed, f"chaos.gen.flush.{index}"))
+    cycles, rate, settle = _FLUSH_PROFILES[profile]
+    names = tuple(f"n{i}" for i in range(nodes))
+
+    ops: List[ChaosOp] = [SetFaults.of(0.0, **_FLUSH_FAULTS)]
+    at = 0.0
+    for _ in range(cycles):
+        victim = rng.choice(names[1:])
+        at = round(at + rng.uniform(0.5, 1.0), 2)
+        ops.append(Crash(at=at, node=victim))
+        at = round(at + rng.uniform(2.5, 3.0), 2)
+        ops.append(Recover(at=at, node=victim))
+    duration = at + 1.0
+    for name in names:
+        cast_at = rng.expovariate(rate)
+        while cast_at < duration:
+            ops.append(InjectLoad(
+                at=round(cast_at, 4), node=name, count=1,
+                size=rng.choice((16, 64, 256)),
+            ))
+            cast_at += rng.expovariate(rate)
+
+    return Scenario(
+        name=f"s{seed}-{index}-flush",
+        nodes=names,
+        ops=tuple(ops),
+        stack=stack,
+        duration=duration,
+        settle=settle,
+    )
+
+
 def _generate_large_n(
     seed: int, index: int, nodes: int, stack: str
 ) -> Scenario:
@@ -239,8 +299,6 @@ def _generate_large_n(
     :data:`_LARGE_N_MAX_CUT` of the fleet, so every generated storm is
     one the gossip plane is supposed to converge through.
     """
-    from repro.sim.rand import derive_seed
-
     rng = random.Random(derive_seed(seed, f"chaos.gen.large.{index}"))
     lo, hi, settle, max_ops = _LARGE_N_PROFILE
     duration = rng.uniform(lo, hi)

@@ -70,15 +70,14 @@ class Endpoint:
         on_stable: Optional[Callable[[Dict[Any, Any]], None]] = None,
         on_problem: Optional[Callable[[EndpointAddress], None]] = None,
         on_exit: Optional[Callable[[], None]] = None,
-        dispatch: str = "direct",
         overrides: Optional[Dict[str, Dict[str, Any]]] = None,
     ) -> GroupHandle:
         """Join ``group`` through a protocol stack built from ``stack``.
 
         ``stack`` is either a :class:`~repro.core.stack.StackConfig` or
         a spec string in the paper's top-to-bottom colon notation, e.g.
-        ``"TOTAL:MBRSHIP:FRAG:NAK:COM"`` (``dispatch``/``overrides``
-        then apply; with a config they must be left at their defaults).
+        ``"TOTAL:MBRSHIP:FRAG:NAK:COM"`` (``overrides`` then applies;
+        with a config it must be left at its default).
         Returns the group handle (Table 1's ``join`` downcall "join
         group and return handle").
         """
@@ -87,16 +86,13 @@ class Endpoint:
         if group_addr in self._groups:
             raise EndpointError(f"{self.address} already joined {group}")
         if isinstance(stack, StackConfig):
-            if dispatch != "direct" or overrides is not None:
+            if overrides is not None:
                 raise EndpointError(
-                    "pass dispatch/overrides inside the StackConfig, "
-                    "not alongside it"
+                    "pass overrides inside the StackConfig, not alongside it"
                 )
             config = stack
         else:
-            config = StackConfig(
-                spec=stack, dispatch=dispatch, overrides=overrides
-            )
+            config = StackConfig(spec=stack, overrides=overrides)
         handle = GroupHandle(
             endpoint_address=self.address,
             group=group_addr,

@@ -119,9 +119,11 @@ class GroupHandle:
         understand them (e.g. ``priority=3`` for a PRIO layer).
 
         Returns the :class:`~repro.core.events.FlowVerdict` stamped by a
-        flow-control layer (``None`` when no such layer is stacked).
-        A ``SHED``/``BLOCKED`` verdict means the message will not be
-        sent; the caller decides whether to retry, back off, or drop.
+        flow-control layer (``None`` when no such layer is stacked, or
+        from inside an upcall handler: the stack admits the cast when
+        the handler returns).  A ``SHED``/``BLOCKED`` verdict means the
+        message will not be sent; the caller decides whether to retry,
+        back off, or drop.
         """
         self._check_open()
         message = Message(bytes(data))

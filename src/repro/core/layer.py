@@ -11,12 +11,13 @@ pass-through, so a layer only writes code for the events it transforms.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.events import Downcall, Upcall
 from repro.core.headers import DEFAULT_REGISTRY, HeaderRegistry
-from repro.errors import StackError
+from repro.errors import HeaderError
 from repro.net.address import EndpointAddress, GroupAddress
 from repro.net.network import Network
 from repro.obs import MetricsRegistry, ObsOptions, SpanRecorder
@@ -73,6 +74,63 @@ class LayerContext:
         return self.scheduler.now
 
 
+#: A stack is idle, carrying a traversal down or up, or running a
+#: timer/callback body (every crossing made from one turns around).
+IDLE, DOWN, UP, BODY = range(4)
+
+
+class Turn:
+    """One stack's run-to-completion discipline (Section 3: "one logical
+    scheduling thread", events queued at layer entry points).
+
+    The rule: *a layer is never entered while its own code is on the
+    call stack*.  A crossing that continues the running traversal's
+    direction is a plain call and never comes here.  One that turns
+    around (an upcall made while a downcall is being handled, or the
+    reverse), and every crossing made from a timer or callback body,
+    waits in the FIFO until the handler that made it has returned.
+    Whoever finds the stack idle is the outermost entry and drains the
+    FIFO before returning: no scheduler event is spent on dispatch.
+    """
+
+    __slots__ = ("direction", "undecodable", "_queue")
+
+    def __init__(self) -> None:
+        self.direction = IDLE
+        #: Crossings abandoned on a corrupt lazily-decoded header.
+        self.undecodable = 0
+        self._queue: Deque[Tuple[Callable[..., Any], int, tuple]] = deque()
+
+    def cross(self, fn: Callable[..., Any], direction: int, *args: Any) -> None:
+        """Run ``fn(*args)`` now if the stack is idle, else after the
+        running handler; either way before the outermost entry returns."""
+        if self.direction != IDLE:
+            self._queue.append((fn, direction, args))
+            return
+        queue = self._queue
+        self.direction = direction
+        try:
+            try:
+                fn(*args)
+            except HeaderError:
+                # Hostile bytes come from below; an application downcall
+                # that cannot encode is for the application to see.
+                if direction != UP:
+                    raise
+                self.undecodable += 1
+            while queue:
+                fn, self.direction, args = queue.popleft()
+                try:
+                    fn(*args)
+                except HeaderError:
+                    self.undecodable += 1
+        finally:
+            # Any other exception unwinds to the outermost caller as it
+            # would out of nested calls, the unrun remainder with it.
+            queue.clear()
+            self.direction = IDLE
+
+
 class Layer:
     """Base class for all protocol layers.
 
@@ -92,6 +150,7 @@ class Layer:
         self.config = config
         self.above: Optional["Layer"] = None
         self.below: Optional["Layer"] = None
+        self._turn = Turn()  # the stack's shared one, once wired
         self._timers: List[Any] = []
         self.stopped = False
         #: Event counters, reported by the ``dump`` downcall (Table 1).
@@ -150,16 +209,23 @@ class Layer:
         self.pass_up(upcall)
 
     def pass_down(self, downcall: Downcall) -> None:
-        """Forward a downcall to the layer below."""
-        if self.below is None:
-            raise StackError(f"layer {self.name} has nothing below it")
-        self.below.down(downcall)
+        """Forward a downcall to the layer below (see :class:`Turn`)."""
+        if self._turn.direction == DOWN:
+            self.below.down(downcall)
+        else:
+            self._turn.cross(self.below.down, DOWN, downcall)
 
     def pass_up(self, upcall: Upcall) -> None:
-        """Forward an upcall to the layer above."""
-        if self.above is None:
-            raise StackError(f"layer {self.name} has nothing above it")
-        self.above.up(upcall)
+        """Forward an upcall to the layer above (see :class:`Turn`)."""
+        if self._turn.direction == UP:
+            self.above.up(upcall)
+        else:
+            self._turn.cross(self.above.up, UP, upcall)
+
+    def _enter(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run layer code the outside was handed (timer, scheduled call,
+        subscription, completion callback) as part of a turn."""
+        self._turn.cross(callback, BODY, *args)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -199,13 +265,15 @@ class Layer:
 
     def one_shot(self, interval: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Create a (not yet armed) restartable one-shot timer."""
-        timer = Timer(self.context.scheduler, interval, callback, *args)
+        timer = Timer(self.context.scheduler, interval, self._enter, callback, *args)
         self._timers.append(timer)
         return timer
 
     def periodic(self, period: float, callback: Callable[..., Any], *args: Any) -> PeriodicTimer:
         """Create a (not yet started) periodic timer."""
-        timer = PeriodicTimer(self.context.scheduler, period, callback, *args)
+        timer = PeriodicTimer(
+            self.context.scheduler, period, self._enter, callback, *args
+        )
         self._timers.append(timer)
         return timer
 

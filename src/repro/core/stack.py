@@ -7,20 +7,21 @@ from Section 7), parsed and instantiated when an endpoint joins a
 group.  Per-layer parameters can be supplied inline:
 ``"FRAG(max_size=512):NAK(window=64):COM"``.
 
-The module also implements the two dispatch disciplines discussed in
-Section 10: direct procedure calls across layer boundaries (fast, the
-production default) and the event-queue model (each boundary crossing
-is a queued event) so the overhead of each can be compared.
+A stack runs one *turn* at a time (:class:`~repro.core.layer.Turn`): a
+crossing that continues the traversal in progress is a procedure call,
+one that turns around waits until the handler that made it has returned,
+and the outermost entry drains what waits before it returns — no layer
+is entered while its own code is on the call stack.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.events import Downcall, Upcall
-from repro.core.layer import Layer, LayerContext
-from repro.errors import HeaderError, StackError
+from repro.core.layer import DOWN, UP, Layer, LayerContext, Turn
+from repro.errors import StackError
 from repro.obs import ObsOptions, SpanRecorder, StackObserver
 
 # ----------------------------------------------------------------------
@@ -158,83 +159,16 @@ def format_stack_spec(layers: List[LayerSpec]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Edges and queued dispatch
-# ----------------------------------------------------------------------
-
-
-class _TopEdge:
-    """Sits above the top layer; hands upcalls to the application."""
-
-    def __init__(self, deliver: Callable[[Upcall], None]) -> None:
-        self._deliver = deliver
-
-    def up(self, upcall: Upcall) -> None:
-        self._deliver(upcall)
-
-
-class _BottomEdge:
-    """Sits below the bottom layer; reaching it is a composition bug."""
-
-    @staticmethod
-    def down(downcall: Downcall) -> None:
-        raise StackError(
-            f"downcall {downcall.type.name} fell off the bottom of the stack; "
-            "is a COM (network adapter) layer missing?"
-        )
-
-
-class EventPump:
-    """FIFO of pending boundary crossings for the queued-dispatch mode.
-
-    Rather than calling the next layer directly, a boundary crossing
-    appends a thunk here; a single scheduler event drains the queue.
-    This serializes all work per stack (the paper's event-queue model)
-    at the price of one queue operation per boundary.
-
-    With an observer attached, each crossing's queue residency (enqueue
-    to execution) feeds the ``stack_queue_residency_seconds`` histogram.
-    """
-
-    def __init__(self, scheduler: Any, observer: Optional[StackObserver] = None) -> None:
-        self._scheduler = scheduler
-        self._queue: Deque[Tuple[Callable[..., None], Any, float]] = deque()
-        self._scheduled = False
-        self.observer = observer
-
-    def post(self, fn: Callable[..., None], event: Any) -> None:
-        """Enqueue one crossing and ensure a drain is scheduled."""
-        self._queue.append((fn, event, self._scheduler.now))
-        if not self._scheduled:
-            self._scheduled = True
-            self._scheduler.call_soon(self._drain)
-
-    def _drain(self) -> None:
-        self._scheduled = False
-        observer = self.observer
-        while self._queue:
-            fn, event, posted = self._queue.popleft()
-            if observer is not None:
-                observer.note_queue_wait(self._scheduler.now - posted)
-            fn(event)
-
-
-class _QueuedRef:
-    """Stands in for a neighbouring layer, routing calls via the pump."""
-
-    def __init__(self, pump: EventPump, target: Any) -> None:
-        self._pump = pump
-        self._target = target
-
-    def down(self, downcall: Downcall) -> None:
-        self._pump.post(self._target.down, downcall)
-
-    def up(self, upcall: Upcall) -> None:
-        self._pump.post(self._target.up, upcall)
-
-
-# ----------------------------------------------------------------------
 # The stack itself
 # ----------------------------------------------------------------------
+
+
+def _fell_off(downcall: Downcall) -> None:
+    """Below the bottom layer; reaching it is a composition bug."""
+    raise StackError(
+        f"downcall {downcall.type.name} fell off the bottom of the stack; "
+        "is a COM (network adapter) layer missing?"
+    )
 
 
 class Stack:
@@ -253,23 +187,15 @@ class Stack:
         layers: List[Layer],
         context: LayerContext,
         deliver: Callable[[Upcall], None],
-        dispatch: str = "direct",
         observer: Optional[StackObserver] = None,
     ) -> None:
         if not layers:
             raise StackError("a stack needs at least one layer")
-        if dispatch not in ("direct", "queued"):
-            raise StackError(f"unknown dispatch mode {dispatch!r}")
         self.layers = layers  # index 0 = top
         self.context = context
-        self.dispatch = dispatch
         self.observer = observer
-        self._top_edge = _TopEdge(deliver)
-        self._bottom_edge = _BottomEdge()
-        self._pump = (
-            EventPump(context.scheduler, observer) if dispatch == "queued" else None
-        )
-        self._wire()
+        self._turn = Turn()
+        self._wire(deliver)
         if observer is not None:
             # Exact event counts come from the layers' own counters,
             # reconciled at export time — the observer's hot path never
@@ -278,25 +204,16 @@ class Stack:
             if sync is not None and context.metrics is not None:
                 context.metrics.add_collector(sync)
         self.started = False
-        #: Messages dropped whole because a lazily-decoded header turned
-        #: out to be corrupt mid-traversal (see deliver_from_network).
-        self.undecodable_messages = 0
 
-    def _wire(self) -> None:
-        """Connect ``above``/``below`` references, possibly via the pump."""
-        for i, layer in enumerate(self.layers):
+    def _wire(self, deliver: Callable[[Upcall], None]) -> None:
+        """Connect ``above``/``below`` and share the turn; the application
+        sits above the top layer, nothing below the bottom one."""
+        chain = [SimpleNamespace(up=deliver), *self.layers,
+                 SimpleNamespace(down=_fell_off)]
+        for above, layer, below in zip(chain, chain[1:], chain[2:]):
             layer.observer = self.observer
-            above = self._top_edge if i == 0 else self.layers[i - 1]
-            below = (
-                self._bottom_edge if i == len(self.layers) - 1 else self.layers[i + 1]
-            )
-            if self._pump is not None:
-                if above is not self._top_edge:
-                    above = _QueuedRef(self._pump, above)
-                if below is not self._bottom_edge:
-                    below = _QueuedRef(self._pump, below)
-            layer.above = above  # type: ignore[assignment]
-            layer.below = below  # type: ignore[assignment]
+            layer._turn = self._turn
+            layer.above, layer.below = above, below
 
     # -- lifecycle -------------------------------------------------------
 
@@ -316,11 +233,12 @@ class Stack:
     # -- application edge --------------------------------------------------
 
     def down(self, downcall: Downcall) -> None:
-        """Inject a downcall at the top of the stack."""
-        self.layers[0].down(downcall)
+        """Inject a downcall at the top: run to the wire before this
+        returns, or — from inside a turn — when the running handler has."""
+        self._turn.cross(self.layers[0].down, DOWN, downcall)
 
     def deliver_from_network(self, upcall: Upcall) -> None:
-        """Inject an upcall at the bottom (used only by the COM layer).
+        """Inject an upcall at the bottom (used only by the endpoint demux).
 
         Lazily-unmarshalled messages decode each header when its layer
         pops it, so a corrupt header that eager decode would have
@@ -328,13 +246,15 @@ class Stack:
         substrates mark the packets their fault model garbled (the DES
         on the ``Packet``, the realtime frame with ``FLAG_GARBLED``) and
         the demux decodes those eagerly; this is for bytes no fault
-        model marked.  The whole message is dropped, matching the eager
-        outcome.
+        model marked.  The turn drops the crossing that hit the corrupt
+        header and counts it (:attr:`undecodable_messages`).
         """
-        try:
-            self.layers[-1].up(upcall)
-        except HeaderError:
-            self.undecodable_messages += 1
+        self._turn.cross(self.layers[-1].up, UP, upcall)
+
+    @property
+    def undecodable_messages(self) -> int:
+        """Crossings dropped on a corrupt lazily-decoded header."""
+        return self._turn.undecodable
 
     # -- introspection (Table 1: focus, dump) ------------------------------
 
@@ -361,10 +281,6 @@ class Stack:
         """Every layer instance with the given name, top first."""
         return [layer for layer in self.layers if layer.name == name]
 
-    def has_layer(self, name: str) -> bool:
-        """Whether a layer with this name is in the stack."""
-        return any(layer.name == name for layer in self.layers)
-
     def dump(self) -> List[Dict[str, Any]]:
         """Per-layer introspection blobs, top first."""
         return [layer.dump() for layer in self.layers]
@@ -380,9 +296,8 @@ class Stack:
 class StackConfig:
     """Keyword-only description of one protocol stack to build.
 
-    Collects everything a stack build needs — spec string, dispatch
-    discipline, per-layer overrides — plus the observability switches,
-    in one reusable value::
+    Collects everything a stack build needs — spec string, per-layer
+    overrides — plus the observability switches, in one reusable value::
 
         config = StackConfig(spec="TOTAL:MBRSHIP:FRAG:NAK:COM",
                              overrides={"FRAG": {"max_size": 512}},
@@ -402,17 +317,13 @@ class StackConfig:
         self,
         *,
         spec: str,
-        dispatch: str = "direct",
         overrides: Optional[Dict[str, Dict[str, Any]]] = None,
         obs: Optional[ObsOptions] = None,
     ) -> None:
-        if dispatch not in ("direct", "queued"):
-            raise StackError(f"unknown dispatch mode {dispatch!r}")
         # Parse eagerly so a bad spec fails where the config is written,
         # not later at some endpoint's join().
         self.spec = spec
         self.parsed = parse_stack_spec(spec)
-        self.dispatch = dispatch
         self.overrides = dict(overrides) if overrides else {}
         self.obs = obs
 
@@ -428,9 +339,7 @@ class StackConfig:
                 merged.update(self.overrides[name])
             layers.append(cls(context, **merged))
         observer = self._make_observer(context)
-        return Stack(
-            layers, context, deliver, dispatch=self.dispatch, observer=observer
-        )
+        return Stack(layers, context, deliver, observer=observer)
 
     def _make_observer(self, context: LayerContext) -> Optional[StackObserver]:
         """One observer per stack, or ``None`` when everything is off."""
@@ -456,5 +365,5 @@ class StackConfig:
         )
 
     def __repr__(self) -> str:
-        return f"<StackConfig {self.spec!r} dispatch={self.dispatch}>"
+        return f"<StackConfig {self.spec!r}>"
 

@@ -170,7 +170,7 @@ class ComLayer(Layer):
             # the way down), so the object itself ascends the stack.
             # The wire encoding is exercised by every remote receiver
             # and by the round-trip/fuzz suites.
-            self.context.scheduler.call_soon(self._loopback_copy, message)
+            self._loop_back(message)
         if remote and self._alive():
             self.context.network.multicast(self.endpoint, remote, data)
 
@@ -188,7 +188,7 @@ class ComLayer(Layer):
             )
             for member in members:
                 if member == self.endpoint:
-                    self.context.scheduler.call_soon(self._loopback_copy, message)
+                    self._loop_back(message)
                 elif self._alive():
                     self.context.network.unicast(self.endpoint, member, data)
             return
@@ -199,7 +199,7 @@ class ComLayer(Layer):
             if member == self.endpoint:
                 # Deferred past the loop by call_soon, so the per-peer
                 # marshals below still see the untouched header stack.
-                self.context.scheduler.call_soon(self._loopback_copy, message)
+                self._loop_back(message)
                 continue
             data = self.context.registry.marshal(
                 message, self.context.wire_mode,
@@ -208,11 +208,14 @@ class ComLayer(Layer):
             if self._alive():
                 self.context.network.unicast(self.endpoint, member, data)
 
-    def _loopback_copy(self, message: Message) -> None:
+    def _loop_back(self, message: Message) -> None:
         # Self-delivery without the wire codec: the very header dicts
         # the sending layers pushed come back up, and upper layers pop
-        # exactly what they pushed.
-        self._receive(message)
+        # exactly what they pushed.  (No _enter: handle_up's one
+        # crossing is its last act, and it opens the turn itself.)
+        self.context.scheduler.call_soon(
+            self.handle_up, Upcall(UpcallType.CAST, message=message)
+        )
 
     def _alive(self) -> bool:
         process = self.context.process
@@ -227,8 +230,8 @@ class ComLayer(Layer):
         if message is None:
             self.pass_up(upcall)
             return
-        # Inline _receive, retagging and forwarding the incoming upcall
-        # itself — one event object rides the whole up traversal.
+        # Retag and forward the incoming upcall itself — one event
+        # object rides the whole up traversal.
         try:
             header = message.pop_header(self.name)
         except MessageError:
@@ -245,23 +248,6 @@ class ComLayer(Layer):
         )
         upcall.source = source
         self.pass_up(upcall)
-
-    def _receive(self, message: Message) -> None:
-        try:
-            header = message.pop_header(self.name)
-        except MessageError:
-            # Not ours — garbled or mis-stacked; drop rather than crash.
-            self.filtered += 1
-            return
-        source = header["source"]
-        if self.filter_sources and source not in self.dests:
-            self.filtered += 1
-            return
-        self.delivered += 1
-        if header["kind"] == _KIND_CAST:
-            self.pass_up(Upcall(UpcallType.CAST, message=message, source=source))
-        else:
-            self.pass_up(Upcall(UpcallType.SEND, message=message, source=source))
 
     def dump(self):
         info = super().dump()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.core.events import Upcall, UpcallType
@@ -142,7 +143,7 @@ class LoggingLayer(Layer):
             # Hold behind the commit: the upcall goes up only once the
             # journal entry is on stable storage, in journal order.
             self._held.append((upcall, ticket))
-            ticket.add_done_callback(self._release_durable)
+            ticket.add_done_callback(partial(self._enter, self._release_durable))
             return
         self.pass_up(upcall)
 

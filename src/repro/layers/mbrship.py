@@ -44,6 +44,7 @@ Properties (Table 3): requires P3, P4, P10, P11, P12; provides P8
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core import headers as hdr
@@ -157,7 +158,7 @@ class MembershipLayer(Layer):
         self.vs = bool(config.get("vs", True))
         self.external_fd = config.get("external_fd")
         if self.external_fd is not None:
-            self.external_fd.subscribe(self._on_fd_verdict)
+            self.external_fd.subscribe(partial(self._enter, self._on_fd_verdict))
 
         # Identity within the group.
         self.state = "init"  # init/joining/normal/flushing/blocked/left
@@ -752,7 +753,7 @@ class MembershipLayer(Layer):
         if self._flush_scheduled or self.state in ("init", "joining", "left"):
             return
         self._flush_scheduled = True
-        self.context.scheduler.call_soon(self._start_flush)
+        self.context.scheduler.call_soon(self._enter, self._start_flush)
 
     def _start_flush(self) -> None:
         self._flush_scheduled = False

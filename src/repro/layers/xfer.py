@@ -39,6 +39,7 @@ property).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import headers as hdr
@@ -303,7 +304,7 @@ class StateTransferLayer(Layer):
                     ):
                         self._become_synced()
 
-                ticket.add_done_callback(_on_durable)
+                ticket.add_done_callback(partial(self._enter, _on_durable))
                 return
             self._become_synced()
 

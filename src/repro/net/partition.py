@@ -10,7 +10,7 @@ silence and react with their configured partition policy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 
 class PartitionController:
@@ -69,10 +69,6 @@ class PartitionController:
             return True
         return comp_a == comp_b
 
-    def component_members(self, node: str, universe: Iterable[str]) -> List[str]:
-        """All nodes from ``universe`` currently reachable from ``node``."""
-        return sorted(n for n in universe if self.reachable(node, n))
-
     def components(self, universe: Iterable[str]) -> List[Set[str]]:
         """Partition ``universe`` into its current reachability classes."""
         remaining = set(universe)
@@ -83,7 +79,3 @@ class PartitionController:
             result.append(component)
             remaining -= component
         return result
-
-    def component_index(self, node: str) -> Optional[int]:
-        """The component id of ``node``, or ``None`` if unpartitioned."""
-        return self._component_of.get(node)

@@ -6,8 +6,8 @@ One instrumentation API for both execution substrates:
   histograms with labeled series.  The network/transport stats objects
   are views over it, and the per-layer HCPI seam feeds it.
 * :class:`SpanRecorder` / :class:`MessageSpan` — message-path spans:
-  per-layer down/up entry-exit timestamps, header bytes pushed/popped,
-  and queued-dispatch residency, recorded once in
+  per-layer down/up entry-exit timestamps and header bytes
+  pushed/popped, recorded once in
   :meth:`~repro.core.layer.Layer.down`/``up`` for every layer at once.
 * :mod:`repro.obs.exporters` — JSON-lines snapshots (deterministic on
   the DES) and Prometheus text format.

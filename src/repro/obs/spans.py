@@ -5,19 +5,20 @@ from the application toward the network, or an upcall rising from the
 wire.  Because every layer speaks the same HCPI top and bottom
 interface, one hook installed at the :meth:`Layer.down`/:meth:`Layer.up`
 entry points (see :class:`StackObserver`) observes all ~25 layers at
-once: per-layer entry/exit timestamps, header bytes pushed and popped,
-and — under queued dispatch — how long each boundary crossing sat in
-the event pump.
+once: per-layer entry/exit timestamps and header bytes pushed and
+popped.
 
 Timestamps come from whatever clock the owning stack's context holds:
 virtual time on the DES (spans are then deterministic per seed), the
 engine's monotonic wall clock on the realtime substrate.
 
-Self-time accounting: direct dispatch nests calls (``TOTAL.down`` runs
+Self-time accounting: a traversal nests calls (``TOTAL.down`` runs
 ``MBRSHIP.down`` inside it, and so on), so a frame stack attributes to
 each layer only the time not spent in the layers it called — the
 per-layer numbers sum to the traversal's total instead of multiply
-counting it.
+counting it.  A crossing that turns around (an acknowledgement sent
+down from an upcall handler) runs after that handler returned, as the
+root of a span of its own.
 """
 
 from __future__ import annotations
@@ -199,9 +200,9 @@ class StackObserver:
     __slots__ = ("clock", "spans", "header_registry", "endpoint", "group",
                  "skipping", "wire_mode",
                  "_frames", "_span", "_events", "_self_time", "_hdr_bytes",
-                 "_queue_wait", "_span_count", "_span_children",
+                 "_span_count", "_span_children",
                  "_children", "_codecs",
-                 "_sample", "_span_seq", "_skip_depth", "_skip_direction")
+                 "_sample", "_span_seq", "_skip_direction")
 
     def __init__(
         self,
@@ -228,9 +229,6 @@ class StackObserver:
         #: nested crossings of an unsampled message cost one attribute
         #: read each; only the traversal root pays the enter/exit pair.
         self.skipping = False
-        # Depth guard for callers that bracket enter/exit without
-        # checking ``skipping`` (enter then degrades to a counter bump).
-        self._skip_depth = 0
         self._skip_direction = ""
         self.header_registry = header_registry
         self.endpoint = endpoint
@@ -259,11 +257,6 @@ class StackObserver:
                 "Wire bytes of headers pushed (down) or popped (up)",
                 labels=("direction", "layer"),
             )
-            self._queue_wait = metrics.histogram(
-                "stack_queue_residency_seconds",
-                "Queued-dispatch residency of one boundary crossing",
-                buckets=TIME_BUCKETS,
-            )
             self._span_count = metrics.counter(
                 "stack_spans_total",
                 "Completed message-path traversals",
@@ -279,7 +272,6 @@ class StackObserver:
             self._events = None
             self._self_time = None
             self._hdr_bytes = None
-            self._queue_wait = None
             self._span_count = None
             self._span_children = None
 
@@ -299,10 +291,6 @@ class StackObserver:
         per-layer event counts are unaffected because they come from
         :class:`LayerEventSync` at export time, not from this path.
         """
-        skip = self._skip_depth
-        if skip:
-            self._skip_depth = skip + 1
-            return None
         frames = self._frames
         if not frames:
             # Root of a traversal: the sampling decision covers every
@@ -310,7 +298,6 @@ class StackObserver:
             self._span_seq += 1
             if self._span_seq % self._sample:
                 self.skipping = True
-                self._skip_depth = 1
                 self._skip_direction = direction
                 return None
         now = self.clock.now
@@ -377,17 +364,13 @@ class StackObserver:
     def exit(self, frame: Optional[_Frame], event: Any) -> None:
         """Record exit of the crossing started by ``frame``.
 
-        ``frame`` is ``None`` on a sampled-out traversal; the crossing
-        then costs one decrement, plus the traversal counter when the
-        root unwinds.
+        ``frame`` is ``None`` at the root of a sampled-out traversal
+        (the layer seam never brackets the crossings nested in one).
         """
         if frame is None:
-            depth = self._skip_depth - 1
-            self._skip_depth = depth
-            if not depth:
-                self.skipping = False
-                if self._span_children is not None:
-                    self._span_children[self._skip_direction].value += 1
+            self.skipping = False
+            if self._span_children is not None:
+                self._span_children[self._skip_direction].value += 1
             return
         frames = self._frames
         frames.pop()
@@ -440,11 +423,6 @@ class StackObserver:
                     self.spans.add(span)
             if self._span_children is not None:
                 self._span_children[frame.direction].value += 1
-
-    def note_queue_wait(self, seconds: float) -> None:
-        """Record one queued-dispatch residency sample (from the pump)."""
-        if self._queue_wait is not None:
-            self._queue_wait.observe(seconds)
 
     # ------------------------------------------------------------------
     # Helpers

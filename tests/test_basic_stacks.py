@@ -161,23 +161,6 @@ class TestFrag:
         assert got == [b"C" * 120, b"S" * 120]
 
 
-class TestDispatchModes:
-    def test_queued_dispatch_equivalent(self):
-        world = World(seed=9, network="lan")
-        a = world.process("a").endpoint()
-        b = world.process("b").endpoint()
-        ha = a.join("grp", stack="FRAG:NAK:COM", dispatch="queued")
-        hb = b.join("grp", stack="FRAG:NAK:COM", dispatch="queued")
-        members = [ha.endpoint_address, hb.endpoint_address]
-        ha.set_destinations(members)
-        hb.set_destinations(members)
-        world.run(0.3)
-        for i in range(20):
-            ha.cast(f"q{i}".encode())
-        world.run(2.0)
-        assert [m.data for m in hb.delivery_log] == [f"q{i}".encode() for i in range(20)]
-
-
 class TestGarbling:
     def _garbling_world(self):
         return World(

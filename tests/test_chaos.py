@@ -5,6 +5,7 @@ The determinism tests are the chaos analogue of
 a byte-identical delivery-trace digest and identical verify verdicts.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -150,43 +151,71 @@ class TestRunnerDeterminism:
 
 
 class TestRoadmapItem1Witness:
-    """The smallest known witness of ROADMAP item 1, pinned both ways.
+    """The smallest known witness of ROADMAP item 1, on both stacks.
 
     ``python -m repro chaos --seed 1 --scenarios 10 --only 4``: four
-    members, ten ops, 5.5 simulated seconds.  Under the default direct
-    dispatch one cast of n2 is logged in v4 at n3 and in v5 at n0 and
-    n2 — delivered everywhere, in different views; under ``queued``
-    (one event at a time per stack) the same run is clean.  Whoever
-    closes item 1 is told by the strict xfail; CI's seed-0 soak never
-    generates this timeline.
+    members, ten ops, 5.5 simulated seconds.  When a turn-around was a
+    nested procedure call, ``MembershipLayer._install_view`` passed
+    ``VIEW`` down, NAK drained the next era's casts back up into it and
+    one cast of n2 was logged in v4 at n3 and in v5 at n0 and n2 —
+    delivered everywhere, in different views.  The same timeline runs
+    through the fused production layer and its decomposed reference
+    stack (Section 8's method); timing differs between the two, so
+    their digests are not compared.
     """
 
     SIGNATURE = "927fe98aa9bcc4e5"
 
-    @staticmethod
-    def _run():
+    @pytest.mark.parametrize("stack", [
+        "MBRSHIP:FRAG:NAK:CHKSUM:COM",
+        "FLUSH:VSS:BMS:FRAG:NAK:CHKSUM:COM",
+    ])
+    def test_keeps_virtual_synchrony(self, stack):
         scenario = generate_scenario(1, 4)
-        return scenario, ScenarioRunner(substrate="sim", seed=1).run(scenario)
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1")
-    def test_direct_dispatch_keeps_virtual_synchrony(self):
-        _, result = self._run()
-        assert not [v for v in result.violations if v.startswith("vs:")]
-
-    def test_queued_dispatch_keeps_virtual_synchrony(self, monkeypatch):
-        from repro.core.endpoint import Endpoint
-
-        join = Endpoint.join
-        monkeypatch.setattr(
-            Endpoint, "join",
-            lambda self, group, **kw: join(self, group, dispatch="queued", **kw),
-        )
-        scenario, result = self._run()
-        # The generator still draws the witness the xfail above is about.
+        # The generator still draws the timeline this class is about.
         assert scenario.signature() == self.SIGNATURE
+        result = ScenarioRunner(substrate="sim", seed=1).run(
+            dataclasses.replace(scenario, stack=stack)
+        )
         assert result.ok, result.violations
         assert result.converged and result.casts_sent == 17
+
+
+class TestFaultsThroughFlush:
+    """ROADMAP item 1's workload as a chaos family: eight members casting
+    at a Poisson rate, 1 % loss + 8 % reordering never lifted across
+    crash → flush → install → recover.  When turn-arounds nested, these
+    three scenarios failed ``vs:`` (a cast delivered in the old view at
+    one member and the new view at the others)."""
+
+    def test_own_rng_stream_leaves_the_base_family_alone(self):
+        flush = generate_scenario(1, 4, faults_through_flush=True)
+        assert flush == generate_scenario(1, 4, faults_through_flush=True)
+        assert flush.signature() != TestRoadmapItem1Witness.SIGNATURE
+        assert (generate_scenario(1, 4).signature()
+                == TestRoadmapItem1Witness.SIGNATURE)
+
+    def test_faults_are_set_once_and_every_member_casts(self):
+        scenario = generate_scenario(2, 0, faults_through_flush=True)
+        assert len(scenario.nodes) == 8
+        faults = [op for op in scenario.ops if isinstance(op, SetFaults)]
+        assert [op.at for op in faults] == [0.0]
+        assert dict(faults[0].faults)["loss_rate"] == 0.01
+        assert dict(faults[0].faults)["reorder_rate"] == 0.08
+        crashes = [op for op in scenario.ops if isinstance(op, Crash)]
+        recovers = [op for op in scenario.ops if isinstance(op, Recover)]
+        assert crashes and len(crashes) == len(recovers)
+        assert all(c.at < r.at and c.node == r.node != "n0"
+                   for c, r in zip(crashes, recovers))
+        casters = {op.node for op in scenario.ops if isinstance(op, InjectLoad)}
+        assert casters == set(scenario.nodes)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_flush_under_traffic_keeps_every_guarantee(self, seed):
+        scenario = generate_scenario(seed, 0, faults_through_flush=True)
+        result = ScenarioRunner(substrate="sim", seed=seed).run(scenario)
+        assert result.ok, result.violations
+        assert result.converged and result.casts_sent > 1000
 
 
 def total_order_breaker() -> Scenario:
@@ -325,3 +354,11 @@ class TestRealtimeChaos:
         result = ScenarioRunner(substrate="realtime", seed=0).run(scenario)
         assert result.ok, result.violations
         assert result.casts_sent > 0
+
+    def test_realtime_faults_through_flush(self):
+        scenario = generate_scenario(
+            0, 0, profile="realtime", faults_through_flush=True
+        )
+        result = ScenarioRunner(substrate="realtime", seed=0).run(scenario)
+        assert result.ok, result.violations
+        assert result.converged and result.casts_sent > 100

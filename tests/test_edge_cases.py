@@ -126,35 +126,6 @@ class TestCausalUnderLoss:
         check_causal_order(handles.values())
 
 
-class TestQueuedDispatchWithMembership:
-    def test_virtual_synchrony_in_queued_mode(self):
-        """The event-queue dispatch discipline must not change protocol
-        semantics, only scheduling."""
-        world = World(seed=23, network="lan")
-        handles = {}
-        for name in ("a", "b", "c"):
-            handles[name] = world.process(name).endpoint().join(
-                "grp", stack="MBRSHIP:FRAG:NAK:COM", dispatch="queued"
-            )
-            world.run(0.4)
-        world.run(3.0)
-        views = {(h.view.view_id, h.view.members) for h in handles.values()}
-        assert len(views) == 1
-        for i in range(10):
-            handles["a"].cast(f"q{i}".encode())
-        world.run(2.0)
-        world.crash("c")
-        world.run(8.0)
-        from repro.verify import check_view_agreement, check_virtual_synchrony
-
-        survivors = [handles["a"], handles["b"]]
-        check_view_agreement(survivors)
-        check_virtual_synchrony(survivors)
-        for handle in survivors:
-            got = [m.data for m in handle.delivery_log]
-            assert got == [f"q{i}".encode() for i in range(10)]
-
-
 class TestEmptyAndOddPayloads:
     def test_empty_cast_body(self, lan_world):
         handles = join_group(lan_world, ["a", "b"], "MBRSHIP:FRAG:NAK:COM")

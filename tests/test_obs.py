@@ -30,9 +30,9 @@ from repro.obs import (
 FULL_STACK = "TOTAL:MBRSHIP:FRAG:NAK:COM"
 
 
-def run_observed_world(obs=None, dispatch="direct", casts=10):
+def run_observed_world(obs=None, casts=10):
     world = World(seed=11, network="lan", obs=obs)
-    config = StackConfig(spec=FULL_STACK, dispatch=dispatch)
+    config = StackConfig(spec=FULL_STACK)
     handles = {}
     for name in ("a", "b"):
         handles[name] = world.process(name).endpoint().join("g", stack=config)
@@ -263,14 +263,6 @@ class TestLayerSeam:
         )
         assert pushed > 0
         assert popped > 0
-
-    def test_queued_dispatch_feeds_residency_histogram(self):
-        world, handles = run_observed_world(
-            obs=ObsOptions.full(), dispatch="queued"
-        )
-        family = world.metrics.get("stack_queue_residency_seconds")
-        assert family._default().count > 0
-        assert len(handles["b"].delivery_log) > 0
 
     def test_span_recorder_bound_evicts_oldest(self):
         recorder = SpanRecorder(max_spans=4)

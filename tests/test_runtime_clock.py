@@ -157,16 +157,18 @@ class TestTimerResolution:
 
         monkeypatch.setattr(engine.loop, "call_at", counting_call_at)
         fired = []
-        engine.call_after(0.002, fired.append, "cancelled").cancel()
-        deadline = engine.now + 0.006
+        # Deadlines 20 ms apart: a loaded machine that stalls the loop
+        # for a few milliseconds must not fire the batch early.
+        engine.call_after(0.01, fired.append, "cancelled").cancel()
+        deadline = engine.now + 0.04
         for i in range(20):
             engine.call_at(deadline, fired.append, i)
         # A head that moved later (its event was cancelled) re-arms nothing ...
         assert len(armed) == 1
-        engine.run_for(0.004)
+        engine.run_for(0.02)
         # ... the stale pump found nothing due and armed the real head.
         assert fired == [] and len(armed) == 2
-        engine.run_for(0.006)
+        engine.run_for(0.04)
         assert fired == list(range(20))
         assert engine.pending() == 0
 
@@ -193,44 +195,55 @@ class TestTimerResolution:
 
     def test_lone_message_is_not_held_a_follower_is_spaced(self, monkeypatch):
         max_delay = 0.0002
-        with RealtimeWorld(
-            seed=1, coalesce={"max_delay": max_delay, "max_batch": 32}
-        ) as world:
-            world.process("a")
-            world.process("b")
-            source = EndpointAddress("a", 0)
-            transport = world.network.inner
-            send, left = transport.unicast, []
 
-            def leaving(*args):
-                left.append(world.now)
-                send(*args)
+        def one_round():
+            """(median hold of the lone messages, smallest follower gap)."""
+            with RealtimeWorld(
+                seed=1, coalesce={"max_delay": max_delay, "max_batch": 32}
+            ) as world:
+                world.process("a")
+                world.process("b")
+                source = EndpointAddress("a", 0)
+                transport = world.network.inner
+                send, left = transport.unicast, []
 
-            monkeypatch.setattr(transport, "unicast", leaving)
-            entered = []
+                def leaving(*args):
+                    left.append(world.now)
+                    send(*args)
 
-            def enter(dest, follower):
-                entered.append(world.now)
-                world.network.unicast(source, dest, b"x" * 64)
-                if follower:
-                    world.engine.call_after(max_delay / 4, enter, dest, False)
+                monkeypatch.setattr(transport, "unicast", leaving)
+                entered = []
 
-            # Rounds spaced so the wire is quiet before each first
-            # message; its follower enters while the flush is recent.
-            for i in range(50):
-                world.engine.call_after(
-                    0.003 * (i + 1), enter, EndpointAddress("b", i), True
-                )
-            world.run(0.003 * 52)
-            assert len(left) == 100
-            holds = [out - into for into, out in zip(entered[::2], left[::2])]
-            assert median(holds) < max_delay, (
-                f"median lone hold {median(holds) * 1e6:.0f} us"
-            )
+                def enter(dest, follower):
+                    entered.append(world.now)
+                    world.network.unicast(source, dest, b"x" * 64)
+                    if follower:
+                        world.engine.call_after(max_delay / 4, enter, dest, False)
+
+                # Rounds spaced so the wire is quiet before each first
+                # message; its follower enters while the flush is recent.
+                for i in range(50):
+                    world.engine.call_after(
+                        0.003 * (i + 1), enter, EndpointAddress("b", i), True
+                    )
+                world.run(0.003 * 52)
+                assert len(left) == 100
+                holds = [out - into for into, out in zip(entered[::2], left[::2])]
+                gaps = [second - first for first, second in zip(left[::2], left[1::2])]
+                return median(holds), min(gaps)
+
+        # Liveness is a wall-clock median, so a busy machine gets three
+        # tries and the best one counts; safety must hold in every try.
+        best_hold = float("inf")
+        for _ in range(3):
+            hold, gap = one_round()
             # The pacer reads the clock a few statements before the
             # transport is entered, hence the microseconds of slack.
-            gaps = [second - first for first, second in zip(left[::2], left[1::2])]
-            assert min(gaps) >= max_delay - 0.00002
+            assert gap >= max_delay - 0.00002
+            best_hold = min(best_hold, hold)
+            if best_hold < max_delay:
+                break
+        assert best_hold < max_delay, f"median lone hold {best_hold * 1e6:.0f} us"
 
     def test_world_exports_timer_lateness(self):
         with RealtimeWorld(seed=1) as world:
