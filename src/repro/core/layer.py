@@ -244,6 +244,14 @@ class Layer:
                 timer.stop()
         self._timers.clear()
 
+    def _collectors(self) -> List[Callable[[], None]]:
+        """Export-time collectors over this layer's own state (see
+        :meth:`~repro.obs.MetricsRegistry.add_collector`): levels are
+        computed when the registry is read, never on a per-message path.
+        The stack registers them while it runs and removes them when it
+        stops."""
+        return []
+
     # ------------------------------------------------------------------
     # Conveniences for subclasses
     # ------------------------------------------------------------------

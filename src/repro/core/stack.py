@@ -196,13 +196,19 @@ class Stack:
         self.observer = observer
         self._turn = Turn()
         self._wire(deliver)
-        if observer is not None:
-            # Exact event counts come from the layers' own counters,
-            # reconciled at export time — the observer's hot path never
-            # touches the events family (see LayerEventSync).
-            sync = observer.event_sync(self.layers)
-            if sync is not None and context.metrics is not None:
-                context.metrics.add_collector(sync)
+        # Export-time collectors: the layers' own levels and, when
+        # observed, exact event counts from the layers' counters (the
+        # observer's hot path never touches the events family — see
+        # LayerEventSync).  They live exactly as long as the stack runs.
+        self._collectors: List[Callable[[], None]] = []
+        if context.metrics is not None:
+            for layer in layers:
+                self._collectors.extend(layer._collectors())
+            sync = observer.event_sync(layers) if observer is not None else None
+            if sync is not None:
+                self._collectors.append(sync)
+            for collector in self._collectors:
+                context.metrics.add_collector(collector)
         self.started = False
 
     def _wire(self, deliver: Callable[[Upcall], None]) -> None:
@@ -226,9 +232,18 @@ class Stack:
             layer.start()
 
     def stop(self) -> None:
-        """Stop layers top-down; idempotent."""
+        """Stop layers top-down, then take the stack's collectors off the
+        registry after one last run; idempotent.
+
+        A stopped layer is entered no more and counts no crossing, so
+        that run is final even when the stop comes mid-turn (the EXIT
+        upcall) and packets still reach the stack afterwards."""
         for layer in self.layers:
             layer.stop()
+        for collector in self._collectors:
+            collector()
+            self.context.metrics.remove_collector(collector)
+        self._collectors = []
 
     # -- application edge --------------------------------------------------
 

@@ -27,6 +27,10 @@ max).  Both sides start a fresh peer at ``window``, which is the
 implicit initial grant (the HTTP/2 SETTINGS handshake collapsed into a
 shared config — stacks in one group are homogeneous).
 
+No per-message path touches the metrics registry: every series is
+bound when the layer is built, and levels (queue depth, credit
+outstanding) are computed when the registry is read.
+
 Placement: **above** the membership/reliability layers (e.g.
 ``CREDIT:MBRSHIP:FRAG:NAK:COM``).  That way only application traffic is
 charged — membership flushes, NAK control, and TOTAL tokens originate
@@ -56,7 +60,9 @@ generously there.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Collection, Deque, Dict, FrozenSet, List, Optional, Tuple,
+)
 
 from repro.core import headers as hdr
 from repro.core.events import (
@@ -72,6 +78,7 @@ from repro.core.stack import register_layer
 from repro.errors import ConfigurationError
 from repro.flow.window import DEFAULT_WINDOW, WindowManager, make_window_manager
 from repro.net.address import EndpointAddress
+from repro.obs import MetricsRegistry
 
 _DATA = 0  # charged data message
 _DATA_CONGESTED = 1  # charged data + "I shed since my last send" bit
@@ -182,7 +189,8 @@ class CreditLayer(Layer):
         self._granted: Dict[FlowKey, int] = {}
         self._charged: Dict[FlowKey, int] = {}
         self._queue: Deque[_Pending] = deque()
-        self._peers: Set[EndpointAddress] = set()
+        #: The view's members but this endpoint: whom a cast charges.
+        self._peers: FrozenSet[EndpointAddress] = frozenset()
         self._congested_flag = False  # shed since my last outgoing data
         self._overloaded = False  # edge-trigger for the PROBLEM upcall
 
@@ -209,81 +217,80 @@ class CreditLayer(Layer):
     # ------------------------------------------------------------------
 
     def _init_metrics(self) -> None:
+        """Bind every series once: no per-message path looks one up.
+
+        A bare context (no world registry) binds into a private registry
+        nobody reads, so the message paths never test for one.
+        """
         metrics = self.context.metrics
-        self._m = None
         if metrics is None:
-            return
+            metrics = MetricsRegistry()
         endpoint = str(self.endpoint)
-        self._m = {
-            "data": metrics.counter(
-                "flow_data_messages_total",
-                "Credit-charged data messages passed down, by space",
-                labels=("space",),
-            ),
-            "bytes": metrics.counter(
-                "flow_data_bytes_total",
-                "Credit bytes charged for passed-down data, by space",
-                labels=("space",),
-            ),
-            "sheds": metrics.counter(
-                "flow_sheds_total",
-                "Messages shed by the bounded send queue, by policy",
-                labels=("policy",),
-            ),
-            "blocked": metrics.counter(
-                "flow_blocked_total",
-                "Messages refused with the BLOCKED verdict",
-            ),
-            "grants": metrics.counter(
-                "flow_grants_total", "Credit grants sent"
-            ),
-            "grant_bytes": metrics.counter(
-                "flow_grant_bytes_total", "Credit bytes granted"
-            ),
-            "queue_depth": metrics.gauge(
-                "flow_queue_depth",
-                "Current bounded send-queue depth",
-                labels=("endpoint",),
-            ).labels(endpoint=endpoint),
-            "queue_high": metrics.gauge(
-                "flow_queue_highwater",
-                "High-water mark of the bounded send queue",
-                labels=("endpoint",),
-            ).labels(endpoint=endpoint),
-            "outstanding": metrics.gauge(
-                "flow_credit_outstanding",
-                "Credit extended to peers and not yet consumed (recv role) "
-                "or held against peers (send role)",
-                labels=("endpoint", "role"),
-            ),
-            "wait": metrics.histogram(
-                "flow_send_wait_seconds",
-                "Time queued messages waited for credit before sending",
-            ),
-        }
-
-    def _note_queue_metrics(self) -> None:
-        if self._m is not None:
-            self._m["queue_depth"].set(len(self._queue))
-            self._m["queue_high"].set(self.max_queue_depth)
-
-    def _note_outstanding(self) -> None:
-        if self._m is None:
-            return
-        endpoint = str(self.endpoint)
-        send_held = sum(
-            self._granted[key] - self._charged.get(key, 0)
-            for key in self._granted
+        data = metrics.counter(
+            "flow_data_messages_total",
+            "Credit-charged data messages passed down, by space",
+            labels=("space",),
         )
-        recv_out = sum(
+        data_bytes = metrics.counter(
+            "flow_data_bytes_total",
+            "Credit bytes charged for passed-down data, by space",
+            labels=("space",),
+        )
+        spaces = (MCAST_SPACE, UCAST_SPACE)
+        self._m_data = {s: data.labels(space=str(s)) for s in spaces}
+        self._m_bytes = {s: data_bytes.labels(space=str(s)) for s in spaces}
+        self._m_sheds = metrics.counter(
+            "flow_sheds_total",
+            "Messages shed by the bounded send queue, by policy",
+            labels=("policy",),
+        ).labels(policy=self.shed_policy)
+        self._m_blocked = metrics.counter(
+            "flow_blocked_total",
+            "Messages refused with the BLOCKED verdict",
+        ).labels()
+        self._m_grants = metrics.counter(
+            "flow_grants_total", "Credit grants sent"
+        ).labels()
+        self._m_grant_bytes = metrics.counter(
+            "flow_grant_bytes_total", "Credit bytes granted"
+        ).labels()
+        self._m_wait = metrics.histogram(
+            "flow_send_wait_seconds",
+            "Time queued messages waited for credit before sending",
+        ).labels()
+        self._g_depth = metrics.gauge(
+            "flow_queue_depth",
+            "Current bounded send-queue depth",
+            labels=("endpoint",),
+        ).labels(endpoint=endpoint)
+        self._g_high = metrics.gauge(
+            "flow_queue_highwater",
+            "High-water mark of the bounded send queue",
+            labels=("endpoint",),
+        ).labels(endpoint=endpoint)
+        outstanding = metrics.gauge(
+            "flow_credit_outstanding",
+            "Credit extended to peers and not yet consumed (recv role) "
+            "or held against peers (send role)",
+            labels=("endpoint", "role"),
+        )
+        self._g_send = outstanding.labels(endpoint=endpoint, role="send")
+        self._g_recv = outstanding.labels(endpoint=endpoint, role="recv")
+
+    def _collectors(self) -> List[Callable[[], None]]:
+        return [self._collect]
+
+    def _collect(self) -> None:
+        """The levels, computed from the layer's own state when read."""
+        self._g_depth.set(len(self._queue))
+        self._g_high.set(self.max_queue_depth)
+        self._g_send.set(sum(
+            granted - self._charged[key]
+            for key, granted in self._granted.items()
+        ))
+        self._g_recv.set(sum(
             flow.advertised - flow.consumed for flow in self._recv.values()
-        )
-        self._m["outstanding"].labels(endpoint=endpoint, role="send").set(
-            send_held
-        )
-        self._m["outstanding"].labels(endpoint=endpoint, role="recv").set(
-            recv_out
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -299,18 +306,19 @@ class CreditLayer(Layer):
 
     def handle_down(self, downcall: Downcall) -> None:
         dtype = downcall.type
-        if dtype is DowncallType.VIEW:
-            if downcall.members is not None:
+        if dtype is DowncallType.CAST:
+            space, peers = MCAST_SPACE, self._peers
+        elif dtype is DowncallType.SEND:
+            space = UCAST_SPACE
+            peers = [p for p in downcall.members or () if p != self.endpoint]
+        else:
+            if dtype is DowncallType.VIEW and downcall.members is not None:
                 self._set_peers(downcall.members)
             self.pass_down(downcall)
             return
-        if (
-            dtype not in (DowncallType.CAST, DowncallType.SEND)
-            or downcall.message is None
-        ):
+        if downcall.message is None:
             self.pass_down(downcall)
             return
-        space, peers = self._destinations(downcall)
         if not peers:
             # Nobody to protect (no view yet, or a self-send): pass
             # through uncharged and unheadered.
@@ -318,85 +326,78 @@ class CreditLayer(Layer):
             self.pass_down(downcall)
             return
         cost = max(1, downcall.message.body_size)
-        pending = _Pending(downcall, space, cost, peers, self.now)
-        if not self._queue and self._sendable(pending):
+        if not self._queue and self._try_charge(space, peers, cost):
             downcall.extra["flow_verdict"] = FlowVerdict.ACCEPTED
-            self._charge_and_send(pending)
+            self._send(downcall, space, cost, 0.0)
             return
-        self._enqueue(pending)
-
-    def _destinations(
-        self, downcall: Downcall
-    ) -> Tuple[int, List[EndpointAddress]]:
-        if downcall.type is DowncallType.CAST:
-            peers = [p for p in self._peers if p != self.endpoint]
-            return MCAST_SPACE, peers
-        members = downcall.members or []
-        return UCAST_SPACE, [p for p in members if p != self.endpoint]
+        self._enqueue(downcall, space, cost, peers)
 
     def _available(self, space: int, peer: EndpointAddress) -> int:
         key = (space, peer)
-        if key not in self._granted:
-            self._granted[key] = self.window
+        granted = self._granted.get(key)
+        if granted is None:
+            granted = self._granted[key] = self.window
             self._charged[key] = 0
-        return self._granted[key] - self._charged[key]
+        return granted - self._charged[key]
 
-    def _sendable(self, pending: _Pending) -> bool:
-        return all(
-            self._available(pending.space, peer) >= pending.cost
-            for peer in pending.peers
-        )
+    def _try_charge(
+        self, space: int, peers: Collection[EndpointAddress], cost: int
+    ) -> bool:
+        """Charge ``cost`` to ``peers`` if every one of them has the credit."""
+        available = self._available
+        if not all(available(space, peer) >= cost for peer in peers):
+            return False
+        charged = self._charged
+        for peer in peers:
+            charged[(space, peer)] += cost
+        return True
 
-    def _charge_and_send(self, pending: _Pending) -> None:
-        for peer in pending.peers:
-            self._charged[(pending.space, peer)] += pending.cost
+    def _send(
+        self, downcall: Downcall, space: int, cost: int, waited: float
+    ) -> None:
+        """Stamp and pass down a charged message."""
         kind = _DATA_CONGESTED if self._congested_flag else _DATA
         self._congested_flag = False
-        pending.downcall.message.push_header(
+        downcall.message.push_header(
             self.name,
-            {"kind": kind, "flow_id": pending.space,
-             "credit_delta": pending.cost},
+            {"kind": kind, "flow_id": space, "credit_delta": cost},
         )
         self.data_charged += 1
-        self.bytes_charged += pending.cost
-        if self._m is not None:
-            space = str(pending.space)
-            self._m["data"].labels(space=space).inc()
-            self._m["bytes"].labels(space=space).inc(pending.cost)
-            self._m["wait"].observe(self.now - pending.enqueued)
-        self._note_outstanding()
-        self.pass_down(pending.downcall)
+        self.bytes_charged += cost
+        self._m_data[space].inc()
+        self._m_bytes[space].inc(cost)
+        self._m_wait.observe(waited)
+        self.pass_down(downcall)
 
-    def _enqueue(self, pending: _Pending) -> None:
-        verdict = FlowVerdict.QUEUED
-        if len(self._queue) >= self.max_queue:
-            if self.shed_policy == "block":
-                self.blocked += 1
-                self._congested_flag = True
-                if self._m is not None:
-                    self._m["blocked"].inc()
-                verdict = FlowVerdict.BLOCKED
-            elif self.shed_policy == "drop_newest":
-                self.sheds += 1
-                self._congested_flag = True
-                if self._m is not None:
-                    self._m["sheds"].labels(policy=self.shed_policy).inc()
-                verdict = FlowVerdict.SHED
-            else:  # drop_oldest
-                self._queue.popleft()
-                self._queue.append(pending)
-                self.sheds += 1
-                self._congested_flag = True
-                if self._m is not None:
-                    self._m["sheds"].labels(policy=self.shed_policy).inc()
-            pending.downcall.extra["flow_verdict"] = verdict
-            self._note_queue_metrics()
-            self._note_overload()
+    def _enqueue(
+        self, downcall: Downcall, space: int, cost: int,
+        peers: Collection[EndpointAddress],
+    ) -> None:
+        extra = downcall.extra
+        if len(self._queue) < self.max_queue:
+            self._queue.append(self._pending(downcall, space, cost, peers))
+            self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+            extra["flow_verdict"] = FlowVerdict.QUEUED
             return
-        self._queue.append(pending)
-        self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
-        pending.downcall.extra["flow_verdict"] = verdict
-        self._note_queue_metrics()
+        self._congested_flag = True
+        if self.shed_policy == "block":
+            self.blocked += 1
+            self._m_blocked.inc()
+            extra["flow_verdict"] = FlowVerdict.BLOCKED
+        else:
+            self.sheds += 1
+            self._m_sheds.inc()
+            if self.shed_policy == "drop_newest":
+                extra["flow_verdict"] = FlowVerdict.SHED
+            else:  # drop_oldest: shed the queue head to admit this one
+                self._queue.popleft()
+                self._queue.append(self._pending(downcall, space, cost, peers))
+                extra["flow_verdict"] = FlowVerdict.QUEUED
+        self._note_overload()
+
+    def _pending(self, downcall, space, cost, peers) -> _Pending:
+        """Only a message that really waits reads the clock."""
+        return _Pending(downcall, space, cost, peers, self.now)
 
     def _note_overload(self) -> None:
         """Edge-triggered PROBLEM upcall when the queue first saturates."""
@@ -413,13 +414,15 @@ class CreditLayer(Layer):
         )
 
     def _drain_queue(self) -> None:
-        sent = False
-        while self._queue and self._sendable(self._queue[0]):
-            self._charge_and_send(self._queue.popleft())
-            sent = True
-        if sent:
-            self._note_queue_metrics()
-        if self._overloaded and len(self._queue) <= self.max_queue // 2:
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if not self._try_charge(head.space, head.peers, head.cost):
+                break
+            queue.popleft()
+            self._send(head.downcall, head.space, head.cost,
+                       self.now - head.enqueued)
+        if self._overloaded and len(queue) <= self.max_queue // 2:
             self._overloaded = False
 
     # ------------------------------------------------------------------
@@ -455,7 +458,8 @@ class CreditLayer(Layer):
             flow.congested = True
             flow.manager.on_shed()
         if self.consume_rate is None:
-            self._consume(key, cost)
+            flow.consumed += cost
+            self._maybe_grant(key, flow, tail=False)
         else:
             self._backlog.append((key, cost))
             self._backlog_bytes += cost
@@ -501,10 +505,8 @@ class CreditLayer(Layer):
              "credit_delta": flow.advertised},
         )
         self.grants_sent += 1
-        if self._m is not None:
-            self._m["grants"].inc()
-            self._m["grant_bytes"].inc(amount)
-        self._note_outstanding()
+        self._m_grants.inc()
+        self._m_grant_bytes.inc(amount)
         self.pass_down(
             Downcall(DowncallType.SEND, message=grant, members=[peer])
         )
@@ -520,7 +522,6 @@ class CreditLayer(Layer):
         if total > self._granted[key]:
             self._granted[key] = total
         self.grants_received += 1
-        self._note_outstanding()
         self._drain_queue()
 
     # ------------------------------------------------------------------
@@ -560,7 +561,7 @@ class CreditLayer(Layer):
     # ------------------------------------------------------------------
 
     def _set_peers(self, members: List[EndpointAddress]) -> None:
-        new_peers = set(members)
+        new_peers = frozenset(p for p in members if p != self.endpoint)
         departed = self._peers - new_peers
         for peer in departed:
             # Endpoints are incarnation-unique: a departed peer never
@@ -599,10 +600,9 @@ class CreditLayer(Layer):
 
     def min_available(self, space: int = MCAST_SPACE) -> Optional[int]:
         """The group window: min credit over current peers (None = no peers)."""
-        peers = [p for p in self._peers if p != self.endpoint]
-        if not peers:
+        if not self._peers:
             return None
-        return min(self._available(space, p) for p in peers)
+        return min(self._available(space, p) for p in self._peers)
 
     @property
     def queue_depth(self) -> int:

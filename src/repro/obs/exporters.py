@@ -149,7 +149,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     for family in registry.families():
         out.append(f"# HELP {family.name} {family.help}")
         out.append(f"# TYPE {family.name} {family.kind}")
-        for series in family.series():
+        for series in family._sorted_series():
             if family.kind in ("counter", "gauge"):
                 out.append(
                     f"{family.name}{_label_text(series.labels)} "

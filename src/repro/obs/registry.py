@@ -242,6 +242,11 @@ class MetricFamily:
         """
         if self._registry is not None:
             self._registry.collect()
+        return self._sorted_series()
+
+    def _sorted_series(self) -> List[Any]:
+        """The children as they stand: for an export that has just
+        collected, so each collector runs once per export."""
         return [self._children[key] for key in sorted(self._children)]
 
     # -- unlabeled convenience --------------------------------------------
@@ -304,6 +309,18 @@ class MetricsRegistry:
         state changes — :func:`collect` may run any number of times.
         """
         self._collectors.append(collector)
+
+    def remove_collector(self, collector: Callable[[], None]) -> None:
+        """Deregister ``collector``; a no-op if it is not registered.
+
+        Whoever registered a collector removes it when the state it reads
+        goes away (a stack does so when it stops), so the registry neither
+        keeps dead state alive nor runs its collector at every export.
+        """
+        try:
+            self._collectors.remove(collector)
+        except ValueError:
+            pass
 
     def collect(self) -> None:
         """Run every registered collector (in registration order)."""
@@ -381,7 +398,7 @@ class MetricsRegistry:
         """
         records: List[Dict[str, Any]] = []
         for family in self.families():
-            for series in family.series():
+            for series in family._sorted_series():
                 record: Dict[str, Any] = {
                     "name": family.name,
                     "type": family.kind,

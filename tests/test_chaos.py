@@ -181,6 +181,60 @@ class TestRoadmapItem1Witness:
         assert result.converged and result.casts_sent == 17
 
 
+class TestRoadmapItem2Witness:
+    """ROADMAP item 2: TOTAL loses its token under loss with no view
+    change at all.  Eight members on ``TOTAL:MBRSHIP:FRAG:NAK:CHKSUM:COM``
+    cast at Poisson 20/s for 3 simulated seconds over a 1 ms path with
+    1 % loss and 8 % reordering (5 ms); nobody crashes.  Then the faults
+    lift and the group has 2 simulated seconds to mend.  On seed 2, 452
+    of the 465 casts are never delivered everywhere (the same run without
+    TOTAL delivers all of them).  Strict: the fix to TOTAL must turn this
+    test green and take the marker off."""
+
+    SEED = 2
+    STACK = "TOTAL:MBRSHIP:FRAG:NAK:CHKSUM:COM"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: TOTAL strands "
+                       "its token under 1 % loss")
+    def test_every_cast_is_delivered_everywhere(self):
+        import random
+
+        from repro import FaultModel, World
+
+        world = World(seed=self.SEED, network="lan", trace=False)
+        handles = []
+        for i in range(8):
+            handles.append(
+                world.process(f"n{i}").endpoint().join("g", stack=self.STACK)
+            )
+            world.run(0.3)
+        assert world.run_while(
+            lambda: all(h.view is not None and h.view.size == 8
+                        for h in handles),
+            timeout=30.0,
+        )
+        rng, start, sent = random.Random(self.SEED), world.scheduler.now, []
+        for i, handle in enumerate(handles):
+            at = rng.expovariate(20.0)
+            while at < 3.0:
+                data = b"%d/%d" % (i, len(sent))
+                sent.append(data)
+                world.scheduler.call_at(start + at, handle.cast, data)
+                at += rng.expovariate(20.0)
+        world.set_faults(FaultModel(base_delay=0.001, jitter=0.0002,
+                                    loss_rate=0.01, reorder_rate=0.08,
+                                    reorder_delay=0.005))
+        world.run(3.0)
+        world.set_faults(FaultModel(base_delay=0.001))
+        world.run(2.0)
+        delivered = [{d.data for d in h.delivery_log} for h in handles]
+        stranded = [data for data in sent
+                    if not all(data in got for got in delivered)]
+        assert not stranded, (
+            f"{len(stranded)} of {len(sent)} casts not delivered everywhere"
+        )
+
+
 class TestFaultsThroughFlush:
     """ROADMAP item 1's workload as a chaos family: eight members casting
     at a Poisson rate, 1 % loss + 8 % reordering never lifted across

@@ -207,6 +207,56 @@ class TestCreditVerdicts:
         assert decreases >= 1
 
 
+class TestCreditOutstanding:
+    """``flow_credit_outstanding`` is computed from the layer's own state
+    whenever the registry is read, so it is true between grants too."""
+
+    def _series(self, world, endpoint, role):
+        family = world.metrics.get("flow_credit_outstanding")
+        values = [s.value for s in family.series()
+                  if s.labels == {"endpoint": str(endpoint), "role": role}]
+        assert len(values) == 1
+        return values[0]
+
+    def _own_sums(self, layer):
+        send = sum(layer.available(0, peer) for peer in layer._peers)
+        recv = sum(f.advertised - f.consumed for f in layer._recv.values())
+        return send, recv
+
+    def test_send_and_recv_levels_match_the_layer(self):
+        world = World(seed=3, network="lan")
+        # A grant period longer than the test: no grant is ever sent.
+        stack = "CREDIT(window=4096,grant_period=1000.0):MBRSHIP:FRAG:NAK:COM"
+        handles = {}
+        for name in ("n0", "n1", "n2"):
+            handles[name] = world.process(name).endpoint().join(
+                "g", stack=stack
+            )
+            world.run(0.5)
+        world.run(1.0)
+        for _ in range(10):
+            handles["n0"].cast(b"c" * 100)
+        world.run(1.0)
+        layers = {name: handle.focus("CREDIT") for name, handle in handles.items()}
+        assert all(layer.grants_sent == 0 for layer in layers.values())
+        for name, handle in handles.items():
+            send, recv = self._own_sums(layers[name])
+            address = handle.endpoint_address
+            assert self._series(world, address, "send") == send
+            assert self._series(world, address, "recv") == recv
+        assert self._own_sums(layers["n0"]) == (2 * (4096 - 1000), 0)
+        assert self._own_sums(layers["n1"]) == (2 * 4096, 4096 - 1000)
+        assert self._own_sums(layers["n2"]) == (2 * 4096, 4096 - 1000)
+
+        # A view without n2: n0 no longer holds credit against it.
+        handles["n2"].leave()
+        world.run(2.0)
+        assert len(handles["n0"].view.members) == 2
+        n0 = handles["n0"].endpoint_address
+        assert self._series(world, n0, "send") == 4096 - 1000
+        assert self._series(world, n0, "send") == self._own_sums(layers["n0"])[0]
+
+
 # ----------------------------------------------------------------------
 # The acceptance bound: fan-in storm, slow receiver
 # ----------------------------------------------------------------------

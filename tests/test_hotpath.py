@@ -1066,3 +1066,47 @@ class TestCoalescedWorld:
         # Same delivered messages, strictly fewer datagrams on the wire.
         assert (batched.network.inner.stats.packets_sent
                 < plain.network.stats.packets_sent)
+
+
+class TestCreditAdmission:
+    """CREDIT admits a cast without a registry lookup, a clock read or a
+    queue entry: only a cast that really waits pays for one."""
+
+    STACK = "CREDIT:MBRSHIP:FRAG:NAK:COM"
+    CASTS = 200
+
+    def test_admission_is_lookup_free(self, monkeypatch):
+        from repro import FlowVerdict
+        from repro.core.process import World
+        from repro.obs.registry import MetricFamily
+
+        world = World(seed=4, network="lan", trace=False)
+        handles = []
+        for i in range(8):
+            handles.append(
+                world.process(f"n{i}").endpoint().join("g", stack=self.STACK)
+            )
+            world.run(0.3)
+        world.run(1.0)
+        assert all(h.view.size == 8 for h in handles)
+        sender = handles[0].focus("CREDIT")
+        wait = world.metrics.get("flow_send_wait_seconds").labels()
+        observed = wait.count
+        calls = {"labels": 0, "_pending": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MetricFamily, "labels",
+                            counted("labels", MetricFamily.labels))
+        monkeypatch.setattr(sender, "_pending",
+                            counted("_pending", sender._pending))
+        for i in range(self.CASTS):
+            assert handles[0].cast(b"%04d" % i + b"." * 60) is FlowVerdict.ACCEPTED
+        world.run(1.0)
+        assert all(len(h.delivery_log) == self.CASTS for h in handles)
+        assert calls == {"labels": 0, "_pending": 0}
+        assert wait.count - observed == self.CASTS and wait.sum == 0.0

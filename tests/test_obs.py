@@ -174,6 +174,113 @@ class TestExporters:
         parsed = parse_prometheus(render_prometheus(reg))
         assert parsed["odd_total"][(("tag", 'a"b\\c\nd'),)] == 1
 
+    def test_an_export_runs_each_collector_once(self):
+        reg = self.make_registry()
+        gauge = reg.gauge("level", "collector-fed").labels()
+        runs = []
+
+        def collector():
+            runs.append(1)
+            gauge.set(len(runs))
+
+        reg.add_collector(collector)
+        reg.snapshot()
+        assert len(runs) == 1
+        parsed = parse_prometheus(render_prometheus(reg))
+        assert len(runs) == 2 and parsed["level"][()] == 2
+        render_jsonl(reg)
+        assert len(runs) == 3
+        # A direct family read still reconciles first.
+        assert reg.get("level").series()[0].value == 4
+
+    def test_removed_collector_stops_running(self):
+        reg = MetricsRegistry()
+        runs = []
+
+        def collector():
+            runs.append(1)
+
+        reg.add_collector(collector)
+        reg.remove_collector(collector)
+        reg.remove_collector(collector)  # already gone: a no-op
+        reg.snapshot()
+        assert runs == []
+
+
+class TestCollectorLifecycle:
+    """A stack's collectors — its layers' own and the observer's event
+    sync — leave the registry when the stack stops."""
+
+    @pytest.mark.parametrize("obs", [None, ObsOptions.full()])
+    def test_join_leave_churn_leaves_no_collectors_behind(self, obs):
+        world = World(seed=5, network="lan", obs=obs)
+        stack = "CREDIT:MBRSHIP:FRAG:NAK:COM"
+        anchor = world.process("anchor").endpoint().join("g", stack=stack)
+        world.run(0.5)
+        registered = len(world.metrics._collectors)
+        assert registered >= 1  # the anchor's CREDIT levels
+        for cycle in range(50):
+            handle = world.process(f"m{cycle}").endpoint().join(
+                "g", stack=stack
+            )
+            world.run(0.5)
+            assert len(handle.view.members) == 2
+            assert len(world.metrics._collectors) > registered
+            handle.leave()
+            world.run(0.5)
+            assert handle.left
+        assert len(anchor.view.members) == 1
+        assert len(world.metrics._collectors) == registered
+
+    def test_event_counts_stay_exact_when_a_member_leaves_mid_traffic(self):
+        # The leaver's stack stops inside its EXIT upcall, mid-turn, and
+        # traffic sent before the view change still reaches it later.
+        # A stopped layer counts no crossing, so the collection the stack
+        # runs as it stops is final.
+        world = World(seed=5, network="lan", obs=ObsOptions.full())
+        stack = "CREDIT:MBRSHIP:FRAG:NAK:COM"
+        handles = []
+        for name in ("a", "b", "c"):
+            handles.append(
+                world.process(name).endpoint().join("g", stack=stack)
+            )
+            world.run(0.5)
+        world.run(1.0)
+        a, b, leaver = handles
+        assert len(leaver.view.members) == 3
+        after_exit = []
+        deliver = leaver.stack.deliver_from_network
+
+        def watch(upcall):
+            if leaver.left:
+                after_exit.append(upcall)
+            deliver(upcall)
+
+        leaver.stack.deliver_from_network = watch
+        for i in range(10):
+            a.cast(b"a%d" % i)
+            b.cast(b"b%d" % i)
+        leaver.leave()
+        for i in range(50):
+            a.cast(b"a-late%d" % i)
+            b.cast(b"b-late%d" % i)
+            world.run(0.002)
+        world.run(2.0)
+        assert leaver.left and len(a.view.members) == 2
+        assert after_exit  # the stopped stack was entered after its exit
+        counted = {}
+        for handle in handles:
+            for layer in handle.stack.layers:
+                for direction, n in layer.counters.items():
+                    key = (layer.name, direction)
+                    counted[key] = counted.get(key, 0) + n
+        events = world.metrics.get("stack_layer_events_total")
+        exported = {
+            (s.labels["layer"], s.labels["direction"]): s.value
+            for s in events.series()
+        }
+        assert exported == counted
+
 
 # ----------------------------------------------------------------------
 # The HCPI seam
