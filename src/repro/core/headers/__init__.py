@@ -17,20 +17,20 @@ implement both strategies so the trade-off can be measured:
 * ``compact`` — headers are concatenated with no padding.
 * ``packed`` — one bit-compacted header block (the Section 10 proposal
   made executable; :func:`packed_bit_size` is its analytic size).
-* ``table`` — pay only for the fields you use: each header is a
-  presence-coded row (a bitmap of the fields that differ from their
-  defaults, then only those, ints as varints), and a per-channel
-  HPACK-style dynamic table turns repetitive per-flow values (sender
-  and group addresses) into one-byte references.
+* ``table`` — the Section 10 proposal as the production format: one
+  *shape* (which layers, which fields differ from their defaults),
+  interned in a per-channel HPACK-style dynamic table like the
+  repetitive per-flow values (sender and group addresses), then only
+  the present fields of every header, ints as varints.
 
 Receive-side cost is bounded by *lazy unmarshalling*: for ``aligned``
 and ``compact`` :meth:`HeaderRegistry.unmarshal` can validate the
 datagram's structure once and push lazy ``(codec, span)`` entries onto
 the message, decoding a header only when its owning layer pops or peeks
 it; the integrity layers cover the spans as they arrived
-(:func:`content_chunks`).  ``table`` rows are a few bytes each and
-decode in place in the unmarshal pass.  In every mode the body can be
-shared as a ``memoryview`` slice instead of a copied ``bytes``.
+(:func:`content_chunks`).  ``table`` fields are a few bytes each and
+decode in place, in one pass over the datagram.  In every mode the body
+can be shared as a ``memoryview`` slice instead of a copied ``bytes``.
 
 What a clean ``aligned`` / ``compact`` datagram says is a pure function
 of its bytes, so receivers that share a process need not each work it
@@ -43,7 +43,7 @@ that unmarshalled before is neither framed nor decoded again.
   (a lazy header decodes once; every pop or peek gets a private copy —
   the dict and each list and map in it — so a popped header is still its
   layer's to change) and the body view.
-* *Not shared:* ``table`` rows, which read the receiver's own channel
+* *Not shared:* ``table`` headers, which read the receiver's own channel
   tables, and ``packed`` (a :class:`WireFormat` says whether its frames
   are ``receiver_independent``); the integrity sums — CHKSUM and SIGN
   fold the spans at every receiver, a check is not a value to hand
@@ -77,8 +77,8 @@ from typing import Any, Dict, Optional, Sequence
 from repro.core.headers.codecs import (
     ADDRESS, BODY_LEN_SIZE, BOOL, F64, GROUP, MAGIC, PREAMBLE_SIZE, TEXT, U8,
     U16, U32, U64, VARBYTES, FieldSpec, FieldType, ListOf, Lookup, MapOf,
-    WireFormat, canonical_content, content_chunks, pack_body_len,
-    pack_preamble, unpack_body_len, unpack_preamble,
+    WireFormat, content_chunks, pack_body_len, pack_preamble,
+    unpack_body_len, unpack_preamble,
 )
 from repro.core.headers.table import (
     FORMATS as _TABLE_FORMATS, HeaderChannelEncoder, HeaderCodec,
@@ -99,7 +99,7 @@ __all__ = [
     "HeaderChannelEncoder", "HeaderTableStore", "make_channel_encoder",
     "HeaderFrameStore",
     "BitReader", "BitWriter", "packed_bit_size",
-    "canonical_content", "content_chunks",
+    "content_chunks",
 ]
 
 #: The mode table: every wire format, by the name ``marshal`` is given
@@ -198,8 +198,8 @@ class HeaderRegistry:
 
         With ``lazy=True`` the body is shared as a ``memoryview`` slice
         of ``data`` and, in ``aligned`` and ``compact`` mode (``packed``
-        is a single sequential bit stream and ``table`` rows decode in
-        place, both always here), the datagram's structure is validated
+        is a single sequential bit stream and ``table`` fields decode
+        in place, both always here), the datagram's structure is validated
         once but each header is decoded only when its owning layer pops
         or peeks it.  Lazy and eager decode accept and reject exactly
         the same datagrams *at unmarshal*; laziness only moves *when* a

@@ -129,7 +129,7 @@ class Scalar(FieldType):
         self.bits = bits
         self.to_wire = to_wire
         self.fixed_byte_size = packer.size
-        #: Unsigned integers are the scalars a table row re-codes (varints).
+        #: Unsigned integers are the scalars ``table`` re-codes (varints).
         self.unsigned = to_wire is int
 
     def encode(self, value: Any, out: bytearray) -> None:
@@ -506,7 +506,7 @@ class WireFormat:
     #: Whether what ``read_headers`` pushes with ``lazy`` is a function
     #: of the datagram's bytes alone and safe in several hands at once —
     #: the condition for keeping it in a :class:`HeaderFrameStore`.
-    #: Decoded dicts are their owner's to change and ``table`` rows read
+    #: Decoded dicts are their owner's to change and ``table`` fields read
     #: the receiver's own tables, so only the span modes say yes.
     receiver_independent = False
 
@@ -549,8 +549,3 @@ def content_chunks(registry: Any, message: Message) -> Iterator[bytes]:
             yield header.codec.owner_frame
             yield header.span
     yield from message.segments
-
-
-def canonical_content(registry: Any, message: Message) -> bytes:
-    """:func:`content_chunks` joined: the covered bytes as one string."""
-    return b"".join(content_chunks(registry, message))

@@ -1,14 +1,17 @@
-"""The ``table`` wire mode: presence-coded rows over per-channel tables.
+"""The ``table`` wire mode: one compacted header per message.
 
-Pay only for the fields you use.  Each header is a row — a bitmap of
-the fields that differ from their defaults, then only those, ints as
-varints — and, HPACK-style, each sender channel (one per endpoint ×
-group) owns a dynamic table mapping small indices to canonically-encoded
-field values, so repetitive per-flow values (sender and group addresses)
-cost one byte.  Installs ride in an eagerly-applied updates section
-ahead of the rows.  Unknown references raise HeaderError — the datagram
-is rejected whole and the sender's periodic refresh re-installs the
-entry, so loss heals without acks.
+A header's presence bitmap sets bit *i* when field *i* is not its
+default (by canonical bytes: ``-0.0`` is not ``0.0``); the ordered
+``(layer id, bitmap)`` pairs are the message's *shape*.  HPACK-style,
+each sender channel (endpoint × group) owns a dynamic table of
+canonically-encoded values — the shape and repetitive field values
+(addresses) — so they cost one byte; installs ride in an updates section
+ahead of them.  Then come every header's present fields, bottom first,
+ints as varints, and no per-header frame: Section 10's single compacted
+header.  An unknown reference rejects the datagram whole, and periodic
+refreshes heal lost installs without acks.  The sender replays a
+template of the last shape it sent; the receiver decodes every field in
+one loop over the shape's plan, built once per install.
 """
 
 from __future__ import annotations
@@ -18,17 +21,18 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.headers.codecs import (
-    FRAME_SIZE, Bytes, CanonicalCodec, FieldSpec, FieldType, Scalar,
-    WireFormat, pack_frame, reraise, unpack_frame,
+    BODY_LEN_SIZE, Bytes, CanonicalCodec, FieldSpec, FieldType, ListOf, MapOf,
+    Scalar, WireFormat, reraise, unpack_body_len,
 )
 from repro.core.message import Header
 from repro.errors import HeaderError
 
-#: Row decode steps: bare varint, table reference, canonical encoding.
-_ROW_INT, _ROW_REF, _ROW_CANONICAL = range(3)
-
-#: Presence bitmaps whose decode plan a codec will cache.
-_ROW_PLAN_CAP = 64
+#: Step kinds.  A shape's decode plan: an int (a bare varint), a table
+#: reference, a canonical encoding, the next header (its codec's
+#: defaults), a list or map default to copy.  A channel's encode
+#: template: _INT, _HEAD and _SPAN, the recorded bytes of any other
+#: field.  _INT is 0, so ``if not kind`` picks out the common case.
+_INT, _REF, _CANONICAL, _HEAD, _FRESH, _SPAN = range(6)
 
 #: Entries per channel table.  The sender stops interning here (later
 #: values go out as literals) and the receiver refuses an install at or
@@ -41,8 +45,11 @@ _MAX_ENTRIES = 4096
 _MAX_CHANNELS = 1024
 
 #: Stands in for the default of a field that has none: no header value
-#: is ever equal to it, so such a field is always present in a row.
+#: is ever equal to it, so such a field is always present.
 _REQUIRED = object()
+
+#: ``_ChannelTable._decoded`` key of an entry's shape plan.
+_SHAPE = object()
 
 
 def _write_uvarint(out: bytearray, value: int) -> None:
@@ -69,18 +76,29 @@ def _read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
             raise HeaderError("varint too long")
 
 
+def _canonical(ftype: FieldType, value: Any) -> bytes:
+    out = bytearray()
+    ftype.encode(value, out)
+    return bytes(out)
+
+
+def _exact(ftype: FieldType) -> bool:
+    """Whether equal values of this kind encode alike (``-0.0 == 0.0`` do not)."""
+    if type(ftype) is ListOf:
+        return _exact(ftype.element)
+    if type(ftype) is MapOf:
+        return _exact(ftype.key) and _exact(ftype.value)
+    return not (type(ftype) is Scalar and ftype.to_wire is float)
+
+
 # ----------------------------------------------------------------------
-# Rows
+# One header per message
 # ----------------------------------------------------------------------
 
 
 class HeaderCodec(CanonicalCodec):
-    """A layer's codec: the canonical form, plus its presence-coded row.
-
-    The row form keeps per-codec state (the all-defaults header, the
-    decode plan per bitmap), so it is the codec layers declare and the
-    registry holds; :class:`CanonicalCodec` is what the other modes see.
-    """
+    """What layers declare and the registry holds: the canonical form
+    every mode sees, plus the per-field facts ``table`` reads."""
 
     def __init__(
         self,
@@ -89,224 +107,220 @@ class HeaderCodec(CanonicalCodec):
         defaults: Optional[Dict[str, Any]] = None,
     ) -> None:
         super().__init__(layer, fields, defaults)
-        # Row decode: every field at its default (None where there is
-        # none) in declaration order, and the per-bitmap plans.
+        #: What a decoded header starts from: every field at its default
+        #: (None where there is none), in declaration order.
         self._row_base: Header = {
             name: self.defaults.get(name) for name, _ in self.fields
         }
-        self._row_plans: Dict[int, Tuple[Any, ...]] = {}
+        #: Per declared field: name, kind, decode step, default (or
+        #: ``_REQUIRED``), whether equal values encode alike.
+        self._row_fields = tuple(
+            (name, ftype,
+             _REF if type(ftype) is Bytes
+             else _INT if type(ftype) is Scalar and ftype.unsigned
+             else _CANONICAL,
+             self.defaults.get(name, _REQUIRED), _exact(ftype))
+            for name, ftype in self.fields
+        )
 
-    def encode_table(self, header: Header, channel: "HeaderChannelEncoder") -> bytes:
-        """Encode ``header`` as a presence-coded row for ``channel``.
 
-        The row is one LEB128 bitmap — bit *i* set when declared field
-        *i* differs from the codec default — then only those fields,
-        typed by the codec: unsigned ints as bare varints; addresses,
-        groups, text and bytes as a varint reference into the channel
-        table (``0``: the table is full, the canonical encoding
-        follows); everything else canonical.
+def _encode_field(ftype, code, value, channel, out) -> Optional[int]:
+    """Append one present field; returns the table entry it references."""
+    if code == _INT:
+        number = int(value)
+        if number < 0 or number >> ftype.bits:
+            raise ValueError(f"does not fit {ftype.bits} unsigned bits")
+        _write_uvarint(out, number)
+        return None
+    if code == _REF:
+        raw = _canonical(ftype, value)
+        idx = channel.intern(raw)
+        if idx is not None:
+            _write_uvarint(out, idx + 1)
+            return idx
+        out.append(0)
+        out += raw
+        return None
+    ftype.encode(value, out)
+    return None
 
-        A header with the same keys as the last one this layer sent on
-        the channel takes the *template* path: non-int fields must equal
-        their cached values and replay their byte spans and table
-        touches, and only the ints re-encode.
-        """
-        template = channel._templates.get(self.layer)
-        if template is not None:
-            blob = self._encode_from_template(header, channel, template)
-            if blob is not None:
-                return blob
-        out = bytearray()
+
+def _walk(headers, by_name, channel, out) -> Tuple[Any, ...]:
+    """Encode every present field to ``out``, intern the shape, and
+    return the template :func:`_replay` follows: ``(by_name, header
+    count, segments, entries referenced, shape reference)``.  Segments
+    are ``None`` if a header has a key its codec does not declare (the
+    replay's equal-count-means-equal-keys test would be unsound)."""
+    shape = bytearray()
+    segments: List[Tuple[Any, ...]] = []
+    touches = []
+    replayable = True
+    for slot, (owner, header) in enumerate(headers):
+        layer_id, codec = by_name[owner]
+        segments.append((_HEAD, slot, owner, len(header)))
         bitmap = 0
-        segments = []
-        touches = []
-        defaults = self.defaults
-        for bit, (name, ftype) in enumerate(self.fields):
-            value = self.value(header, name)
-            dflt = defaults.get(name, _REQUIRED)
-            present = dflt is _REQUIRED or value != dflt
+        declared = 0
+        for bit, (name, ftype, code, dflt, exact) in enumerate(codec._row_fields):
+            if name not in header:
+                if dflt is _REQUIRED:
+                    raise HeaderError(f"{codec.layer}: missing header field {name!r}")
+                continue  # the default: costs nothing
+            declared += 1
+            value = header[name]
             start = len(out)
             idx = None
-            if present:
-                bitmap |= 1 << bit
-                try:
-                    idx = self._encode_row_field(name, ftype, value, channel, out)
-                except Exception as exc:
-                    reraise(exc, f"{self.layer}: cannot encode field "
-                                 f"{name!r}={value!r}")
-            if name not in header:
+            try:
+                present = dflt is _REQUIRED or value is not dflt and (
+                    value != dflt or code != _INT
+                    and _canonical(ftype, value) != _canonical(ftype, dflt))
+                if present:
+                    bitmap |= 1 << bit
+                    idx = _encode_field(ftype, code, value, channel, out)
+            except Exception as exc:
+                reraise(exc, f"{codec.layer}: cannot encode field "
+                             f"{name!r}={value!r}")
+            if code == _INT and present:
+                # -1 is no uint's value: a required int is never at its default.
+                segments.append((_INT, name, -1 if dflt is _REQUIRED else dflt,
+                                 1 << ftype.bits))
                 continue
-            if type(ftype) is Scalar and ftype.unsigned:
-                segments.append((True, name, dflt, present, 1 << ftype.bits))
-            else:
-                if type(value) in (list, dict):
-                    value = value.copy()  # the caller may reuse its container
-                segments.append((False, name, value, bytes(out[start:])))
-                if idx is not None:
-                    touches.append(idx)
-        prefix = bytearray()
-        _write_uvarint(prefix, bitmap)
-        if len(segments) == len(header):
-            # (A header with keys the codec does not declare would make
-            # the template's equal-length-means-equal-keys test unsound;
-            # it takes this walk every time.)
-            channel._templates[self.layer] = (
-                bytes(prefix), tuple(segments), tuple(touches))
-        return bytes(prefix + out)
-
-    def _encode_from_template(
-        self, header: Header, channel: "HeaderChannelEncoder", template
-    ) -> Optional[bytes]:
-        """Re-encode against the cached template; None means bail.
-
-        Bytes and table touches are identical to the full walk's.  Any
-        surprise — different keys, a changed address, an int that
-        crossed its default or is not a plain in-range int — falls back
-        to the full walk, which raises or re-caches.
-        """
-        prefix, segments, touches = template
-        if len(header) != len(segments):
-            return None
-        out = bytearray(prefix)
-        append = out.append
-        get = header.get
-        for seg in segments:
-            if seg[0]:
-                _, name, dflt, present, limit = seg
-                number = get(name, _REQUIRED)
-                if (type(number) is not int or not 0 <= number < limit
-                        or (number != dflt) is not present):
-                    return None
-                if not present:
-                    continue
-                if number < 0x80:
-                    append(number)
-                elif number < 0x4000:
-                    append((number & 0x7F) | 0x80)
-                    append(number >> 7)
-                else:
-                    _write_uvarint(out, number)
-            else:
-                _, name, value, span = seg
-                if get(name, _REQUIRED) != value:
-                    return None
-                out += span
-        # Only now that nothing can bail: the full walk would count them again.
-        for idx in touches:
-            channel.touch(idx)
-        return bytes(out)
-
-    def _encode_row_field(
-        self,
-        name: str,
-        ftype: FieldType,
-        value: Any,
-        channel: "HeaderChannelEncoder",
-        out: bytearray,
-    ) -> Optional[int]:
-        """Append one present field; returns the table entry it references."""
-        kind = type(ftype)
-        if kind is Scalar and ftype.unsigned:
-            number = int(value)
-            if number < 0 or number >> ftype.bits:
-                raise HeaderError(
-                    f"{self.layer}: {number} does not fit unsigned field {name!r}"
-                )
-            _write_uvarint(out, number)
-            return None
-        if kind is Bytes:
-            raw = bytearray()
-            ftype.encode(value, raw)
-            idx = channel.intern(bytes(raw))
+            if ftype.copy_value is not None and type(value) in (list, dict):
+                value = ftype.copy_value(value)  # the caller may reuse its container
+            segments.append((_SPAN, name, value, bytes(out[start:]), exact))
             if idx is not None:
-                _write_uvarint(out, idx + 1)
-                return idx
-            out.append(0)
-            out += raw
-            return None
-        ftype.encode(value, out)
-        return None
+                touches.append(idx)
+        replayable = replayable and declared == len(header)
+        shape.append(layer_id)
+        _write_uvarint(shape, bitmap)
+    ref = bytearray()
+    idx = channel.intern(bytes(shape))
+    if idx is None:  # the table is full: the shape itself follows
+        ref.append(0)
+        _write_uvarint(ref, len(shape))
+        ref += shape
+    else:
+        _write_uvarint(ref, idx + 1)
+        touches.append(idx)
+    return (by_name, len(headers), tuple(segments) if replayable else None,
+            tuple(touches), bytes(ref))
 
-    def _row_plan(self, bitmap: int) -> Tuple[Any, ...]:
-        """Decode plan for one presence bitmap, validated and cached.
 
-        ``(steps, fresh)``: the present fields as ``(name, code, ftype)``
-        and the absent fields whose default is a list or map, which every
-        decoded header must own a copy of.
-        """
-        if bitmap >> len(self.fields):
+def _replay(headers, template, out) -> bool:
+    """Encode ``headers`` against the channel's template; False means bail.
+
+    Bytes and table touches are identical to :func:`_walk`'s.  Any
+    surprise — other owners or keys, a changed non-int value, an int
+    that crossed its default or is not a plain in-range int — bails,
+    and the caller takes the full walk, which raises or re-caches.
+    """
+    segments = template[2]
+    if segments is None or len(headers) != template[1]:
+        return False
+    append = out.append
+    get = None
+    for seg in segments:
+        kind = seg[0]
+        if not kind:  # _INT
+            _, name, dflt, limit = seg
+            number = get(name)
+            if type(number) is not int or not 0 <= number < limit or number == dflt:
+                return False
+            if number < 0x80:
+                append(number)
+            elif number < 0x4000:
+                append((number & 0x7F) | 0x80)
+                append(number >> 7)
+            else:
+                _write_uvarint(out, number)
+        elif kind == _SPAN:
+            _, name, value, span, exact = seg
+            current = get(name)
+            if current is not value and (
+                    not exact or type(current) is not type(value)
+                    or current != value):
+                return False
+            out += span
+        else:
+            _, slot, owner, size = seg
+            current_owner, header = headers[slot]
+            if current_owner != owner or len(header) != size:
+                return False
+            get = header.get
+    return True
+
+
+def _shape_plan(raw: bytes, by_id) -> Tuple[int, Tuple[Any, ...]]:
+    """Decode plan of one shape, validated: its header count, and its
+    steps as ``(kind, name, field type)``, or ``(_HEAD, owner, codec
+    defaults)`` ahead of each header's fields and ``(_FRESH, name,
+    default)`` for each absent list or map field, which every decoded
+    header must own a copy of."""
+    steps = []
+    count = pos = 0
+    while pos < len(raw):
+        if count == 0xFF:
+            raise HeaderError("shape of more headers than a datagram holds")
+        count += 1
+        codec = by_id[raw[pos]]
+        bitmap, pos = _read_uvarint(raw, pos + 1)
+        if bitmap >> len(codec.fields):
             raise HeaderError(
-                f"{self.layer}: presence bit beyond the {len(self.fields)} "
+                f"{codec.layer}: presence bit beyond the {len(codec.fields)} "
                 f"declared fields"
             )
-        steps = []
-        fresh = []
-        for bit, (name, ftype) in enumerate(self.fields):
+        steps.append((_HEAD, codec.layer, codec._row_base))
+        for bit, (name, ftype, code, dflt, _) in enumerate(codec._row_fields):
             if bitmap >> bit & 1:
-                kind = type(ftype)
-                code = (_ROW_REF if kind is Bytes
-                        else _ROW_INT if kind is Scalar and ftype.unsigned
-                        else _ROW_CANONICAL)
-                steps.append((name, code, ftype))
-            elif name not in self.defaults:
+                steps.append((code, name, ftype))
+            elif dflt is _REQUIRED:
                 raise HeaderError(
-                    f"{self.layer}: required field {name!r} absent from row"
+                    f"{codec.layer}: required field {name!r} absent from shape"
                 )
-            elif isinstance(self.defaults[name], (list, dict)):
-                fresh.append((name, self.defaults[name]))
-        plan = (tuple(steps), tuple(fresh))
-        # Bitmaps arrive from the wire: cap what a hostile sender can
-        # make us remember.  Real traffic uses a handful per codec.
-        if len(self._row_plans) < _ROW_PLAN_CAP:
-            self._row_plans[bitmap] = plan
-        return plan
+            elif isinstance(dflt, (list, dict)):
+                steps.append((_FRESH, name, dflt))
+    return count, tuple(steps)
 
-    def decode_row(
-        self, data: bytes, pos: int, end: int, table: "_ChannelTable"
-    ) -> Header:
-        """Decode the row :meth:`encode_table` wrote at ``data[pos:end]``.
 
-        Reads in place (no slice); absent fields take the codec default.
-        """
-        try:
-            bitmap = data[pos]
+def _read_fields(data: bytes, pos: int, steps, table: "_ChannelTable", message) -> int:
+    """Decode the field run at ``data[pos:]`` by a plan's ``steps`` and
+    push the headers onto ``message``; returns the offset past it."""
+    decoded = table._decoded
+    entries = []
+    header = None  # every plan opens with a _HEAD step
+    for kind, name, arg in steps:
+        if not kind:  # _INT
+            value = data[pos]
             pos += 1
-            if bitmap >= 0x80:
-                bitmap, pos = _read_uvarint(data, pos - 1)
-            plan = self._row_plans.get(bitmap)
-            if plan is None:
-                plan = self._row_plan(bitmap)
-            header = self._row_base.copy()
-            for name, code, ftype in plan[0]:
-                if code == _ROW_INT:
-                    value = data[pos]
+            if value >= 0x80:
+                if data[pos] < 0x80:
+                    value = value & 0x7F | data[pos] << 7
                     pos += 1
-                    if value >= 0x80:
-                        value, pos = _read_uvarint(data, pos - 1)
-                        if value >> ftype.bits:
-                            raise HeaderError(f"{value} overflows field {name!r}")
-                    header[name] = value
-                elif code == _ROW_REF:
-                    ref = data[pos]
-                    pos += 1
-                    if ref >= 0x80:
-                        ref, pos = _read_uvarint(data, pos - 1)
-                    if ref:
-                        header[name] = table.value(ref - 1, ftype)
-                    else:
-                        header[name], pos = ftype.decode(data, pos)
                 else:
-                    header[name], pos = ftype.decode(data, pos)
-            for name, default in plan[1]:
-                header[name] = default.copy()
-        except Exception as exc:
-            reraise(exc, f"{self.layer}: corrupt table row")
-        if pos != end:
-            raise HeaderError(
-                f"{self.layer}: table row's fields end at byte {pos}, "
-                f"its frame at {end}"
-            )
-        return header
+                    value, pos = _read_uvarint(data, pos - 1)
+                if value >> arg.bits:
+                    raise HeaderError(f"{value} overflows field {name!r}")
+            header[name] = value
+        elif kind == _REF:
+            ref = data[pos]
+            pos += 1
+            if ref >= 0x80:
+                ref, pos = _read_uvarint(data, pos - 1)
+            if not ref:
+                header[name], pos = arg.decode(data, pos)
+            else:
+                try:
+                    header[name] = decoded[ref - 1][arg]
+                except KeyError:
+                    header[name] = table.value(ref - 1, arg)
+        elif kind == _HEAD:
+            header = arg.copy()
+            entries.append((name, header))
+        elif kind == _FRESH:
+            header[name] = arg.copy()
+        else:
+            header[name], pos = arg.decode(data, pos)
+    message.push_owned_headers(entries)
+    return pos
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +339,7 @@ class HeaderChannelEncoder:
     """
 
     __slots__ = ("channel_id", "epoch", "refresh_every", "max_entries",
-                 "_by_raw", "_raws", "_uses", "_pending", "_templates")
+                 "_by_raw", "_raws", "_uses", "_pending", "_template")
 
     def __init__(
         self,
@@ -345,10 +359,8 @@ class HeaderChannelEncoder:
         self._uses: List[int] = []
         #: Installs/refreshes to emit in the next datagram's preamble.
         self._pending: List[Tuple[int, bytes]] = []
-        #: layer -> (bitmap bytes, per-key segments, entries referenced)
-        #: of the last header that layer sent here
-        #: (HeaderCodec._encode_from_template).
-        self._templates: Dict[str, Tuple[Any, ...]] = {}
+        #: What :func:`_walk` made of the last message sent here.
+        self._template: Optional[Tuple[Any, ...]] = None
 
     def intern(self, raw: bytes) -> Optional[int]:
         """Index for ``raw``, installing it if new; None if table full."""
@@ -362,16 +374,19 @@ class HeaderChannelEncoder:
             self._by_raw[raw] = idx
             self._pending.append((idx, raw))
             return idx
-        self.touch(idx)
+        self.touch((idx,))
         return idx
 
-    def touch(self, idx: int) -> None:
-        """Count one reference; schedules a periodic refresh install."""
-        uses = self._uses[idx] + 1
-        if uses >= self.refresh_every:
-            self._pending.append((idx, self._raws[idx]))
-            uses = 0
-        self._uses[idx] = uses
+    def touch(self, indices: Sequence[int]) -> None:
+        """Count one reference to each entry; schedules periodic
+        refresh installs."""
+        uses, every = self._uses, self.refresh_every
+        for idx in indices:
+            count = uses[idx] + 1
+            if count >= every:
+                self._pending.append((idx, self._raws[idx]))
+                count = 0
+            uses[idx] = count
 
     def refresh_all(self) -> None:
         """Re-emit every entry in the next datagram.
@@ -398,10 +413,10 @@ class _ChannelTable:
     def __init__(self, epoch: int) -> None:
         self.epoch = epoch
         self.entries: Dict[int, bytes] = {}
-        # Decoded-value cache, index -> {field type: value}: repetitive
-        # values (addresses above all) are parsed once per install, not
-        # once per message.
-        self._decoded: Dict[int, Dict[FieldType, Any]] = {}
+        # Decoded-value cache, index -> {field type, or _SHAPE: value}:
+        # repetitive values (addresses, the shape's plan) are parsed
+        # once per install, not once per message.
+        self._decoded: Dict[int, Dict[Any, Any]] = {}
 
     def install(self, idx: int, raw: bytes) -> None:
         if idx >= _MAX_ENTRIES:
@@ -411,21 +426,34 @@ class _ChannelTable:
         self.entries[idx] = raw
         self._decoded.pop(idx, None)
 
-    def value(self, idx: int, ftype: FieldType) -> Any:
-        try:
-            return self._decoded[idx][ftype]
-        except KeyError:
-            pass
+    def _raw(self, idx: int) -> bytes:
         raw = self.entries.get(idx)
         if raw is None:
             raise HeaderError(
                 f"unknown header-table index {idx} (install lost?)"
             )
+        return raw
+
+    def value(self, idx: int, ftype: FieldType) -> Any:
+        try:
+            return self._decoded[idx][ftype]
+        except KeyError:
+            pass
+        raw = self._raw(idx)
         value, used = ftype.decode(raw, 0)
         if used != len(raw):
             raise HeaderError(f"header-table entry {idx} has trailing bytes")
         self._decoded.setdefault(idx, {})[ftype] = value
         return value
+
+    def shape(self, idx: int, by_id) -> Tuple[Any, ...]:
+        """The decode plan of the shape at ``idx`` (a plan holds the
+        codecs of one registry directory, ``by_id``)."""
+        cached = self._decoded.get(idx, {}).get(_SHAPE)
+        if cached is None or cached[0] is not by_id:
+            plan = _shape_plan(self._raw(idx), by_id)
+            cached = self._decoded.setdefault(idx, {})[_SHAPE] = (by_id, plan)
+        return cached[1]
 
 
 class HeaderTableStore:
@@ -477,16 +505,17 @@ def make_channel_encoder(
 # The datagram layout
 # ----------------------------------------------------------------------
 
-#: Ahead of the rows: channel id, epoch, update count; then per update
+#: Ahead of the shape: channel id, epoch, update count; then per update
 #: its table index and length, and the entry's canonical bytes.
 _CHANNEL = struct.Struct(">IHH")
 _UPDATE = struct.Struct(">HH")
 
 
 class _Table(WireFormat):
-    """The channel section (installs must precede the rows that
-    reference them), then per header its frame (layer id, length) and
-    its row.
+    """The channel section (installs must precede what references
+    them), the shape — a varint table reference, or ``0``, a varint
+    length and the shape's bytes — then every present field of every
+    header, bottom first, in declaration order.
     """
 
     def write_headers(self, out, headers, by_name, channel):
@@ -495,32 +524,31 @@ class _Table(WireFormat):
                 "table wire mode needs a per-channel encoder "
                 "(HeaderRegistry.marshal(..., channel=...))"
             )
-        blobs: List[Tuple[int, bytes]] = []
-        for owner, header in headers:
-            layer_id, codec = by_name[owner]
-            blobs.append((layer_id, codec.encode_table(header, channel)))
-        # Encoding the rows is what queues the installs they need.
+        fields = bytearray()
+        template = channel._template
+        if (template is not None and template[0] is by_name
+                and _replay(headers, template, fields)):
+            channel.touch(template[3])
+        else:
+            del fields[:]
+            template = channel._template = _walk(headers, by_name, channel, fields)
+        # Encoding the fields and the shape is what queues the installs.
         updates = channel.take_updates()
         out += _CHANNEL.pack(channel.channel_id, channel.epoch, len(updates))
         for idx, raw in updates:
             out += _UPDATE.pack(idx, len(raw))
             out += raw
-        for layer_id, blob in blobs:
-            out += pack_frame(layer_id, len(blob))
-            out += blob
+        out += template[4]
+        out += fields
 
     def read_headers(self, data, offset, count, by_id, message, lazy, tables):
-        """Apply the installs, decode every row in place.
-
-        Rows are a few bytes each, so they decode here in the one pass
-        over the datagram (no per-header thunk, slice or re-dispatch)
-        whatever ``lazy`` says.  Without a store the datagram gets a
-        throwaway one, so it must install all it references.
-        """
+        """Apply the installs, then decode every field in one pass,
+        whatever ``lazy`` says.  The body frame must end the datagram
+        exactly: with no per-header lengths, that binds the fields' end.
+        Without a store a datagram must install all it references."""
         if type(data) is not bytes:
             data = bytes(data)
         size = len(data)
-        push = message.push_owned_header
         try:
             channel_id, epoch, n_updates = _CHANNEL.unpack_from(data, offset)
             offset += _CHANNEL.size
@@ -534,17 +562,30 @@ class _Table(WireFormat):
                     raise HeaderError("truncated table update")
                 table.install(idx, bytes(data[offset:end]))
                 offset = end
-            for _ in range(count):
-                layer_id, length = unpack_frame(data, offset)
-                offset += FRAME_SIZE
+            ref = data[offset]
+            offset += 1
+            if ref >= 0x80:
+                ref, offset = _read_uvarint(data, offset - 1)
+            if ref:
+                plan = table.shape(ref - 1, by_id)
+            else:
+                length, offset = _read_uvarint(data, offset)
                 end = offset + length
                 if end > size:
-                    raise HeaderError("truncated header")
-                codec = by_id[layer_id]
-                push(codec.layer, codec.decode_row(data, offset, end, table))
+                    raise HeaderError("truncated shape")
+                plan = _shape_plan(data[offset:end], by_id)
                 offset = end
+            if plan[0] != count:
+                raise HeaderError(f"shape of {plan[0]} headers in a datagram of {count}")
+            offset = _read_fields(data, offset, plan[1], table, message)
+            (body_len,) = unpack_body_len(data, offset)
         except Exception as exc:
             reraise(exc, "corrupt packet")
+        if offset + BODY_LEN_SIZE + body_len != size:
+            raise HeaderError(
+                f"table fields end at byte {offset}, not where the body "
+                f"frame puts them"
+            )
         return offset
 
 

@@ -33,7 +33,7 @@ decoding them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MessageError
 
@@ -72,6 +72,10 @@ class Message:
         build a fresh literal dict per push use this.
         """
         self._headers.append((layer, header))
+
+    def push_owned_headers(self, entries: Iterable[Tuple[str, Header]]) -> None:
+        """:meth:`push_owned_header` for ``(layer, header)`` pairs, bottom first."""
+        self._headers.extend(entries)
 
     def push_lazy_header(self, layer: str, entry: Any) -> None:
         """Push a deferred header owned by ``layer``.

@@ -24,6 +24,15 @@ out old-view sequence numbers nobody can deliver against the restarted
 sequence.  Stale-epoch messages are dropped; ahead-of-epoch ones are
 held until the view installs locally.
 
+Within a view, every hand-off carries a token *generation* that rises
+by one per pass and restarts with the view.  A TOKEN is an ordinary
+cast, FIFO per sender but unordered across senders, and a holder with
+nothing to send passes on without using a ``gseq``: a TOKEN delayed by
+loss or reordering can reach members after a newer one, carrying the
+same ``gseq``.  Each member therefore takes ``token_holder`` from the
+highest generation it has seen and ignores older TOKENs, so a stale
+hand-off can never name a holder the live one has already replaced.
+
 The paper also notes TOTAL "does not require direct interaction with a
 failure detector" despite the FLP impossibility result — liveness comes
 from the view changes MBRSHIP supplies underneath.
@@ -46,7 +55,7 @@ from repro.net.address import EndpointAddress
 
 _DATA = 0  # ordered data: carries the global sequence number
 _REQ = 1  # token request (sender has pending casts)
-_TOKEN = 2  # token transfer: names the new holder and the next gseq
+_TOKEN = 2  # token transfer: new holder, next gseq, hand-off generation
 
 _NOBODY = EndpointAddress("", 0)
 
@@ -57,8 +66,9 @@ hdr.register(
         ("gseq", hdr.U64),
         ("epoch", hdr.U32),
         ("holder", hdr.ADDRESS),
+        ("gen", hdr.U64),
     ],
-    defaults={"gseq": 0, "epoch": 0, "holder": _NOBODY},
+    defaults={"gseq": 0, "epoch": 0, "holder": _NOBODY, "gen": 0},
 )
 
 
@@ -83,6 +93,7 @@ class TotalOrderLayer(Layer):
             raise ValueError(f"unknown oracle {self.oracle!r}")
         self.view: Optional[View] = None
         self.token_holder: Optional[EndpointAddress] = None
+        self.token_gen = 0  # generation of the hand-off token_holder came from
         self.next_gseq = 1  # next gseq the holder will assign
         self.next_deliver = 1
         self.pending_out: Deque[Downcall] = deque()
@@ -98,6 +109,7 @@ class TotalOrderLayer(Layer):
         self.ordered_sent = 0
         self.delivered = 0
         self.stale_epoch_dropped = 0
+        self.stale_tokens_dropped = 0
 
     # ------------------------------------------------------------------
     # Downcalls
@@ -158,13 +170,15 @@ class TotalOrderLayer(Layer):
         if target is None:
             return  # keep the token until someone wants it
         self.token_holder = target
+        self.token_gen += 1
         self.token_passes += 1
-        self.trace("token_pass", to=str(target), gseq=self.next_gseq)
+        self.trace("token_pass", to=str(target), gseq=self.next_gseq,
+                   gen=self.token_gen)
         token = Message()
         token.push_header(
             self.name,
             {"kind": _TOKEN, "gseq": self.next_gseq, "epoch": self._epoch,
-             "holder": target},
+             "holder": target, "gen": self.token_gen},
         )
         self.pass_down(Downcall(DowncallType.CAST, message=token))
 
@@ -225,6 +239,13 @@ class TotalOrderLayer(Layer):
                 pass  # our own request echoing back
             self._maybe_pass_token()
         elif kind == _TOKEN:
+            if header["gen"] <= self.token_gen:
+                # Overtaken by a later hand-off (or our own pass echoing
+                # back): the holder it names is no longer the holder.
+                if upcall.source != self.endpoint:
+                    self.stale_tokens_dropped += 1
+                return
+            self.token_gen = header["gen"]
             self.token_holder = header["holder"]
             if self.token_holder == self.endpoint:
                 self.next_gseq = header["gseq"]
@@ -262,6 +283,7 @@ class TotalOrderLayer(Layer):
             self.buffer.clear()
         self.view = upcall.view
         self.token_holder = self.view.members[0]  # the deterministic rule
+        self.token_gen = 0
         self.next_gseq = 1
         self.next_deliver = 1
         self.requests.clear()
@@ -283,6 +305,7 @@ class TotalOrderLayer(Layer):
         info = super().dump()
         info.update(
             token_holder=str(self.token_holder) if self.token_holder else None,
+            token_gen=self.token_gen,
             holds_token=self._holds_token(),
             next_gseq=self.next_gseq,
             next_deliver=self.next_deliver,
@@ -292,6 +315,7 @@ class TotalOrderLayer(Layer):
             ordered_sent=self.ordered_sent,
             delivered=self.delivered,
             stale_epoch_dropped=self.stale_epoch_dropped,
+            stale_tokens_dropped=self.stale_tokens_dropped,
             ahead_held=len(self._ahead),
             oracle=self.oracle,
         )

@@ -181,58 +181,144 @@ class TestRoadmapItem1Witness:
         assert result.converged and result.casts_sent == 17
 
 
-class TestRoadmapItem2Witness:
-    """ROADMAP item 2: TOTAL loses its token under loss with no view
-    change at all.  Eight members on ``TOTAL:MBRSHIP:FRAG:NAK:CHKSUM:COM``
-    cast at Poisson 20/s for 3 simulated seconds over a 1 ms path with
-    1 % loss and 8 % reordering (5 ms); nobody crashes.  Then the faults
-    lift and the group has 2 simulated seconds to mend.  On seed 2, 452
-    of the 465 casts are never delivered everywhere (the same run without
-    TOTAL delivers all of them).  Strict: the fix to TOTAL must turn this
-    test green and take the marker off."""
+TOTAL_STACK = "TOTAL:MBRSHIP:FRAG:NAK:CHKSUM:COM"
 
-    SEED = 2
-    STACK = "TOTAL:MBRSHIP:FRAG:NAK:CHKSUM:COM"
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: TOTAL strands "
-                       "its token under 1 % loss")
-    def test_every_cast_is_delivered_everywhere(self):
-        import random
+def total_group(seed, size):
+    """``size`` members joined one by one to a TOTAL stack, view settled."""
+    from repro import World
 
-        from repro import FaultModel, World
-
-        world = World(seed=self.SEED, network="lan", trace=False)
-        handles = []
-        for i in range(8):
-            handles.append(
-                world.process(f"n{i}").endpoint().join("g", stack=self.STACK)
-            )
-            world.run(0.3)
-        assert world.run_while(
-            lambda: all(h.view is not None and h.view.size == 8
-                        for h in handles),
-            timeout=30.0,
+    world = World(seed=seed, network="lan", trace=False)
+    handles = []
+    for i in range(size):
+        handles.append(
+            world.process(f"n{i}").endpoint().join("g", stack=TOTAL_STACK)
         )
-        rng, start, sent = random.Random(self.SEED), world.scheduler.now, []
-        for i, handle in enumerate(handles):
-            at = rng.expovariate(20.0)
-            while at < 3.0:
-                data = b"%d/%d" % (i, len(sent))
-                sent.append(data)
-                world.scheduler.call_at(start + at, handle.cast, data)
-                at += rng.expovariate(20.0)
+        world.run(0.3)
+    assert world.run_while(
+        lambda: all(h.view is not None and h.view.size == size
+                    for h in handles),
+        timeout=30.0,
+    )
+    return world, handles
+
+
+def poisson_casts(world, handles, seed, rate, seconds):
+    """Schedule every member's casts; returns ``{member index: [data]}``,
+    filled in as the casts are made (a crashed member makes none)."""
+    import random
+
+    rng, start = random.Random(seed), world.scheduler.now
+    sent = {i: [] for i in range(len(handles))}
+
+    def cast(i, data):
+        if world.node_alive(f"n{i}"):
+            sent[i].append(data)
+            handles[i].cast(data)
+
+    for i in range(len(handles)):
+        at = rng.expovariate(rate)
+        while at < seconds:
+            world.scheduler.call_at(start + at, cast, i, b"%d@%.6f" % (i, at))
+            at += rng.expovariate(rate)
+    return sent
+
+
+def stranded(handles, casts):
+    delivered = [{d.data for d in h.delivery_log} for h in handles]
+    return [data for data in casts if not all(data in got for got in delivered)]
+
+
+class TestTotalOrderUnderLossAndReordering:
+    """TOTAL keeps its token under loss with no view change at all.
+    Eight members on ``TOTAL:MBRSHIP:FRAG:NAK:CHKSUM:COM`` cast at
+    Poisson 20/s for 3 simulated seconds over a 1 ms path with 1 % loss
+    and 8 % reordering (5 ms); nobody crashes.  Then the faults lift and
+    the group has 2 simulated seconds to mend.  Before TOKENs carried a
+    generation, a stale TOKEN (same ``gseq``, older hand-off) reaching
+    the live holder made it pass the token to a former holder: on seed 2,
+    452 of 465 casts were never delivered everywhere."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_every_cast_is_delivered_everywhere_in_one_order(self, seed):
+        from repro import FaultModel
+        from repro.verify.order_checker import check_total_order
+
+        world, handles = total_group(seed, 8)
+        sent = poisson_casts(world, handles, seed, rate=20.0, seconds=3.0)
         world.set_faults(FaultModel(base_delay=0.001, jitter=0.0002,
                                     loss_rate=0.01, reorder_rate=0.08,
                                     reorder_delay=0.005))
         world.run(3.0)
         world.set_faults(FaultModel(base_delay=0.001))
         world.run(2.0)
-        delivered = [{d.data for d in h.delivery_log} for h in handles]
-        stranded = [data for data in sent
-                    if not all(data in got for got in delivered)]
-        assert not stranded, (
-            f"{len(stranded)} of {len(sent)} casts not delivered everywhere"
+        casts = [data for mine in sent.values() for data in mine]
+        missing = stranded(handles, casts)
+        assert not missing, (
+            f"{len(missing)} of {len(casts)} casts not delivered everywhere"
         )
+        check_total_order(handles)
+        assert {h.view.view_id for h in handles} == {handles[0].view.view_id}
+        # The run did exercise the guard: hand-offs were overtaken.
+        assert sum(h.focus("TOTAL").stale_tokens_dropped for h in handles)
+
+
+class TestTokenHolderCrash:
+    """The holder dies with a batch of its casts in flight.  Nobody else
+    can order anything until the view change re-issues the token to the
+    new view's lowest-ranked member (Section 7): the stall lasts as long
+    as failure detection and the flush, which is the price of TOTAL
+    needing no failure detector of its own.  After it, every survivor's
+    cast is delivered at every survivor, in one order."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_survivors_deliver_everything_after_the_view_change(
+            self, seed, record_property):
+        from repro import FaultModel
+        from repro.verify.order_checker import check_total_order
+        from repro.verify.vs_checker import check_virtual_synchrony
+
+        world, handles = total_group(seed, 5)
+        world.set_faults(FaultModel(base_delay=0.001, loss_rate=0.02))
+        sent = poisson_casts(world, handles, seed, rate=50.0, seconds=4.0)
+        world.run(1.0)
+        assert world.run_while(
+            lambda: any(h.focus("TOTAL")._holds_token() for h in handles),
+            timeout=1.0, poll=0.0002,
+        )
+        holder = next(i for i, h in enumerate(handles)
+                      if h.focus("TOTAL")._holds_token())
+        batch = [b"batch/%d" % i for i in range(8)]
+        for data in batch:
+            handles[holder].cast(data)  # ordered and sent at once
+        crashed_at = world.now
+        world.crash(f"n{holder}")
+        survivors = [h for i, h in enumerate(handles) if i != holder]
+        since = {i: len(mine) for i, mine in sent.items()}
+
+        def ordering_resumed():
+            fresh = [data for i, mine in sent.items() if i != holder
+                     for data in mine[since[i]:]]
+            return len(stranded(survivors, fresh)) < len(fresh)
+
+        assert world.run_while(ordering_resumed, timeout=10.0, poll=0.005)
+        stall = world.now - crashed_at
+        record_property("token_stall_s", round(stall, 3))
+        assert all(h.view.size == 4 for h in survivors)
+        # Resumed by the view change, not before it and not long after.
+        assert 0.5 < stall < 3.0, stall
+
+        world.run(3.0)
+        world.set_faults(FaultModel(base_delay=0.001))
+        world.run(3.0)
+        casts = [data for i, mine in sent.items() if i != holder
+                 for data in mine]
+        assert not stranded(survivors, casts)
+        # The dead holder's batch: all of it at every survivor or none.
+        assert len({tuple(data in {d.data for d in h.delivery_log}
+                          for data in batch) for h in survivors}) == 1
+        check_total_order(survivors)
+        check_virtual_synchrony(survivors)
 
 
 class TestFaultsThroughFlush:
