@@ -169,6 +169,9 @@ class MembershipLayer(Layer):
         self.store: Dict[Tuple[EndpointAddress, int], Message] = {}
         self.pending: Dict[EndpointAddress, Dict[int, Tuple[Message, Message]]] = {}
         self.queued_casts: List[Downcall] = []
+        #: True from an install until the callback queued behind its VIEW
+        #: downcall runs: casts are held until that downcall is below.
+        self._view_queued = False
         # Membership change inputs.
         self.suspected: Set[EndpointAddress] = set()
         self.leavers: Set[EndpointAddress] = set()
@@ -178,7 +181,11 @@ class MembershipLayer(Layer):
         self.flush: Optional[_FlushState] = None
         self._responded: Tuple[int, int] = (0, 0)  # (vid, round) last answered
         self._flush_scheduled = False
-        self._pending_install: Optional[Tuple[View, Dict[EndpointAddress, int]]] = None
+        #: (view, vector to deliver up to, whether it succeeds our view
+        #: through a flush we took part in).
+        self._pending_install: Optional[
+            Tuple[View, Dict[EndpointAddress, int], bool]
+        ] = None
         self._premerge_vector: Optional[Dict[EndpointAddress, int]] = None
         self._future: Dict[int, List[Tuple[Message, EndpointAddress, UpcallType]]] = {}
         # Merge machinery.
@@ -194,6 +201,7 @@ class MembershipLayer(Layer):
         # stable ones need no logging).
         self.stability_period = float(config.get("stability_period", 1.0))
         self._peer_vectors: Dict[EndpointAddress, Dict[EndpointAddress, int]] = {}
+        self._pruned_to: Dict[EndpointAddress, int] = {}  # per origin
         self.store_pruned = 0
         # Timers.
         self._join_timer = self.one_shot(self.join_timeout, self._join_retry)
@@ -219,7 +227,7 @@ class MembershipLayer(Layer):
     def handle_down(self, downcall: Downcall) -> None:
         dtype = downcall.type
         if dtype is DowncallType.CAST and downcall.message is not None:
-            if self.state == "normal":
+            if self.state == "normal" and not self._view_queued:
                 self._cast_now(downcall)
             else:
                 self.queued_casts.append(downcall)
@@ -997,19 +1005,23 @@ class MembershipLayer(Layer):
             view_id=ViewId(epoch=new_vid, coordinator=members[0]),
             members=tuple(members),
         )
-        if self.view is not None and header["vid"] == self.view.view_id.epoch:
+        own = self.view is not None and header["vid"] == self.view.view_id.epoch
+        if own:
             wait_vector = vector
         else:
             # Foreign install (we are a joiner or an absorbed view); we
             # owe deliveries only against our own quiesce vector.
             wait_vector = self._premerge_vector or {}
-        self._pending_install = (new_view, wait_vector)
+        # Only a successor through a flush we took part in, never
+        # quiesced, shares our cut of the old view.
+        successor = own and self._premerge_vector is None
+        self._pending_install = (new_view, wait_vector, successor)
         self._check_install()
 
     def _check_install(self) -> None:
         if self._pending_install is None:
             return
-        new_view, wait_vector = self._pending_install
+        new_view, wait_vector, successor = self._pending_install
         own_members = set(self.view.members) if self.view is not None else set()
         for origin, needed in wait_vector.items():
             if origin not in own_members and origin != self.endpoint:
@@ -1023,9 +1035,9 @@ class MembershipLayer(Layer):
                 if self.delivered.get(origin, 0) < needed:
                     return
         self._pending_install = None
-        self._install_view(new_view)
+        self._install_view(new_view, successor)
 
-    def _install_view(self, new_view: View) -> None:
+    def _install_view(self, new_view: View, successor: bool = False) -> None:
         previous = self.view
         self.view = new_view
         self.views_installed += 1
@@ -1036,6 +1048,7 @@ class MembershipLayer(Layer):
         self.store = {}
         self.pending = {}
         self._peer_vectors = {}  # stability restarts with the view
+        self._pruned_to = {}
         self.flush = None
         self._responded = (epoch, 0)
         self._premerge_vector = None
@@ -1069,13 +1082,22 @@ class MembershipLayer(Layer):
                 extra={"epoch": epoch},
             )
         )
+        # A cast admitted into this view must not get below ahead of that
+        # downcall.  Inside an upcall or a timer body it waits in the turn
+        # FIFO, possibly behind casts made earlier in this turn, which
+        # would reach NAK stamped with this view but sequenced in the
+        # last era: hold every cast until a callback queued right behind
+        # it releases them.
+        self._view_queued = True
+        self._enter(self._release_casts, epoch)
         if previous is not None:
             self.pass_up(Upcall(UpcallType.FLUSH_OK, view=new_view))
         for leaver in set(previous.members) - member_set if previous else set():
             self.pass_up(Upcall(UpcallType.LEAVE, source=leaver))
         self.pass_up(
             Upcall(
-                UpcallType.VIEW, view=new_view, members=list(new_view.members)
+                UpcallType.VIEW, view=new_view, members=list(new_view.members),
+                extra={"successor": successor},
             )
         )
         # Replay data that raced ahead of this install.
@@ -1084,15 +1106,23 @@ class MembershipLayer(Layer):
         for vid in list(self._future):
             if vid <= epoch:
                 del self._future[vid]
-        # Casts queued while the view was in motion go out in this view.
-        queued, self.queued_casts = self.queued_casts, []
-        for downcall in queued:
-            self._cast_now(downcall)
         # More work pending (e.g. joiners who arrived mid-flush)?
         if self._am_coordinator() and (
             self.suspected or self.joiners or (self.leavers & member_set)
         ):
             self._schedule_flush()
+
+    def _release_casts(self, epoch: int) -> None:
+        """Casts queued while the view was in motion go out in view
+        ``epoch`` — unless a later install armed its own release, or a
+        flush that began since must keep them past the cut it reported."""
+        if self.view is None or self.view.view_id.epoch != epoch:
+            return
+        self._view_queued = False
+        if self.state == "normal":
+            queued, self.queued_casts = self.queued_casts, []
+            for downcall in queued:
+                self._cast_now(downcall)
 
     # ------------------------------------------------------------------
     # Leaving
@@ -1109,13 +1139,19 @@ class MembershipLayer(Layer):
             return
         vector = dict(self.delivered)
         vector[self.endpoint] = self.my_seq
-        self._control(
-            _STABILITY,
-            [m for m in self.view.members if m != self.endpoint],
-            origin=self.endpoint,
-            vid=self.view.view_id.epoch,
-            vector=vector,
+        # One cast, not a send per member: it takes no ``my_seq`` and is
+        # never stored (our own copy looping back is harmless).
+        message = Message()
+        message.push_owned_header(
+            self.name,
+            {
+                "kind": _STABILITY,
+                "origin": self.endpoint,
+                "vid": self.view.view_id.epoch,
+                "vector": vector,
+            },
         )
+        self.pass_down(Downcall(DowncallType.CAST, message=message))
         self._prune_store()
 
     def _on_stability(self, header: Dict[str, Any]) -> None:
@@ -1130,32 +1166,32 @@ class MembershipLayer(Layer):
         A message delivered everywhere can never be needed by a flush
         relay, so logging it serves nobody (the paper's point that only
         *unstable* messages need logging).
+
+        The store holds each origin's deliveries above its pruned-to
+        floor, so a call pops only what the floor passes over.  What we
+        delivered is in the minimum: a garbled peer vector cannot lift a
+        floor past it, and a delivery never re-stores below a floor.
         """
         if self.view is None or not self.store:
             return
-        members = list(self.view.members)
         vectors = []
-        for member in members:
-            if member == self.endpoint:
-                own = dict(self.delivered)
-                own[self.endpoint] = self.my_seq
-                vectors.append(own)
-            else:
+        for member in self.view.members:
+            if member != self.endpoint:
                 vector = self._peer_vectors.get(member)
                 if vector is None:
                     return  # no full picture yet; keep everything
                 vectors.append(vector)
-        stable: Dict[EndpointAddress, int] = {}
-        origins = {origin for (origin, _seq) in self.store}
-        for origin in origins:
-            stable[origin] = min(v.get(origin, 0) for v in vectors)
-        before = len(self.store)
-        self.store = {
-            (origin, seq): message
-            for (origin, seq), message in self.store.items()
-            if seq > stable.get(origin, 0)
-        }
-        self.store_pruned += before - len(self.store)
+        store, floors = self.store, self._pruned_to
+        for origin in self.view.members:
+            stable = self.delivered.get(origin, 0)
+            for vector in vectors:
+                stable = min(stable, vector.get(origin, 0))
+            floor = floors.get(origin, 0)
+            if stable > floor:
+                floors[origin] = stable
+                for seq in range(floor + 1, stable + 1):
+                    if store.pop((origin, seq), None) is not None:
+                        self.store_pruned += 1
 
     def _exit(self) -> None:
         if self.state == "left":

@@ -19,7 +19,10 @@ Design notes
 
 Two independent sequence spaces are kept: a multicast space for casts
 and a per-peer unicast space for subset sends, so subset sends do not
-punch holes in the multicast sequence.
+punch holes in the multicast sequence.  Both are advertised by one
+status multicast per period: the multicast high-water mark, and beneath
+it each view member's unicast high-water mark, so status costs O(n)
+datagrams per period, not O(n²).
 
 The multicast space is *era-scoped*: when a membership layer above
 installs a view it passes the view epoch down in the VIEW downcall, and
@@ -51,7 +54,7 @@ _NAK_U = 3  # negative ack for the unicast space
 _STATUS = 4  # periodic status: highest multicast seq sent this era
 _GONE_M = 5  # placeholder: multicast message no longer buffered
 _GONE_U = 6  # placeholder: unicast message no longer buffered
-_USTATUS = 7  # per-peer status: highest unicast seq sent to the receiver
+_USTATUS = 7  # highest unicast seq sent to a receiver outside the view
 
 #: Sanity bound for sequence fields: an honest peer can run far ahead of
 #: a receiver (window eviction), but a garbled 64-bit field is random —
@@ -69,6 +72,11 @@ hdr.register(
     ],
     defaults={"era": 0, "seq": 0, "lo": 0, "hi": 0},
 )
+
+#: Beneath every STATUS header: per view member, the highest unicast seq
+#: sent to it.  A codec of its own, so the data-path header stays as is.
+_MARKS = "NAK_MARKS"
+hdr.register(_MARKS, fields=[("marks", hdr.MapOf(hdr.ADDRESS, hdr.U64))])
 
 
 class _RecvState:
@@ -250,6 +258,10 @@ class NakLayer(Layer):
             self._arrived_ucast(source, header["seq"], kind, message, upcall)
         elif kind == _STATUS:
             self._on_status(source, header["era"], header["seq"])
+            if message.top_owner() == _MARKS:
+                mark = message.pop_header(_MARKS)["marks"].get(self.endpoint)
+                if mark is not None:
+                    self._on_ustatus(source, mark)
         elif kind == _USTATUS:
             self._on_ustatus(source, header["seq"])
         elif kind == _NAK_M:
@@ -467,8 +479,20 @@ class NakLayer(Layer):
     # -- status and failure suspicion ----------------------------------------
 
     def _status_tick(self) -> None:
+        # Unicast streams need sender-side advertisement too: a lost
+        # *final* unicast would otherwise never be missed by anyone.  A
+        # view member reads its mark off the status multicast; only a
+        # destination outside the view (a joiner, a merge target) costs
+        # a USTATUS of its own.
+        marks, outside = {}, []
+        for dest, seq in self._usend_seq.items():
+            if dest in self._peers:
+                marks[dest] = seq
+            else:
+                outside.append((dest, seq))
         status = Message()
-        status.push_header(
+        status.push_owned_header(_MARKS, {"marks": marks})
+        status.push_owned_header(
             self.name, {"kind": _STATUS, "era": self._era, "seq": self._send_seq}
         )
         self.pass_down(Downcall(DowncallType.CAST, message=status))
@@ -482,9 +506,7 @@ class NakLayer(Layer):
                 self.name, {"kind": _STATUS, "era": era, "seq": high}
             )
             self.pass_down(Downcall(DowncallType.CAST, message=old_status))
-        # Unicast streams need sender-side advertisement too: a lost
-        # *final* unicast would otherwise never be missed by anyone.
-        for dest, seq in self._usend_seq.items():
+        for dest, seq in outside:
             ustatus = Message()
             ustatus.push_header(self.name, {"kind": _USTATUS, "seq": seq})
             self.pass_down(

@@ -46,7 +46,7 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.core import headers as hdr
-from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
+from repro.core.events import Downcall, DowncallType, Upcall, UpcallType, cast_down
 from repro.core.layer import Layer
 from repro.core.message import Message
 from repro.core.stack import register_layer
@@ -97,6 +97,8 @@ class TotalOrderLayer(Layer):
         self.next_gseq = 1  # next gseq the holder will assign
         self.next_deliver = 1
         self.pending_out: Deque[Downcall] = deque()
+        #: gseq -> our own released cast, header-less, until delivered here.
+        self._released: Dict[int, Message] = {}
         self.buffer: Dict[int, Tuple[Message, EndpointAddress]] = {}
         self.requests: Deque[EndpointAddress] = deque()
         self._requested = False
@@ -134,6 +136,7 @@ class TotalOrderLayer(Layer):
         batch = 0
         while self.pending_out and batch < self.max_batch:
             downcall = self.pending_out.popleft()
+            self._released[self.next_gseq] = downcall.message.shallow_copy()
             downcall.message.push_owned_header(
                 self.name,
                 {"kind": _DATA, "gseq": self.next_gseq, "epoch": self._epoch},
@@ -225,6 +228,7 @@ class TotalOrderLayer(Layer):
                 # through the reorder buffer and allocating a new event.
                 self.next_deliver = gseq + 1
                 self.delivered += 1
+                self._released.pop(gseq, None)
                 if self.context.trace.enabled:
                     self.trace("total_deliver", gseq=gseq)
                 upcall.extra["total_seq"] = gseq
@@ -255,6 +259,7 @@ class TotalOrderLayer(Layer):
     def _drain(self) -> None:
         while self.next_deliver in self.buffer:
             message, source = self.buffer.pop(self.next_deliver)
+            self._released.pop(self.next_deliver, None)
             upcall = Upcall(
                 UpcallType.CAST,
                 message=message,
@@ -275,12 +280,29 @@ class TotalOrderLayer(Layer):
         everywhere before the reset; nothing can be pending in it
         afterwards (a gap could only mean a violated VS cut, which we
         surface rather than hide).
+
+        Our own casts released in the old view but not delivered here
+        were, when MBRSHIP marks this view the ``successor`` of a flush
+        we took part in, by the same guarantee delivered nowhere in it;
+        any copy still travelling carries the old epoch and is dropped
+        everywhere.  They go back to the front of ``pending_out``, in
+        ``gseq`` order, to be ordered again in this view.  Any other new
+        view (a joiner's, or one that absorbed our blocked minority)
+        follows a cut we did not share, in which the old view's other
+        members may have delivered them: those casts are forgotten, as a
+        crashed member's would be.
         """
         self._drain()
         skipped = len(self.buffer)
         if skipped:
             self.trace("total_gap", missing=self.next_deliver, buffered=skipped)
             self.buffer.clear()
+        if self._released and upcall.extra.get("successor"):
+            self.pending_out.extendleft(
+                cast_down(message)
+                for _gseq, message in sorted(self._released.items(), reverse=True)
+            )
+        self._released.clear()
         self.view = upcall.view
         self.token_holder = self.view.members[0]  # the deterministic rule
         self.token_gen = 0
@@ -310,6 +332,7 @@ class TotalOrderLayer(Layer):
             next_gseq=self.next_gseq,
             next_deliver=self.next_deliver,
             pending_out=len(self.pending_out),
+            released=len(self._released),
             buffered=len(self.buffer),
             token_passes=self.token_passes,
             ordered_sent=self.ordered_sent,

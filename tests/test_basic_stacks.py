@@ -6,6 +6,7 @@ by hand via the ``view`` downcall.
 """
 
 from repro import FaultModel, World
+from repro.layers.nak import _DATA_U, _USTATUS
 
 from conftest import drain, manual_destinations
 
@@ -111,6 +112,71 @@ class TestNak:
         assert sorted(got) == [b"cast1", b"cast2", b"send1"]
         casts = [m for m in handles["b"].delivery_log if m.was_cast]
         assert [m.data for m in casts] == [b"cast1", b"cast2"]
+
+
+class TestNakStatus:
+    """Status is one multicast per period: beneath the multicast
+    high-water mark it carries, per view member, the last unicast seq
+    sent to that member.  A USTATUS unicast is only for a stream to an
+    endpoint outside the view."""
+
+    PATH = 0.001  # one-way delay, no loss
+    STATUS_PERIOD, NAK_DELAY = 0.25, 0.02  # NAK's defaults
+
+    def rig(self, monkeypatch, view):
+        """a, b, c on NAK:COM; ``view`` members have each other as
+        destinations.  Returns the world, the handles, every datagram's
+        ``(source, dest, NAK kind)``, and a list of ``(dest, kind)`` to
+        drop once each."""
+        from repro.core.headers import DEFAULT_REGISTRY
+
+        world = World(seed=5, network="lan",
+                      fault_model=FaultModel(base_delay=self.PATH))
+        handles = {n: world.process(n).endpoint().join("grp", stack="NAK:COM")
+                   for n in "abc"}
+        manual_destinations({n: handles[n] for n in view})
+        wire, drops = [], []
+        unicast = world.network.unicast
+
+        def recorded(source, dest, data):
+            kind = dict(DEFAULT_REGISTRY.unmarshal(data).headers())["NAK"]["kind"]
+            wire.append((source.node, dest.node, kind))
+            if (dest.node, kind) in drops:
+                drops.remove((dest.node, kind))
+                return
+            unicast(source, dest, data)
+
+        monkeypatch.setattr(world.network, "unicast", recorded)
+        world.run(0.3)
+        return world, handles, wire, drops
+
+    def test_lost_last_unicast_to_a_member_is_found_by_the_multicast(
+            self, monkeypatch):
+        world, handles, wire, drops = self.rig(monkeypatch, view="abc")
+        drops.append(("b", _DATA_U))
+        handles["a"].send([handles["b"].endpoint_address], b"last")
+        sent_at = world.now
+        assert not drops  # lost on the wire
+        poll = 0.001
+        assert world.run_while(lambda: handles["b"].delivery_log, timeout=1.0,
+                               poll=poll)
+        # The next status tick, the gap timer, then the status's, the
+        # NAK's and the retransmission's trips.
+        assert world.now - sent_at <= (
+            self.STATUS_PERIOD + self.NAK_DELAY + 3 * self.PATH + poll)
+        assert [m.data for m in handles["b"].delivery_log] == [b"last"]
+        world.run(1.0)
+        assert not [w for w in wire if w[2] == _USTATUS]
+
+    def test_a_stream_outside_the_view_still_gets_a_ustatus(self, monkeypatch):
+        world, handles, wire, drops = self.rig(monkeypatch, view="ab")
+        drops.append(("c", _DATA_U))
+        handles["a"].send([handles["c"].endpoint_address], b"outside")
+        handles["a"].send([handles["b"].endpoint_address], b"inside")
+        world.run(1.0)
+        assert [m.data for m in handles["c"].delivery_log] == [b"outside"]
+        ustatus = {(src, dest) for src, dest, kind in wire if kind == _USTATUS}
+        assert ustatus == {("a", "c")}
 
 
 class TestFrag:

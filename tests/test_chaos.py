@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.chaos import (
+    DEFAULT_CHECKS,
     Crash,
     Heal,
     InjectLoad,
@@ -357,6 +358,21 @@ class TestFaultsThroughFlush:
         assert result.ok, result.violations
         assert result.converged and result.casts_sent > 1000
 
+    @pytest.mark.parametrize("seed, index", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_total_order_through_the_flush(self, seed, index):
+        """The family with TOTAL stacked and total order checked.  Three
+        of these four failed view agreement or gapless FIFO while a view
+        change mid-turn let the next view's casts reach NAK ahead of its
+        VIEW downcall, and while TOTAL forgot casts it had released but
+        the old view never delivered."""
+        scenario = generate_scenario(seed, index, faults_through_flush=True,
+                                     stack=TOTAL_STACK)
+        result = ScenarioRunner(
+            substrate="sim", seed=seed, checks=DEFAULT_CHECKS + ("total",),
+        ).run(scenario)
+        assert result.ok, result.violations
+        assert result.converged and result.casts_sent > 1000
+
 
 def total_order_breaker() -> Scenario:
     """Two concurrent senders on a FIFO-only stack: total order is not
@@ -458,11 +474,16 @@ class TestChaosCli:
     #: printed by the same code path CI's chaos-smoke job runs.  A PR
     #: that *means* to change delivery order, views or verdicts re-cuts
     #: these in the same diff and says why; any other PR leaves them be.
+    #: Re-cut once when MBRSHIP's stability gossip became one cast and
+    #: NAK's per-peer unicast status rode its status multicast: that
+    #: moved the timing of every run, which changes which casts CREDIT
+    #: sheds or blocks in the overload family.  The base family's views
+    #: and deliveries did not move.
     PINNED_SOAKS = [
         (["--seed", "0", "--scenarios", "10", "--substrate", "sim"],
          "538177f27181fa60"),
         (["--seed", "7", "--scenarios", "3", "--overload"],
-         "7bb5eb4cfdd05f1f"),
+         "7a7887a5c79982ae"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED_SOAKS)

@@ -1,6 +1,13 @@
 """Integration tests for the MBRSHIP layer: virtual synchrony (Section 5)."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro import World
+from repro.core.events import DowncallType, Upcall, UpcallType
+from repro.core.layer import UP
+from repro.core.message import Message
+from repro.layers.mbrship import _DATA, _FLUSH, _FLUSH_OK, _INSTALL, _STABILITY
 
 from conftest import join_group
 
@@ -163,6 +170,132 @@ class TestCrash:
         lan_world.run(8.0)
         for name in ("a", "b"):
             assert b"during-flush" in [m.data for m in handles[name].delivery_log]
+
+    def test_cast_made_by_the_delivery_that_completes_an_install(
+            self, lan_world, monkeypatch):
+        """Figure 2 again, with the coordinator's relay of M to B lost:
+        B's install waits on M, and NAK's repair delivers it.  B's
+        application casts from ``on_message`` for M.  That cast waits in
+        the turn FIFO ahead of the VIEW downcall the same delivery
+        queues, so it reaches MBRSHIP once the new view is installed.
+        It must not get below ahead of the VIEW downcall: stamped with
+        the new view but sequenced in NAK's old era, every member
+        (B through loopback included) dropped it as stale."""
+        from repro.core.headers import DEFAULT_REGISTRY
+        from repro.verify import check_virtual_synchrony
+
+        handles = join_group(lan_world, ["a", "b", "c", "d"], STACK)
+        a, b, d = (handles[n].endpoint_address for n in "abd")
+        network, dropped = lan_world.network, []
+        unicast = network.unicast
+
+        def lose_relay_to_b(source, dest, data):
+            if not dropped and (source, dest) == (a, b):
+                headers = dict(DEFAULT_REGISTRY.unmarshal(data).headers())
+                header = headers.get("MBRSHIP", {})
+                if header.get("kind") == _DATA and header.get("origin") == d:
+                    dropped.append(lan_world.now)
+                    return
+            unicast(source, dest, data)
+
+        def cast_on_m(delivered):
+            if delivered.data == b"M":
+                handles["b"].cast(b"after M")
+
+        monkeypatch.setattr(network, "unicast", lose_relay_to_b)
+        handles["b"].on_message = cast_on_m
+        lan_world.partition({"c", "d"}, {"a", "b"})
+        handles["d"].cast(b"M")
+        lan_world.run(0.05)  # M reaches C only
+        lan_world.crash("d")
+        lan_world.heal()
+        lan_world.run(8.0)
+        assert dropped
+        survivors = [handles[n] for n in "abc"]
+        for handle in survivors:
+            assert [m.data for m in handle.delivery_log] == [b"M", b"after M"]
+            assert handle.view.size == 3
+        assert views_agree(handles, ["a", "b", "c"])
+        check_virtual_synchrony(survivors)
+
+
+class TestInstallMidRun:
+    """NAK may deliver an INSTALL and what follows it in one run.  The
+    VIEW downcall the install makes then waits in the turn FIFO, and the
+    casts held through the view change go out behind it: never ahead of
+    it, and never past a flush cut reported later in the same run."""
+
+    @pytest.fixture
+    def member(self, monkeypatch):
+        """A member of view 7 whose coordinator is ``a``; what it passes
+        below is recorded, not sent."""
+        from repro.core.view import View, ViewId
+        from repro.net.address import EndpointAddress
+
+        world = World(seed=1, network="lan")
+        handle = world.process("m").endpoint().join("grp", stack="MBRSHIP:COM")
+        layer = handle.focus("MBRSHIP")
+        coordinator = EndpointAddress("a", 0)
+        members = [coordinator, layer.endpoint]
+        layer.view = View(group=layer.group, view_id=ViewId(7, coordinator),
+                          members=tuple(members))
+        layer.state = "normal"
+        below = []
+        monkeypatch.setattr(layer.below, "down", below.append)
+
+        def run(*headers):
+            def deliver():
+                for header in headers:
+                    message = Message()
+                    message.push_header("MBRSHIP", {
+                        "failed": [], "joiners": [], "vector": {}, **header,
+                        "origin": coordinator, "members": members})
+                    layer.up(Upcall(UpcallType.SEND, message=message,
+                                    source=coordinator))
+            layer._turn.cross(deliver, UP)
+
+        run({"kind": _FLUSH, "vid": 7, "round": 1})
+        assert layer.state == "flushing"
+        handle.cast(b"held")
+        assert len(layer.queued_casts) == 1
+        return layer, run, below, handle
+
+    @staticmethod
+    def _views_and_casts(below):
+        out = []
+        for downcall in below:
+            if downcall.type is DowncallType.VIEW:
+                out.append(("VIEW", downcall.extra["epoch"]))
+            elif downcall.type is DowncallType.CAST:
+                out.append(("CAST", downcall.message.peek_header("MBRSHIP")["vid"]))
+        return out
+
+    def test_a_flush_begun_in_the_same_run_keeps_the_casts(self, member):
+        layer, run, below, _handle = member
+        run({"kind": _INSTALL, "vid": 7, "new_vid": 8, "round": 1},
+            {"kind": _FLUSH, "vid": 8, "round": 1})
+        assert (layer.view.view_id.epoch, layer.state) == (8, "flushing")
+        assert layer.my_seq == 0 and not layer.store
+        assert len(layer.queued_casts) == 1
+        assert self._views_and_casts(below) == [("VIEW", 8)]
+        cuts = [d.message.peek_header("MBRSHIP")["vector"] for d in below
+                if d.type is DowncallType.SEND
+                and d.message.peek_header("MBRSHIP")["kind"] == _FLUSH_OK]
+        assert cuts[-1] == {layer.endpoint: 0}
+
+    def test_casts_go_out_behind_the_last_views_downcall(self, member):
+        """Two installs in one run.  A cast made from ``on_view`` for the
+        first waits in the turn FIFO between the first release callback
+        and the second VIEW downcall: it must wait for the second."""
+        layer, run, below, handle = member
+        handle.on_view = lambda view: (
+            handle.cast(b"on view 8") if view.view_id.epoch == 8 else None)
+        run({"kind": _INSTALL, "vid": 7, "new_vid": 8, "round": 1},
+            {"kind": _INSTALL, "vid": 8, "new_vid": 9, "round": 1})
+        assert (layer.view.view_id.epoch, layer.state) == (9, "normal")
+        assert layer.my_seq == 2 and not layer.queued_casts
+        assert self._views_and_casts(below) == [
+            ("VIEW", 8), ("VIEW", 9), ("CAST", 9), ("CAST", 9)]
 
 
 class TestLeave:
@@ -372,3 +505,119 @@ class TestStorePruning:
         from repro.verify import check_virtual_synchrony
 
         check_virtual_synchrony([handles[n] for n in "abc"])
+
+
+class TestStabilityGossip:
+    """A member's delivery vector goes out as one cast per stability
+    period, not as one send per member."""
+
+    PERIOD = 0.25
+
+    def test_one_cast_per_member_per_period_and_none_while_idle(
+            self, monkeypatch):
+        from repro import FaultModel
+        from repro.layers.com import ComLayer
+
+        world = World(seed=61, network="lan",
+                      fault_model=FaultModel(base_delay=0.001))
+        handles = join_group(
+            world, [f"n{i}" for i in range(8)],
+            f"MBRSHIP(stability_period={self.PERIOD}):FRAG:NAK:COM")
+        assert all(h.view.size == 8 for h in handles.values())
+        at_com = []  # (endpoint, time, COM entry point)
+
+        def counting(entry):
+            real = getattr(ComLayer, entry)
+
+            def wrapper(layer, message, *args):
+                header = dict(message.headers()).get("MBRSHIP", {})
+                if header.get("kind") == _STABILITY:
+                    at_com.append((layer.endpoint, layer.now, entry))
+                real(layer, message, *args)
+            return wrapper
+
+        for entry in ("_cast", "_send"):
+            monkeypatch.setattr(ComLayer, entry, counting(entry))
+        world.run(2.0)
+        assert at_com == []  # nobody has cast: every store is empty
+        for handle in handles.values():
+            for i in range(5):
+                handle.cast(b"%d" % i)
+        world.run(3.0)
+        assert {entry for *_, entry in at_com} == {"_cast"}
+        times = {}
+        for endpoint, now, _ in at_com:
+            times.setdefault(endpoint, []).append(now)
+        assert len(times) >= 7  # a store emptied between ticks sends nothing
+        for mine in times.values():
+            assert all(b - a >= self.PERIOD - 1e-9 for a, b in zip(mine, mine[1:]))
+
+
+def full_rebuild(members, me, delivered, my_seq, peer_vectors, store):
+    """The store pruning this layer did until it kept per-origin floors:
+    a full scan and rebuild on every call, kept here as the oracle."""
+    vectors = []
+    for member in members:
+        if member == me:
+            own = dict(delivered)
+            own[me] = my_seq
+            vectors.append(own)
+        else:
+            vector = peer_vectors.get(member)
+            if vector is None:
+                return dict(store)
+            vectors.append(vector)
+    stable = {origin: min(v.get(origin, 0) for v in vectors)
+              for (origin, _seq) in store}
+    return {(origin, seq): message for (origin, seq), message in store.items()
+            if seq > stable.get(origin, 0)}
+
+
+class TestIncrementalPruning:
+    """``_prune_store`` pops only what its per-origin floors pass over,
+    and leaves exactly the store the full rebuild leaves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("deliver"), st.integers(0, 3), st.integers(1, 4)),
+        st.tuples(st.just("vector"), st.integers(1, 3),
+                  st.lists(st.integers(0, 30), min_size=4, max_size=4)),
+        st.tuples(st.just("partial"), st.integers(1, 3),
+                  st.dictionaries(st.integers(0, 3), st.integers(0, 1 << 40))),
+    ), max_size=40))
+    def test_matches_the_full_rebuild_on_random_vectors(self, steps):
+        from repro.core.view import View, ViewId
+        from repro.net.address import EndpointAddress
+
+        world = World(seed=1, network="lan")
+        layer = world.process("m0").endpoint().join(
+            "grp", stack="MBRSHIP:COM").focus("MBRSHIP")
+        members = tuple(EndpointAddress(f"m{i}", 0) for i in range(4))
+        me = layer.endpoint
+        assert me == members[0]
+        layer.view = View(group=layer.group, view_id=ViewId(7, me),
+                          members=members)
+        layer.delivered, layer.my_seq, layer.store = {}, 0, {}
+        layer._peer_vectors, layer._pruned_to = {}, {}
+        expected = {}
+        for kind, who, values in steps:
+            if kind == "deliver":  # ``values`` more from origin ``who``
+                origin = members[who]
+                for _ in range(values):
+                    seq = layer.delivered.get(origin, 0) + 1
+                    layer.delivered[origin] = seq
+                    if origin == me:  # our own cast, looped back at once
+                        layer.my_seq = seq
+                    layer.store[(origin, seq)] = expected[(origin, seq)] = object()
+            else:  # a peer's vector, whole or with origins missing
+                if kind == "vector":
+                    values = dict(enumerate(values))
+                layer._peer_vectors[members[who]] = {
+                    members[i]: count for i, count in values.items()}
+            pruned = layer.store_pruned
+            layer._prune_store()
+            before = len(expected)
+            expected = full_rebuild(members, me, layer.delivered, layer.my_seq,
+                                    layer._peer_vectors, expected)
+            assert layer.store == expected
+            assert layer.store_pruned - pruned == before - len(expected)

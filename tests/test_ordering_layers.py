@@ -63,6 +63,63 @@ class TestTotalOrder:
         assert handles["b"].focus("TOTAL").ordered_sent == 1
         assert handles["a"].focus("TOTAL").token_passes >= 1
 
+    def test_holders_cast_during_a_flush_is_reissued_in_the_new_view(
+            self, lan_world):
+        """The holder orders a cast while MBRSHIP is flushing: MBRSHIP
+        queues it, and it goes out in the next view still tagged with
+        the old epoch, which every TOTAL drops.  The holder kept a copy:
+        its ``_new_view`` orders the cast again, once, in the new view."""
+        handles = join_group(lan_world, ["a", "b", "c"], TOTAL_STACK)
+        total, mbrship = handles["a"].focus("TOTAL"), handles["a"].focus("MBRSHIP")
+        assert total._holds_token()
+        lan_world.crash("c")
+        assert lan_world.run_while(lambda: mbrship.state == "flushing",
+                                   timeout=5.0, poll=0.001)
+        handles["a"].cast(b"during-flush")
+        assert total.ordered_sent == 1 and len(mbrship.queued_casts) == 1
+        lan_world.run(5.0)
+        for name in "ab":
+            assert handles[name].view.size == 2
+            assert [m.data for m in handles[name].delivery_log] == [b"during-flush"]
+        # The old-epoch copy was dropped at both, looped-back copy included.
+        assert all(handles[n].focus("TOTAL").stale_epoch_dropped >= 1 for n in "ab")
+        assert total.ordered_sent == 2 and not total._released
+
+    def test_absorbed_minoritys_released_casts_are_not_reissued(
+            self, lan_world, monkeypatch):
+        """X orders X1 while it misses A1 (A's stream to X is cut), so
+        its own copy waits in TOTAL's buffer.  A partition then leaves X
+        alone: the majority flushes X out and delivers A1, C1, X1 in the
+        old view, while X blocks.  X's next view is the one that absorbs
+        it at the merge, which follows a cut X did not share: ordering
+        X1 again there would deliver it twice at every other member."""
+        handles = join_group(lan_world, ["a", "b", "c", "x"], TOTAL_STACK)
+        a, x = handles["a"].endpoint_address, handles["x"].endpoint_address
+        network, cut = lan_world.network, [True]
+        unicast = network.unicast
+
+        def cut_a_to_x(source, dest, data):
+            if not (cut[0] and (source, dest) == (a, x)):
+                unicast(source, dest, data)
+
+        monkeypatch.setattr(network, "unicast", cut_a_to_x)
+        for name in "acx":  # a holds the token; it goes a → c → x
+            handles[name].cast(f"{name.upper()}1".encode())
+            lan_world.run(0.05)
+        total = handles["x"].focus("TOTAL")
+        assert list(total._released) == [3] and sorted(total.buffer) == [2, 3]
+        lan_world.partition({"x"}, {"a", "b", "c"})
+        lan_world.run(6.0)
+        assert handles["x"].focus("MBRSHIP").state == "blocked"
+        lan_world.heal()
+        cut[0] = False
+        lan_world.run(15.0)
+        assert all(handles[n].view.size == 4 for n in "abcx")
+        for name in "abc":
+            assert [m.data for m in handles[name].delivery_log] == [
+                b"A1", b"C1", b"X1"]
+        assert not total._released and not total.pending_out
+
     def test_round_robin_oracle(self, lan_world):
         stack = "TOTAL(oracle='round_robin'):MBRSHIP:FRAG:NAK:COM"
         handles = join_group(lan_world, ["a", "b", "c"], stack)
