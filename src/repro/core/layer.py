@@ -64,8 +64,8 @@ class LayerContext:
     #: substrate; ``None`` for bare contexts).  Layers obtain their own
     #: store with ``context.store.store(node, namespace)``.
     store: Any = None
-    #: World-level instrumentation defaults; a per-stack
-    #: :class:`~repro.core.stack.StackConfig` can override them.
+    #: What the world observes; a stack built on this context installs
+    #: a :class:`~repro.obs.StackObserver` only when it asks for any.
     obs: ObsOptions = dataclass_field(default_factory=ObsOptions)
 
     @property
@@ -153,52 +153,20 @@ class Layer:
         self._turn = Turn()  # the stack's shared one, once wired
         self._timers: List[Any] = []
         self.stopped = False
-        #: Event counters, reported by the ``dump`` downcall (Table 1).
-        self.counters: Dict[str, int] = {"down": 0, "up": 0}
-        #: The stack's :class:`~repro.obs.StackObserver`, installed by
-        #: the stack builder when instrumentation is enabled.
-        self.observer: Any = None
 
     # ------------------------------------------------------------------
-    # The HCPI edges
+    # The HCPI edges (a StackObserver shadows both when asked to observe)
     # ------------------------------------------------------------------
 
     def down(self, downcall: Downcall) -> None:
         """Entry point for downcalls from the layer above."""
-        if self.stopped:
-            return
-        self.counters["down"] += 1
-        observer = self.observer
-        # ``skipping`` is the sampled-out fast path: mid-traversal
-        # crossings of an unsampled message cost this one attribute
-        # read.  The traversal root still brackets (its enter() made
-        # the sampling decision and returned None; exit(None) closes
-        # the skip window).
-        if observer is None or observer.skipping:
+        if not self.stopped:
             self.handle_down(downcall)
-            return
-        frame = observer.enter(self.name, "down", downcall)
-        try:
-            self.handle_down(downcall)
-        finally:
-            observer.exit(frame, downcall)
 
     def up(self, upcall: Upcall) -> None:
         """Entry point for upcalls from the layer below."""
-        if self.stopped:
-            return
-        self.counters["up"] += 1
-        observer = self.observer
-        # See down(): skip the bracket while a sampled-out traversal
-        # is in flight.
-        if observer is None or observer.skipping:
+        if not self.stopped:
             self.handle_up(upcall)
-            return
-        frame = observer.enter(self.name, "up", upcall)
-        try:
-            self.handle_up(upcall)
-        finally:
-            observer.exit(frame, upcall)
 
     def handle_down(self, downcall: Downcall) -> None:
         """Override to process downcalls; default is pass-through."""
@@ -286,14 +254,30 @@ class Layer:
         return timer
 
     def trace(self, category: str, **detail: Any) -> None:
-        """Record a trace event attributed to this layer's endpoint."""
-        self.context.trace.record(
+        """Record a trace event attributed to this layer's endpoint.
+
+        Returns at once while the world's trace is off, so call sites
+        pass raw values and need no guard: addresses, alone or in a
+        list, are recorded as their strings.
+        """
+        recorder = self.context.trace
+        if not recorder.enabled:
+            return
+        for key, value in detail.items():
+            if isinstance(value, EndpointAddress):
+                detail[key] = str(value)
+            elif isinstance(value, (list, tuple)):
+                detail[key] = [
+                    str(item) if isinstance(item, EndpointAddress) else item
+                    for item in value
+                ]
+        recorder.record(
             self.now, category, str(self.endpoint), layer=self.name, **detail
         )
 
     def dump(self) -> Dict[str, Any]:
         """Layer introspection for the ``dump`` downcall (Table 1)."""
-        return {"name": self.name, "counters": dict(self.counters)}
+        return {"name": self.name}
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} at {self.endpoint}/{self.group}>"

@@ -222,10 +222,9 @@ class _WorldBase:
         #: per-layer seam counters when ``obs`` enables them.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.obs = obs if obs is not None else ObsOptions()
-        #: Message-path spans (populated only when ``obs.spans`` is on).
-        self.spans = SpanRecorder(
-            enabled=self.obs.spans, max_spans=self.obs.max_spans
-        )
+        #: Message-path spans (fed only by stacks observing with
+        #: ``obs.spans`` on).
+        self.spans = SpanRecorder(max_spans=self.obs.max_spans)
         #: Durable-store domain, keyed by node name so state survives
         #: crash/recover.
         self.store = store if store is not None else self._default_store(

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 from repro.core.events import Downcall, Upcall
 from repro.core.layer import DOWN, UP, Layer, LayerContext, Turn
 from repro.errors import StackError
-from repro.obs import ObsOptions, SpanRecorder, StackObserver
+from repro.obs import SpanRecorder, StackObserver
 
 # ----------------------------------------------------------------------
 # Layer class registry
@@ -177,9 +177,9 @@ class Stack:
     Build one with :meth:`StackConfig.build`.  The application (in
     practice the :class:`~repro.core.group.GroupHandle`) calls
     :meth:`down` and receives upcalls through the ``deliver`` callback
-    it supplied.  When an observer is installed, every HCPI boundary
-    crossing in every layer reports to it — the layers themselves carry
-    no instrumentation code.
+    it supplied.  Only when ``context.obs`` asks for it does a
+    :class:`~repro.obs.StackObserver` (``observer``) wrap every layer's
+    HCPI edges; the layers themselves carry no instrumentation code.
     """
 
     def __init__(
@@ -187,26 +187,20 @@ class Stack:
         layers: List[Layer],
         context: LayerContext,
         deliver: Callable[[Upcall], None],
-        observer: Optional[StackObserver] = None,
     ) -> None:
         if not layers:
             raise StackError("a stack needs at least one layer")
         self.layers = layers  # index 0 = top
         self.context = context
-        self.observer = observer
         self._turn = Turn()
         self._wire(deliver)
-        # Export-time collectors: the layers' own levels and, when
-        # observed, exact event counts from the layers' counters (the
-        # observer's hot path never touches the events family — see
-        # LayerEventSync).  They live exactly as long as the stack runs.
+        self.observer = self._observe()
+        # Export-time collectors over the layers' own state; they live
+        # exactly as long as the stack runs.
         self._collectors: List[Callable[[], None]] = []
         if context.metrics is not None:
             for layer in layers:
                 self._collectors.extend(layer._collectors())
-            sync = observer.event_sync(layers) if observer is not None else None
-            if sync is not None:
-                self._collectors.append(sync)
             for collector in self._collectors:
                 context.metrics.add_collector(collector)
         self.started = False
@@ -217,9 +211,34 @@ class Stack:
         chain = [SimpleNamespace(up=deliver), *self.layers,
                  SimpleNamespace(down=_fell_off)]
         for above, layer, below in zip(chain, chain[1:], chain[2:]):
-            layer.observer = self.observer
             layer._turn = self._turn
             layer.above, layer.below = above, below
+
+    def _observe(self) -> Optional[StackObserver]:
+        """Install one observer on the layers if the context asks for it."""
+        context = self.context
+        options = context.obs
+        if not (options.layer_metrics or options.spans):
+            return None
+        recorder: Optional[SpanRecorder] = None
+        if options.spans:
+            recorder = context.spans
+            if recorder is None:
+                # A standalone stack (tests, scripts) still gets spans;
+                # they are reachable via stack.observer.spans.
+                recorder = SpanRecorder(max_spans=options.max_spans)
+        observer = StackObserver(
+            context.scheduler,
+            metrics=context.metrics if options.layer_metrics else None,
+            spans=recorder,
+            header_registry=context.registry,
+            endpoint=str(context.endpoint),
+            group=str(context.group),
+            sample=options.sample,
+            wire_mode=context.wire_mode,
+        )
+        observer.install(self.layers)
+        return observer
 
     # -- lifecycle -------------------------------------------------------
 
@@ -311,19 +330,18 @@ class Stack:
 class StackConfig:
     """Keyword-only description of one protocol stack to build.
 
-    Collects everything a stack build needs — spec string, per-layer
-    overrides — plus the observability switches, in one reusable value::
+    Collects everything a stack build needs — spec string and per-layer
+    overrides — in one reusable value::
 
         config = StackConfig(spec="TOTAL:MBRSHIP:FRAG:NAK:COM",
-                             overrides={"FRAG": {"max_size": 512}},
-                             obs=ObsOptions.full())
+                             overrides={"FRAG": {"max_size": 512}})
         stack = config.build(context, deliver)
 
     ``overrides`` maps layer names to extra constructor kwargs, merged
     over any inline arguments in the spec (programmatic configuration
-    wins over the spec string).  ``obs`` overrides the context's
-    world-level :class:`~repro.obs.ObsOptions` for this stack only;
-    leave it ``None`` to inherit.  One config may build many stacks
+    wins over the spec string).  What a stack observes comes from its
+    context (``context.obs``, the world's
+    :class:`~repro.obs.ObsOptions`).  One config may build many stacks
     (one per endpoint/group pair); they share the context-provided
     registry and span recorder but each gets its own observer.
     """
@@ -333,19 +351,17 @@ class StackConfig:
         *,
         spec: str,
         overrides: Optional[Dict[str, Dict[str, Any]]] = None,
-        obs: Optional[ObsOptions] = None,
     ) -> None:
         # Parse eagerly so a bad spec fails where the config is written,
         # not later at some endpoint's join().
         self.spec = spec
         self.parsed = parse_stack_spec(spec)
         self.overrides = dict(overrides) if overrides else {}
-        self.obs = obs
 
     def build(
         self, context: LayerContext, deliver: Callable[[Upcall], None]
     ) -> Stack:
-        """Instantiate, observe, and wire one stack for ``context``."""
+        """Instantiate and wire one stack for ``context``."""
         layers: List[Layer] = []
         for name, kwargs in self.parsed:
             cls = layer_class(name)
@@ -353,31 +369,7 @@ class StackConfig:
             if name in self.overrides:
                 merged.update(self.overrides[name])
             layers.append(cls(context, **merged))
-        observer = self._make_observer(context)
-        return Stack(layers, context, deliver, observer=observer)
-
-    def _make_observer(self, context: LayerContext) -> Optional[StackObserver]:
-        """One observer per stack, or ``None`` when everything is off."""
-        options = self.obs if self.obs is not None else context.obs
-        if options is None or not (options.layer_metrics or options.spans):
-            return None
-        recorder: Optional[SpanRecorder] = None
-        if options.spans:
-            recorder = context.spans
-            if recorder is None:
-                # A standalone stack (tests, scripts) still gets spans;
-                # they are reachable via stack.observer.spans.
-                recorder = SpanRecorder(max_spans=options.max_spans)
-        return StackObserver(
-            context.scheduler,
-            metrics=context.metrics if options.layer_metrics else None,
-            spans=recorder,
-            header_registry=context.registry,
-            endpoint=str(context.endpoint),
-            group=str(context.group),
-            sample=getattr(options, "sample", 1),
-            wire_mode=getattr(context, "wire_mode", "aligned"),
-        )
+        return Stack(layers, context, deliver)
 
     def __repr__(self) -> str:
         return f"<StackConfig {self.spec!r}>"

@@ -70,7 +70,7 @@ class ChecksumLayer(Layer):
         )
         if header is None or header["sum"] != self._sum(message):
             self.garbled_dropped += 1
-            self.trace("garbled_dropped", source=str(upcall.source))
+            self.trace("garbled_dropped", source=upcall.source)
             return  # "drops the message if the checksum does not match"
         self.verified += 1
         self.pass_up(upcall)

@@ -24,9 +24,10 @@ Placement: just above COM (e.g. ``"MBRSHIP:FRAG:NAK:GOSSIP:COM"``), so
 SWIM's probes travel best-effort — a failure detector that rode a
 reliable layer would have its pings retransmitted to a corpse forever,
 and its timeouts would measure the retransmission budget, not the
-peer.  MBRSHIP instances consuming GOSSIP verdicts should disable
-their own scan (``suspect_timeout=0`` via the deprecated knob, or
-simply rely on the external service path).
+peer.  MBRSHIP has no scan of its own to disable: it suspects a member
+on a ``PROBLEM`` upcall (NAK raises one after ``problem_timeout`` of
+silence), and with an ``external_fd`` it files that upcall with the
+service instead — where GOSSIP's verdicts land as well.
 
 All timing runs on the stack's Clock and all randomness on the stack's
 seeded rng stream, so DES runs remain digest-deterministic.
@@ -34,7 +35,7 @@ seeded rng stream, so DES runs remain digest-deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import headers as hdr
 from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
@@ -160,9 +161,13 @@ class GossipLayer(Layer):
                 "gossip_syncs_total", "Anti-entropy state snapshots served"),
         }
 
-    def _flush_stats(self) -> None:
-        if self._m is None:
-            return
+    def _collectors(self) -> List[Callable[[], None]]:
+        return [self._collect]
+
+    def _collect(self) -> None:
+        """Add the SWIM counts made since the last read: exact at every
+        export and after stop.  Stacks share each family, so every layer
+        adds only its own delta."""
         stats = self.core.stats
         last = self._last_stats
         for key, family in self._m.items():
@@ -191,7 +196,6 @@ class GossipLayer(Layer):
         if process is not None and not process.alive:
             return
         self.core.tick()
-        self._flush_stats()
 
     # ------------------------------------------------------------------
     # Peer tracking
@@ -277,14 +281,13 @@ class GossipLayer(Layer):
             )
         self._learn_members([msg["f"]])
         self.core.on_message(msg)
-        self._flush_stats()
 
     # ------------------------------------------------------------------
     # Verdicts
     # ------------------------------------------------------------------
 
     def _verdict(self, node: EndpointAddress) -> None:
-        self.trace("verdict", member=str(node), notify=self.notify)
+        self.trace("verdict", member=node, notify=self.notify)
         if self.external_fd is not None:
             self.external_fd.report_problem(self.endpoint, node)
             return

@@ -320,7 +320,7 @@ class MembershipLayer(Layer):
             self._install_view(View.initial(self.group, self.endpoint))
             return
         target = self._join_candidates.pop(0)
-        self.trace("join_request", target=str(target))
+        self.trace("join_request", target=target)
         self._control(_JOIN_REQ, [target], origin=self.endpoint)
         self._join_timer.start()
 
@@ -376,7 +376,7 @@ class MembershipLayer(Layer):
     def _send_merge_request(self) -> None:
         if self._merge_target is None or self.view is None:
             return
-        self.trace("merge_request", target=str(self._merge_target))
+        self.trace("merge_request", target=self._merge_target)
         self._control(
             _MERGE_REQ,
             [self._merge_target],
@@ -484,7 +484,7 @@ class MembershipLayer(Layer):
         elif kind == _STABILITY:
             self._on_stability(header)
         elif kind == _MERGE_DENIED:
-            self.trace("merge_denied", origin=str(header["origin"]))
+            self.trace("merge_denied", origin=header["origin"])
             self.pass_up(
                 Upcall(UpcallType.MERGE_DENIED, source=header["origin"])
             )
@@ -534,8 +534,7 @@ class MembershipLayer(Layer):
             self.delivered[origin] = seq
             if self.vs:
                 self.store[(origin, seq)] = precopy
-            if self.context.trace.enabled:
-                self.trace("deliver", origin=str(origin), seq=seq, vid=epoch)
+            self.trace("deliver", origin=origin, seq=seq, vid=epoch)
             if upcall.type is UpcallType.CAST:
                 upcall.source = origin
                 self.pass_up(upcall)
@@ -567,12 +566,8 @@ class MembershipLayer(Layer):
             self.delivered[origin] = next_seq
             if self.vs:
                 self.store[(origin, next_seq)] = precopy
-            self.trace(
-                "deliver",
-                origin=str(origin),
-                seq=next_seq,
-                vid=self.view.view_id.epoch,
-            )
+            self.trace("deliver", origin=origin, seq=next_seq,
+                       vid=self.view.view_id.epoch)
             self.pass_up(Upcall(UpcallType.CAST, message=message, source=origin))
             next_seq += 1
 
@@ -618,7 +613,7 @@ class MembershipLayer(Layer):
         if member in self.suspected:
             return
         self.suspected.add(member)
-        self.trace("suspect", member=str(member), via=via)
+        self.trace("suspect", member=member, via=via)
         if self._am_coordinator():
             self._schedule_flush()
         else:
@@ -666,7 +661,7 @@ class MembershipLayer(Layer):
             self.pass_up(Upcall(UpcallType.MERGE_REQUEST, source=joiner))
             return
         self.joiners.append(joiner)
-        self.trace("joiner_accepted", joiner=str(joiner))
+        self.trace("joiner_accepted", joiner=joiner)
         self._schedule_flush()
 
     def _on_leave_req(self, header: Dict[str, Any]) -> None:
@@ -745,11 +740,8 @@ class MembershipLayer(Layer):
                 added = True
         if their_vid:
             self.absorb_vids.append(their_vid)
-        self.trace(
-            "merge_absorb",
-            coordinator=str(their_coord),
-            members=[str(m) for m in their_members],
-        )
+        self.trace("merge_absorb", coordinator=their_coord,
+                   members=their_members)
         if added:
             self._schedule_flush()
 
@@ -794,13 +786,8 @@ class MembershipLayer(Layer):
         )
         self.flushes_started += 1
         self.state = "flushing"
-        self.trace(
-            "flush_start",
-            round=round_no,
-            vid=epoch,
-            failed=[str(f) for f in failed],
-            joiners=[str(j) for j in joiners],
-        )
+        self.trace("flush_start", round=round_no, vid=epoch,
+                   failed=failed, joiners=joiners)
         self._control(
             _FLUSH,
             participants,
@@ -918,7 +905,7 @@ class MembershipLayer(Layer):
         ):
             # Primary-partition policy: we are a minority component.
             # Quiesce the members and keep probing for a merge instead.
-            self.trace("blocked", survivors=[str(s) for s in flush.new_members])
+            self.trace("blocked", survivors=flush.new_members)
             self._control(
                 _INSTALL,
                 flush.participants,
@@ -955,11 +942,7 @@ class MembershipLayer(Layer):
         targets = list(
             dict.fromkeys(flush.participants + flush.joiners)
         )
-        self.trace(
-            "install_sent",
-            new_vid=new_vid,
-            members=[str(m) for m in new_members],
-        )
+        self.trace("install_sent", new_vid=new_vid, members=new_members)
         self._control(
             _INSTALL,
             targets,
@@ -1069,11 +1052,7 @@ class MembershipLayer(Layer):
         self.leavers = {l for l in self.leavers if l in member_set}
         self.joiners = [j for j in self.joiners if j not in member_set]
         self.state = "normal"
-        self.trace(
-            "view",
-            vid=epoch,
-            members=[str(m) for m in new_view.members],
-        )
+        self.trace("view", vid=epoch, members=new_view.members)
         # Tell the layers below (destination set + era) and above.
         self.pass_down(
             Downcall(

@@ -62,7 +62,7 @@ class AutoMergeLayer(Layer):
             if candidate == self.endpoint or self.view.contains(candidate):
                 continue
             self.merges_initiated += 1
-            self.trace("auto_merge", contact=str(candidate))
+            self.trace("auto_merge", contact=candidate)
             self.pass_down(
                 Downcall(DowncallType.MERGE, extra={"contact": candidate})
             )

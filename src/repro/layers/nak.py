@@ -541,7 +541,7 @@ class NakLayer(Layer):
             heard = self._last_heard.get(peer, now)
             if now - heard > self.problem_timeout:
                 self._reported.add(peer)
-                self.trace("problem", peer=str(peer))
+                self.trace("problem", peer=peer)
                 self.pass_up(Upcall(UpcallType.PROBLEM, source=peer))
 
     def stop(self) -> None:

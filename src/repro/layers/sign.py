@@ -79,7 +79,7 @@ class SigningLayer(Layer):
             bytes(header["mac"]), self._mac(message)
         ):
             self.rejected += 1
-            self.trace("signature_rejected", source=str(upcall.source))
+            self.trace("signature_rejected", source=upcall.source)
             return
         self.verified += 1
         self.pass_up(upcall)

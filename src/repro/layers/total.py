@@ -175,7 +175,7 @@ class TotalOrderLayer(Layer):
         self.token_holder = target
         self.token_gen += 1
         self.token_passes += 1
-        self.trace("token_pass", to=str(target), gseq=self.next_gseq,
+        self.trace("token_pass", to=target, gseq=self.next_gseq,
                    gen=self.token_gen)
         token = Message()
         token.push_header(
@@ -229,8 +229,7 @@ class TotalOrderLayer(Layer):
                 self.next_deliver = gseq + 1
                 self.delivered += 1
                 self._released.pop(gseq, None)
-                if self.context.trace.enabled:
-                    self.trace("total_deliver", gseq=gseq)
+                self.trace("total_deliver", gseq=gseq)
                 upcall.extra["total_seq"] = gseq
                 self.pass_up(upcall)
                 return
@@ -268,8 +267,7 @@ class TotalOrderLayer(Layer):
             )
             self.next_deliver += 1
             self.delivered += 1
-            if self.context.trace.enabled:
-                self.trace("total_deliver", gseq=self.next_deliver - 1)
+            self.trace("total_deliver", gseq=self.next_deliver - 1)
             self.pass_up(upcall)
 
     def _new_view(self, upcall: Upcall) -> None:

@@ -7,8 +7,8 @@ One instrumentation API for both execution substrates:
   are views over it, and the per-layer HCPI seam feeds it.
 * :class:`SpanRecorder` / :class:`MessageSpan` — message-path spans:
   per-layer down/up entry-exit timestamps and header bytes
-  pushed/popped, recorded once in
-  :meth:`~repro.core.layer.Layer.down`/``up`` for every layer at once.
+  pushed/popped, recorded by a :class:`StackObserver` wrapping every
+  layer's ``down``/``up`` the same way.
 * :mod:`repro.obs.exporters` — JSON-lines snapshots (deterministic on
   the DES) and Prometheus text format.
 * :mod:`repro.obs.report` — the ``python -m repro obs-report`` tables.
@@ -63,9 +63,9 @@ class ObsOptions:
             entirely (head-based sampling: two integer ops per
             crossing), which is what keeps the realtime hot path
             cheap.  Per-layer *event counts* stay exact regardless —
-            they are reconciled from the layers' own counters at
-            export time — as does the traversal counter; self-time,
-            header bytes, and spans become 1-in-N statistics.
+            the observer counts every crossing it sees, sampled out or
+            not — as does the traversal counter; self-time, header
+            bytes, and spans become 1-in-N statistics.
     """
 
     layer_metrics: bool = False

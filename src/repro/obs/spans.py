@@ -3,9 +3,9 @@
 A *span* covers one traversal of a protocol stack — a downcall sinking
 from the application toward the network, or an upcall rising from the
 wire.  Because every layer speaks the same HCPI top and bottom
-interface, one hook installed at the :meth:`Layer.down`/:meth:`Layer.up`
-entry points (see :class:`StackObserver`) observes all ~25 layers at
-once: per-layer entry/exit timestamps and header bytes pushed and
+interface, one wrapper installed over each layer's ``down``/``up``
+entry points (see :class:`StackObserver`) observes all ~25 layers the
+same way: per-layer entry/exit timestamps and header bytes pushed and
 popped.
 
 Timestamps come from whatever clock the owning stack's context holds:
@@ -24,7 +24,7 @@ root of a span of its own.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.obs.registry import MetricsRegistry, SIZE_BUCKETS, TIME_BUCKETS
 
@@ -127,8 +127,7 @@ class SpanRecorder:
     keep the most recent traffic without growing without limit.
     """
 
-    def __init__(self, enabled: bool = True, max_spans: int = 10_000) -> None:
-        self.enabled = enabled
+    def __init__(self, max_spans: int = 10_000) -> None:
         self.max_spans = max_spans
         self._spans: Deque[MessageSpan] = deque(maxlen=max_spans)
         self._next_id = 0
@@ -142,9 +141,7 @@ class SpanRecorder:
         return span_id
 
     def add(self, span: MessageSpan) -> None:
-        """Store one completed span (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Store one completed span."""
         self._spans.append(span)
         self.recorded += 1
 
@@ -190,11 +187,11 @@ class _Frame:
 class StackObserver:
     """The single instrumentation hook for one protocol stack.
 
-    Installed on every layer by the stack builder;
-    :meth:`~repro.core.layer.Layer.down` and ``up`` bracket their work
-    with :meth:`enter`/:meth:`exit`.  Feeds per-layer metrics into a
-    shared :class:`MetricsRegistry` and, when a :class:`SpanRecorder` is
-    given, full message-path spans.
+    :meth:`install` wraps every layer's ``down``/``up`` so each crossing
+    is counted and bracketed with :meth:`enter`/:meth:`exit`; a stack
+    nobody observes carries no wrapper at all.  Feeds per-layer metrics
+    into a shared :class:`MetricsRegistry` and, when a
+    :class:`SpanRecorder` is given, full message-path spans.
     """
 
     __slots__ = ("clock", "spans", "header_registry", "endpoint", "group",
@@ -221,13 +218,14 @@ class StackObserver:
         #: what the mode actually puts on the wire (see
         #: :meth:`_header_wire_size`).
         self.wire_mode = wire_mode
-        self.spans = spans if (spans is not None and spans.enabled) else None
+        self.spans = spans
         self._sample = max(1, int(sample))
         self._span_seq = 0
-        #: True while a sampled-out traversal is in flight.  The layer
-        #: seam consults this before calling enter/exit at all, so the
-        #: nested crossings of an unsampled message cost one attribute
-        #: read each; only the traversal root pays the enter/exit pair.
+        #: True while a sampled-out traversal is in flight.  The
+        #: installed wrappers consult this before calling enter/exit at
+        #: all, so the nested crossings of an unsampled message cost one
+        #: attribute read each; only the traversal root pays the
+        #: enter/exit pair.
         self.skipping = False
         self._skip_direction = ""
         self.header_registry = header_registry
@@ -276,8 +274,48 @@ class StackObserver:
             self._span_children = None
 
     # ------------------------------------------------------------------
-    # The seam, called from Layer.down / Layer.up
+    # The seam: a wrapper over every layer's down / up
     # ------------------------------------------------------------------
+
+    def install(self, layers: List[Any]) -> None:
+        """Observe every crossing of ``layers`` from now on.
+
+        Each layer's ``down``/``up`` is shadowed by an instance attribute
+        over its handler, the way the benchmark harness traces a stack
+        from outside: every caller reaches a layer through those names.
+        Each events series is created here, so snapshots list it before
+        any traffic.
+        """
+        for layer in layers:
+            layer.down = self._seam(layer, "down", layer.handle_down)
+            layer.up = self._seam(layer, "up", layer.handle_up)
+
+    def _seam(self, layer: Any, direction: str,
+              handle: Callable[[Any], None]) -> Callable[[Any], None]:
+        """One crossing of ``layer``: a stopped layer is neither entered
+        nor counted; any other is counted, then bracketed unless a
+        sampled-out traversal is in flight."""
+        name = layer.name
+        events = None
+        if self._events is not None:
+            events = self._events.labels(direction=direction, layer=name)
+        enter, exit_ = self.enter, self.exit
+
+        def crossing(event: Any) -> None:
+            if layer.stopped:
+                return
+            if events is not None:
+                events.value += 1
+            if self.skipping:
+                handle(event)
+                return
+            frame = enter(name, direction, event)
+            try:
+                handle(event)
+            finally:
+                exit_(frame, event)
+
+        return crossing
 
     def enter(self, layer: str, direction: str, event: Any) -> Optional[_Frame]:
         """Record entry of one crossing; returns the frame for :meth:`exit`.
@@ -288,8 +326,8 @@ class StackObserver:
         traversals (``sample`` > 1) it returns ``None`` after a couple
         of integer operations — no clock read, no frame, no sizing:
         head-based sampling, decided once at the traversal root.  Exact
-        per-layer event counts are unaffected because they come from
-        :class:`LayerEventSync` at export time, not from this path.
+        per-layer event counts are unaffected because the installed
+        wrapper counts each crossing before it decides to call this.
         """
         frames = self._frames
         if not frames:
@@ -400,8 +438,8 @@ class StackObserver:
             children[1].observe(self_time)
             # Header-byte adds inlined (plain slot adds): .inc() costs a
             # method call per crossing, which is real money here.  The
-            # event counter is NOT bumped here — LayerEventSync copies
-            # the layers' own exact counters in at export time.
+            # event counter is NOT bumped here — the installed wrapper
+            # counts every crossing, sampled out or not.
             if header_bytes:
                 children[2].value += header_bytes
         span_event = frame.event
@@ -473,17 +511,6 @@ class StackObserver:
             # error; it just cannot be sized yet.
             return 0
 
-    def event_sync(self, layers: List[Any]) -> Optional["LayerEventSync"]:
-        """A collector keeping ``stack_layer_events_total`` exact.
-
-        ``None`` when this observer carries no metrics registry; the
-        stack builder registers the result with the registry so every
-        export reconciles the counter (see :class:`LayerEventSync`).
-        """
-        if self._events is None:
-            return None
-        return LayerEventSync(layers, self._events)
-
     def __repr__(self) -> str:
         return (
             f"<StackObserver {self.endpoint}/{self.group} "
@@ -491,43 +518,8 @@ class StackObserver:
         )
 
 
-class LayerEventSync:
-    """Export-time collector: layers' exact counters → the registry.
-
-    Every :class:`~repro.core.layer.Layer` maintains plain ``counters``
-    (``{"down": n, "up": n}``) unconditionally — they predate the
-    observability plane and cost one dict add per crossing.  This
-    collector copies them into ``stack_layer_events_total`` whenever the
-    registry is read, adding only the delta since its last run, so the
-    event counter stays *exact* even when ``ObsOptions.sample``
-    suppresses the per-crossing observer entirely.  Registered once per
-    stack; several stacks feeding one registry aggregate naturally
-    because each tracks its own deltas.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, layers: List[Any], family: Any) -> None:
-        # [layer, direction, counter-child, last-synced] — children are
-        # materialized eagerly so snapshots list every layer's series
-        # even before (or without) traffic.
-        self._entries: List[list] = []
-        for layer in layers:
-            for direction in ("down", "up"):
-                child = family.labels(direction=direction, layer=layer.name)
-                self._entries.append([layer, direction, child, 0])
-
-    def __call__(self) -> None:
-        for entry in self._entries:
-            count = entry[0].counters[entry[1]]
-            if count != entry[3]:
-                entry[2].value += count - entry[3]
-                entry[3] = count
-
-
 #: Buckets re-exported so callers sizing byte histograms need one import.
 __all__ = [
-    "LayerEventSync",
     "MessageSpan",
     "SpanEvent",
     "SpanRecorder",

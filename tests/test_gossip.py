@@ -472,3 +472,42 @@ class TestGossipLayerInStack:
         assert efd.is_faulty(handles["d"].endpoint_address)
         for name in ("a", "b", "c"):
             assert handles[name].view.size == 3
+
+    def test_swim_counts_are_exact_at_every_read_and_after_a_stop(self):
+        """The exported SWIM counters are taken from the cores when the
+        registry is read, so neither a read between ticks nor a stop
+        mid-period misses a count."""
+        world = World(seed=21, network="lan")
+        handles = []
+        for name in ["a", "b", "c"]:
+            handles.append(world.process(name).endpoint().join(
+                "grp", stack="MBRSHIP:FRAG:NAK:GOSSIP:COM",
+                overrides={"GOSSIP": {"period": 1.0}},
+            ))
+            world.run(0.3)
+        world.run(5.0)
+        cores = [handle.focus("GOSSIP").core for handle in handles]
+        counters = {key: f"gossip_{key}_total"
+                    for key in ("pings", "acks", "ping_reqs", "suspects")}
+
+        def exported(name):
+            world.metrics.collect()  # as every export does first
+            return world.metrics.get(name).value
+
+        def assert_exact():
+            for key, name in counters.items():
+                assert exported(name) == sum(
+                    core.stats[key] for core in cores
+                ), name
+
+        # With c dead, probes of c time out and send ping-reqs and
+        # suspicions from SWIM's own timers, between ticks.
+        world.crash("c")
+        for _ in range(240):
+            world.run(0.01)
+            assert_exact()
+        for handle in handles:
+            handle.stack.stop()
+        assert_exact()
+        assert exported("gossip_pings_total") > 0
+        assert exported("gossip_ping_reqs_total") > 0

@@ -79,7 +79,7 @@ def snapshot_text(seed: int) -> str:
 
 
 def test_same_seed_runs_produce_byte_identical_snapshots():
-    """The full observability snapshot — layer counters, self-time
+    """The full observability snapshot — layer event counts, self-time
     histograms, header bytes, and spans — is a pure function of the seed."""
     first = snapshot_text(seed=99)
     second = snapshot_text(seed=99)

@@ -1,21 +1,24 @@
 """The unified observability plane: registry, spans, exporters, report.
 
 Covers the instrumentation API itself (metric families, label handling,
-histogram math), the single HCPI seam that feeds it (one hook in
-``Layer.down``/``up`` observing every layer at once), and both export
-formats.  Substrate coverage: DES worlds here, wall-clock span
-monotonicity under ``@pytest.mark.realtime``.
+histogram math), the single HCPI seam that feeds it (a wrapper over
+every layer's ``down``/``up``, installed only when a world observes),
+and both export formats.  Substrate coverage: DES worlds here,
+wall-clock span monotonicity under ``@pytest.mark.realtime``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
 from repro import ObsOptions, StackConfig, World
+from repro.core.layer import LayerContext
 from repro.errors import ConfigurationError
+from repro.net.address import EndpointAddress, GroupAddress
 from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
@@ -30,9 +33,46 @@ from repro.obs import (
 FULL_STACK = "TOTAL:MBRSHIP:FRAG:NAK:COM"
 
 
-def run_observed_world(obs=None, casts=10):
+class CountingConfig(StackConfig):
+    """Builds like :class:`StackConfig`, then counts every crossing its
+    stacks' layers take from outside, by wrapping each layer's
+    ``down``/``up`` after build as the benchmark harness's probes do."""
+
+    def __init__(self, spec):
+        super().__init__(spec=spec)
+        self.counted = Counter()
+
+    def build(self, context, deliver):
+        stack = super().build(context, deliver)
+        for layer in stack.layers:
+            for direction in ("down", "up"):
+                inner = getattr(layer, direction)
+                setattr(layer, direction,
+                        self._counting(layer, direction, inner))
+        return stack
+
+    def _counting(self, layer, direction, inner):
+        key = (layer.name, direction)
+
+        def crossing(event):
+            if not layer.stopped:  # a stopped layer is not entered
+                self.counted[key] += 1
+            inner(event)
+
+        return crossing
+
+
+def exported_events(world):
+    """``stack_layer_events_total`` as {(layer, direction): value}."""
+    return {
+        (s.labels["layer"], s.labels["direction"]): s.value
+        for s in world.metrics.get("stack_layer_events_total").series()
+    }
+
+
+def run_observed_world(obs=None, casts=10, config=None):
     world = World(seed=11, network="lan", obs=obs)
-    config = StackConfig(spec=FULL_STACK)
+    config = config or StackConfig(spec=FULL_STACK)
     handles = {}
     for name in ("a", "b"):
         handles[name] = world.process(name).endpoint().join("g", stack=config)
@@ -208,8 +248,8 @@ class TestExporters:
 
 
 class TestCollectorLifecycle:
-    """A stack's collectors — its layers' own and the observer's event
-    sync — leave the registry when the stack stops."""
+    """A stack's collectors — its layers' own — leave the registry when
+    the stack stops; its observer's counts stay exact across the stop."""
 
     @pytest.mark.parametrize("obs", [None, ObsOptions.full()])
     def test_join_leave_churn_leaves_no_collectors_behind(self, obs):
@@ -235,14 +275,14 @@ class TestCollectorLifecycle:
     def test_event_counts_stay_exact_when_a_member_leaves_mid_traffic(self):
         # The leaver's stack stops inside its EXIT upcall, mid-turn, and
         # traffic sent before the view change still reaches it later.
-        # A stopped layer counts no crossing, so the collection the stack
-        # runs as it stops is final.
+        # A stopped layer is neither entered nor counted, so what the
+        # stack exported by its stop is final.
         world = World(seed=5, network="lan", obs=ObsOptions.full())
-        stack = "CREDIT:MBRSHIP:FRAG:NAK:COM"
+        config = CountingConfig("CREDIT:MBRSHIP:FRAG:NAK:COM")
         handles = []
         for name in ("a", "b", "c"):
             handles.append(
-                world.process(name).endpoint().join("g", stack=stack)
+                world.process(name).endpoint().join("g", stack=config)
             )
             world.run(0.5)
         world.run(1.0)
@@ -267,19 +307,10 @@ class TestCollectorLifecycle:
             world.run(0.002)
         world.run(2.0)
         assert leaver.left and len(a.view.members) == 2
-        assert after_exit  # the stopped stack was entered after its exit
-        counted = {}
-        for handle in handles:
-            for layer in handle.stack.layers:
-                for direction, n in layer.counters.items():
-                    key = (layer.name, direction)
-                    counted[key] = counted.get(key, 0) + n
-        events = world.metrics.get("stack_layer_events_total")
-        exported = {
-            (s.labels["layer"], s.labels["direction"]): s.value
-            for s in events.series()
-        }
-        assert exported == counted
+        assert after_exit  # the stopped stack was reached after its exit
+        exported = exported_events(world)
+        assert set(config.counted) <= set(exported)
+        assert exported == {key: config.counted[key] for key in exported}
 
 
 # ----------------------------------------------------------------------
@@ -307,27 +338,26 @@ class TestLayerSeam:
             assert (layer, "down") in seen
             assert (layer, "up") in seen
 
-    def test_event_counts_match_layer_counters(self):
-        world, handles = run_observed_world(obs=ObsOptions.full())
-        events = world.metrics.get("stack_layer_events_total")
-        by_key = {
-            (series.labels["layer"], series.labels["direction"]): series.value
-            for series in events.series()
-        }
+    def test_nothing_is_installed_with_observation_off(self):
+        world, handles = run_observed_world(obs=None)
         for handle in handles.values():
+            assert handle.stack.observer is None
             for layer in handle.stack.layers:
-                # Two stacks share each (layer, direction) series.
-                assert layer.counters["down"] <= by_key[(layer.name, "down")]
-                assert layer.counters["up"] <= by_key[(layer.name, "up")]
-        total_down = sum(
-            h.stack.layers[0].counters["down"] +
-            sum(l.counters["down"] for l in h.stack.layers[1:])
-            for h in handles.values()
-        )
-        assert total_down == sum(
-            value for (layer, direction), value in by_key.items()
-            if direction == "down"
-        )
+                # A crossing is the class's own down/up: a plain call.
+                assert "down" not in vars(layer)
+                assert "up" not in vars(layer)
+
+    def test_event_counts_match_crossings_counted_from_outside(self):
+        config = CountingConfig(FULL_STACK)
+        world, _ = run_observed_world(obs=ObsOptions.full(), config=config)
+        exported = exported_events(world)
+        # Two stacks share each (layer, direction) series.
+        assert set(exported) == {
+            (layer, direction)
+            for layer in FULL_STACK.split(":") for direction in ("down", "up")
+        }
+        assert exported == {key: config.counted[key] for key in exported}
+        assert sum(exported.values()) > 0
 
     def test_spans_record_nested_traversals(self):
         world, handles = run_observed_world(obs=ObsOptions.full(), casts=3)
@@ -407,12 +437,26 @@ class TestLayerSeam:
         assert spans == sum(traversals.values())  # sample=1 records them all
         assert 0.2 * spans <= sampled_spans <= 0.3 * spans
 
-    def test_per_stack_obs_override_beats_world_default(self):
-        world = World(seed=13, network="lan")
-        config = StackConfig(spec="NAK:COM", obs=ObsOptions(layer_metrics=True))
-        world.process("a").endpoint().join("g", stack=config)
-        world.run(1.0)
-        assert world.metrics.get("stack_layer_events_total") is not None
+    def test_context_obs_decides_what_a_stack_observes(self):
+        world = World(seed=13, network="lan")  # observation off
+        context = LayerContext(
+            scheduler=world.scheduler,
+            network=world.network,
+            endpoint=EndpointAddress("a", 0),
+            group=GroupAddress("g"),
+            rng=world.rng.stream("test"),
+            trace=world.trace,
+            metrics=world.metrics,
+            obs=ObsOptions(layer_metrics=True),
+        )
+        stack = StackConfig(spec="NAK:COM").build(context, lambda upcall: None)
+        assert stack.observer is not None
+        # Every events series exists from install on, before traffic.
+        assert set(exported_events(world)) == {
+            (layer, direction)
+            for layer in ("NAK", "COM") for direction in ("down", "up")
+        }
+        assert world.metrics.get("stack_spans_total") is not None
 
 
 # ----------------------------------------------------------------------

@@ -245,18 +245,6 @@ class TestPinwheel:
 
     def test_pinwheel_sends_fewer_control_messages(self):
         """The Section 10 trade: PINWHEEL ~ STABLE/N background traffic."""
-        def run(stack, layer_name):
-            world = World(seed=17, network="lan")
-            handles = join_group(world, ["a", "b", "c", "d"], stack)
-            world.run(10.0)
-            if layer_name == "STABLE":
-                return sum(
-                    h.focus(layer_name).counters["down"] for h in handles.values()
-                )
-            return sum(
-                h.focus(layer_name).broadcasts_sent for h in handles.values()
-            )
-
         world_s = World(seed=17, network="lan")
         hs = join_group(world_s, ["a", "b", "c", "d"], "STABLE:MBRSHIP:FRAG:NAK:COM")
         world_s.run(10.0)
