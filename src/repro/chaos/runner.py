@@ -556,10 +556,11 @@ class ScenarioRunner:
         violations = []
         for client in final_clients:
             if not client.synced:
-                violations.append(f"{client._address}: never synced")
-        digests = sorted(
-            {(c.digest(), str(c._address)) for c in final_clients if c.synced}
-        )
+                violations.append(f"{client.handle.endpoint_address}: never synced")
+        digests = sorted({
+            (c.digest(), str(c.handle.endpoint_address))
+            for c in final_clients if c.synced
+        })
         if len({d for d, _ in digests}) > 1:
             for digest_value, address in digests:
                 violations.append(
@@ -588,8 +589,9 @@ class ScenarioRunner:
             for delivered in handle.delivery_log:
                 digest.update(b"|M" + str(delivered.source).encode() + b":")
                 digest.update(delivered.data)
-        for client in sorted(final_clients, key=lambda c: str(c._address)):
-            digest.update(b"|S" + str(client._address).encode() + b":")
+        by_address = lambda c: str(c.handle.endpoint_address)
+        for client in sorted(final_clients, key=by_address):
+            digest.update(b"|S" + by_address(client).encode() + b":")
             digest.update(client.digest().encode())
         return digest.hexdigest()
 

@@ -17,9 +17,11 @@ and P4 (FIFO multicast).
 Design notes
 ------------
 
-Two independent sequence spaces are kept: a multicast space for casts
-and a per-peer unicast space for subset sends, so subset sends do not
-punch holes in the multicast sequence.  Both are advertised by one
+Two sequence spaces are kept, 0 for casts and 1 (per peer) for subset
+sends, so subset sends do not punch holes in the multicast sequence.
+Only their send buffers differ (per multicast era, per unicast
+destination): one receive path serves both, a stream per ``(source,
+space, era)`` with era 0 for unicast.  Both are advertised by one
 status multicast per period: the multicast high-water mark, and beneath
 it each view member's unicast high-water mark, so status costs O(n)
 datagrams per period, not O(n²).
@@ -56,6 +58,13 @@ _GONE_M = 5  # placeholder: multicast message no longer buffered
 _GONE_U = 6  # placeholder: unicast message no longer buffered
 _USTATUS = 7  # highest unicast seq sent to a receiver outside the view
 
+# Indexed by space (0 multicast, 1 unicast): the data kind, the
+# placeholder kind, the NAK kind, and the upcall a data message leaves as.
+_DATA = (_DATA_M, _DATA_U)
+_GONE = (_GONE_M, _GONE_U)
+_NAK = (_NAK_M, _NAK_U)
+_UPCALL = (UpcallType.CAST, UpcallType.SEND)
+
 #: Sanity bound for sequence fields: an honest peer can run far ahead of
 #: a receiver (window eviction), but a garbled 64-bit field is random —
 #: astronomically beyond any real backlog.
@@ -80,7 +89,7 @@ hdr.register(_MARKS, fields=[("marks", hdr.MapOf(hdr.ADDRESS, hdr.U64))])
 
 
 class _RecvState:
-    """Per-(source, era) receive state for one sequence space."""
+    """Receive state of one ``(source, space, era)`` stream."""
 
     __slots__ = ("expected", "pending", "known_max")
 
@@ -121,9 +130,8 @@ class NakLayer(Layer):
         # Unicast send side (continuous; endpoints are incarnation-unique).
         self._usend_seq: Dict[EndpointAddress, int] = {}
         self._usent: Dict[EndpointAddress, "OrderedDict[int, Message]"] = {}
-        # Receive side.
-        self._mcast: Dict[Tuple[EndpointAddress, int], _RecvState] = {}
-        self._ucast: Dict[EndpointAddress, _RecvState] = {}
+        # Receive side, keyed (source, space, era); era 0 for unicast.
+        self._streams: Dict[Tuple[EndpointAddress, int, int], _RecvState] = {}
         self._nak_timers: Dict[Tuple[EndpointAddress, int, int], object] = {}
         # Liveness observation.
         self._peers: Set[EndpointAddress] = set()
@@ -224,13 +232,13 @@ class NakLayer(Layer):
                 del self._era_high[era]
         # Purge receive state older than the new era and drain anything
         # that arrived early for it.
-        for (source, era) in list(self._mcast):
-            if era < epoch:
-                del self._mcast[(source, era)]
-        for (source, era), state in list(self._mcast.items()):
-            if era == epoch:
-                self._drain(state, source, space=0)
-                self._maybe_schedule_nak(state, source, space=0, era=era)
+        for key in list(self._streams):
+            if key[1] == 0 and key[2] < epoch:
+                del self._streams[key]
+        for (source, space, era), state in list(self._streams.items()):
+            if space == 0 and era == epoch:
+                self._drain(state, source, space)
+                self._maybe_schedule_nak(state, source, space, era)
 
     # ------------------------------------------------------------------
     # Upcalls
@@ -251,23 +259,23 @@ class NakLayer(Layer):
         self._heard(source)
         kind = header["kind"]
         if kind in (_DATA_M, _GONE_M):
-            self._arrived_mcast(
-                source, header["era"], header["seq"], kind, message, upcall
+            self._arrived(
+                source, 0, header["era"], header["seq"], kind, message, upcall
             )
         elif kind in (_DATA_U, _GONE_U):
-            self._arrived_ucast(source, header["seq"], kind, message, upcall)
+            self._arrived(source, 1, 0, header["seq"], kind, message, upcall)
         elif kind == _STATUS:
-            self._on_status(source, header["era"], header["seq"])
+            self._on_status(source, 0, header["era"], header["seq"])
             if message.top_owner() == _MARKS:
                 mark = message.pop_header(_MARKS)["marks"].get(self.endpoint)
                 if mark is not None:
-                    self._on_ustatus(source, mark)
+                    self._on_status(source, 1, 0, mark)
         elif kind == _USTATUS:
-            self._on_ustatus(source, header["seq"])
+            self._on_status(source, 1, 0, header["seq"])
         elif kind == _NAK_M:
-            self._on_nak(source, header["era"], header["lo"], header["hi"], unicast=False)
+            self._on_nak(source, 0, header["era"], header["lo"], header["hi"])
         elif kind == _NAK_U:
-            self._on_nak(source, 0, header["lo"], header["hi"], unicast=True)
+            self._on_nak(source, 1, 0, header["lo"], header["hi"])
 
     def _heard(self, source: Optional[EndpointAddress]) -> None:
         if source is None:
@@ -277,42 +285,48 @@ class NakLayer(Layer):
 
     # -- arrival, ordering, and gap handling -------------------------------
 
-    def _arrived_mcast(
+    def _arrived(
         self,
         source: EndpointAddress,
+        space: int,
         era: int,
         seq: int,
         kind: int,
         message: Message,
-        upcall: Optional[Upcall] = None,
+        upcall: Upcall,
     ) -> None:
-        if era < self._era:
+        if space == 0 and era < self._era:
             # Message from a view we already left; the flush protocol
             # accounted for it before the view was installed.
             self.stale_era_dropped += 1
             return
-        state = self._mcast.setdefault((source, era), _RecvState())
+        key = (source, space, era)
+        state = self._streams.get(key)
+        if state is None:
+            state = self._streams[key] = _RecvState()
         if seq > state.expected + _SEQ_SANITY:
             self.bogus_dropped += 1  # garbled sequence number
             return
+        # A multicast stream of a later era is held until our membership
+        # layer installs that view; _advance_era will drain it.
+        current = space or era == self._era
         # In-order fast path (the steady state): the next expected data
-        # message arrives as the CAST it will leave as — forward the
+        # message arrives as the upcall it will leave as — forward the
         # incoming upcall itself instead of round-tripping through the
         # pending dict and allocating a fresh event.
         if (
-            era == self._era
+            current
             and seq == state.expected
-            and kind == _DATA_M
-            and upcall is not None
-            and upcall.type is UpcallType.CAST
+            and kind == _DATA[space]
+            and upcall.type is _UPCALL[space]
         ):
             state.expected = seq + 1
             if seq > state.known_max:
                 state.known_max = seq
             self.pass_up(upcall)
             if state.pending:
-                self._drain(state, source, space=0)
-            self._maybe_schedule_nak(state, source, space=0, era=era)
+                self._drain(state, source, space)
+            self._maybe_schedule_nak(state, source, space, era)
             return
         if seq > state.known_max:
             state.known_max = seq
@@ -320,56 +334,17 @@ class NakLayer(Layer):
             self.duplicates_dropped += 1
         else:
             state.pending[seq] = (kind, message)
-        if era == self._era:
-            self._drain(state, source, space=0)
-            self._maybe_schedule_nak(state, source, space=0, era=era)
-        # era > self._era: hold until our membership layer installs the
-        # view; _advance_era will drain.
-
-    def _arrived_ucast(
-        self,
-        source: EndpointAddress,
-        seq: int,
-        kind: int,
-        message: Message,
-        upcall: Optional[Upcall] = None,
-    ) -> None:
-        state = self._ucast.setdefault(source, _RecvState())
-        if seq > state.expected + _SEQ_SANITY:
-            self.bogus_dropped += 1
-            return
-        # In-order fast path, mirroring _arrived_mcast.
-        if (
-            seq == state.expected
-            and kind == _DATA_U
-            and upcall is not None
-            and upcall.type is UpcallType.SEND
-        ):
-            state.expected = seq + 1
-            if seq > state.known_max:
-                state.known_max = seq
-            self.pass_up(upcall)
-            if state.pending:
-                self._drain(state, source, space=1)
-            self._maybe_schedule_nak(state, source, space=1, era=0)
-            return
-        if seq > state.known_max:
-            state.known_max = seq
-        if seq < state.expected or seq in state.pending:
-            self.duplicates_dropped += 1
-        else:
-            state.pending[seq] = (kind, message)
-        self._drain(state, source, space=1)
-        self._maybe_schedule_nak(state, source, space=1, era=0)
+        if current:
+            self._drain(state, source, space)
+            self._maybe_schedule_nak(state, source, space, era)
 
     def _drain(self, state: _RecvState, source: EndpointAddress, space: int) -> None:
+        data_kind, upcall_type = _DATA[space], _UPCALL[space]
         while state.expected in state.pending:
             kind, message = state.pending.pop(state.expected)
             state.expected += 1
-            if kind == _DATA_M:
-                self.pass_up(Upcall(UpcallType.CAST, message=message, source=source))
-            elif kind == _DATA_U:
-                self.pass_up(Upcall(UpcallType.SEND, message=message, source=source))
+            if kind == data_kind:
+                self.pass_up(Upcall(upcall_type, message=message, source=source))
             else:  # a GONE placeholder: the data is unrecoverable
                 self.lost_reported += 1
                 self.pass_up(
@@ -395,15 +370,12 @@ class NakLayer(Layer):
 
     def _fire_nak(self, source: EndpointAddress, space: int, era: int) -> None:
         self._nak_timers.pop((source, space, era), None)
-        if space == 0:
-            if era < self._era:
-                return  # old era: no longer our problem
-            state = self._mcast.get((source, era))
-        else:
-            state = self._ucast.get(source)
+        if space == 0 and era < self._era:
+            return  # old era: no longer our problem
+        state = self._streams.get((source, space, era))
         if state is None or not state.has_gap:
             return  # gap closed in the meantime
-        kind = _NAK_M if space == 0 else _NAK_U
+        kind = _NAK[space]
         for lo, hi in self._missing_runs(state, limit=8):
             nak = Message()
             nak.push_header(self.name, {"kind": kind, "era": era, "lo": lo, "hi": hi})
@@ -434,12 +406,7 @@ class NakLayer(Layer):
     # -- retransmission ------------------------------------------------------
 
     def _on_nak(
-        self,
-        requester: EndpointAddress,
-        era: int,
-        lo: int,
-        hi: int,
-        unicast: bool,
+        self, requester: EndpointAddress, space: int, era: int, lo: int, hi: int
     ) -> None:
         if hi < lo or hi - lo >= self.window:
             # No honest receiver requests more than a window at once;
@@ -447,34 +414,24 @@ class NakLayer(Layer):
             # CHKSUM layer below, garbling detection is nobody's job).
             self.bogus_dropped += 1
             return
-        if unicast:
-            buffer = self._usent.get(requester, OrderedDict())
-            gone_kind = _GONE_U
+        if space == 0:
+            buffer = self._sent.get(era, {})
         else:
-            buffer = self._sent.get(era, OrderedDict())
-            gone_kind = _GONE_M
+            buffer = self._usent.get(requester, {})
         for seq in range(lo, hi + 1):
             buffered = buffer.get(seq)
             if buffered is not None:
                 self.retransmissions += 1
-                self.pass_down(
-                    Downcall(
-                        DowncallType.SEND,
-                        message=buffered.copy(),
-                        members=[requester],
-                    )
-                )
+                message = buffered.copy()
             else:
                 self.placeholders_sent += 1
-                placeholder = Message()
-                placeholder.push_header(
-                    self.name, {"kind": gone_kind, "era": era, "seq": seq}
+                message = Message()
+                message.push_header(
+                    self.name, {"kind": _GONE[space], "era": era, "seq": seq}
                 )
-                self.pass_down(
-                    Downcall(
-                        DowncallType.SEND, message=placeholder, members=[requester]
-                    )
-                )
+            self.pass_down(
+                Downcall(DowncallType.SEND, message=message, members=[requester])
+            )
 
     # -- status and failure suspicion ----------------------------------------
 
@@ -506,32 +463,30 @@ class NakLayer(Layer):
                 self.name, {"kind": _STATUS, "era": era, "seq": high}
             )
             self.pass_down(Downcall(DowncallType.CAST, message=old_status))
-        for dest, seq in outside:
+        self._send_ustatus(outside)
+        self._check_silence()
+
+    def _send_ustatus(self, marks) -> None:
+        """One USTATUS per ``(dest, highest unicast seq sent to it)``."""
+        for dest, seq in marks:
             ustatus = Message()
             ustatus.push_header(self.name, {"kind": _USTATUS, "seq": seq})
             self.pass_down(
                 Downcall(DowncallType.SEND, message=ustatus, members=[dest])
             )
-        self._check_silence()
 
-    def _on_status(self, source: EndpointAddress, era: int, high_seq: int) -> None:
-        if era < self._era:
+    def _on_status(
+        self, source: EndpointAddress, space: int, era: int, high_seq: int
+    ) -> None:
+        if space == 0 and era < self._era:
             return
-        state = self._mcast.setdefault((source, era), _RecvState())
+        state = self._streams.setdefault((source, space, era), _RecvState())
         if high_seq > state.expected + _SEQ_SANITY:
             self.bogus_dropped += 1
             return
         state.known_max = max(state.known_max, high_seq)
-        if era == self._era:
-            self._maybe_schedule_nak(state, source, space=0, era=era)
-
-    def _on_ustatus(self, source: EndpointAddress, high_seq: int) -> None:
-        state = self._ucast.setdefault(source, _RecvState())
-        if high_seq > state.expected + _SEQ_SANITY:
-            self.bogus_dropped += 1
-            return
-        state.known_max = max(state.known_max, high_seq)
-        self._maybe_schedule_nak(state, source, space=1, era=0)
+        if space or era == self._era:
+            self._maybe_schedule_nak(state, source, space, era)
 
     def _check_silence(self) -> None:
         now = self.now

@@ -11,10 +11,9 @@ uses" (Section 1).
 from __future__ import annotations
 
 from repro.core import headers as hdr
-from repro.core.events import Downcall, DowncallType
-from repro.core.message import Message
+from repro.core.events import Downcall
 from repro.core.stack import register_layer
-from repro.layers.nak import NakLayer, _USTATUS
+from repro.layers.nak import NakLayer
 
 # NNAK shares NAK's machinery but speaks under its own header tag so the
 # two can coexist in one stack without colliding.
@@ -44,10 +43,5 @@ class UnicastNakLayer(NakLayer):
     def _status_tick(self) -> None:
         # No multicast sequence space to advertise; keep the per-peer
         # unicast advertisements and the silence check.
-        for dest, seq in self._usend_seq.items():
-            ustatus = Message()
-            ustatus.push_header(self.name, {"kind": _USTATUS, "seq": seq})
-            self.pass_down(
-                Downcall(DowncallType.SEND, message=ustatus, members=[dest])
-            )
+        self._send_ustatus(self._usend_seq.items())
         self._check_silence()

@@ -16,7 +16,8 @@ nothing here touches layer internals; everything goes through
 * :class:`~repro.toolkit.state_machine.ReplicatedStateMachine` —
   deterministic command replication over totally ordered multicast.
 * :class:`~repro.toolkit.replicated_data.ReplicatedDict` — a replicated
-  key-value map with state transfer to joiners.
+  key-value map: a state machine over a dict, whose dict alone is
+  snapshotted and transferred to joiners.
 * :class:`~repro.toolkit.lock.DistributedLock` — mutual exclusion from
   total order, with crash-safe lock recovery via view changes.
 * :class:`~repro.toolkit.primary_backup.PrimaryBackup` — primary-backup

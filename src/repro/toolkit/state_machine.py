@@ -43,7 +43,15 @@ class ReplicatedStateMachine:
     current state and one command and returns the next state.  The
     state itself must be JSON-serializable for snapshot transfer and
     durable journaling to work.
+
+    A subclass replicates another kind of state by overriding ``_apply``
+    (False: a foreign command, not journaled), ``_state_bytes`` (what is
+    snapshotted, transferred and digested), ``_load`` (adopt such bytes;
+    False if undecodable), ``_namespace`` and the payload ``_tag``.
     """
+
+    _namespace = "rsm"
+    _tag = b""
 
     def __init__(
         self,
@@ -65,6 +73,8 @@ class ReplicatedStateMachine:
         self._snapshot_every = max(1, int(snapshot_every))
         #: Commands replayed from a previous incarnation's journal.
         self.recovered_commands = 0
+        #: Whether a previous incarnation's snapshot was restored.
+        self.recovered_snapshot = False
         if durable:
             domain = getattr(endpoint.process.world, "store", None)
             if domain is None:
@@ -72,7 +82,7 @@ class ReplicatedStateMachine:
                     "durable=True needs a world with a store domain"
                 )
             self.store = domain.store(
-                endpoint.address.node, namespace or f"rsm.{group}",
+                endpoint.address.node, namespace or f"{self._namespace}.{group}",
                 policy=policy,
             )
             self._replay_journal()
@@ -80,17 +90,18 @@ class ReplicatedStateMachine:
         xfers = self.handle.focus_all("XFER")
         self._xfer = xfers[0] if xfers else None
         if self._xfer is not None:
-            self._xfer.bind(provider=self._provide, installer=self._install)
+            self._xfer.bind(provider=self._state_bytes, installer=self._install)
 
     def submit(self, command: Any) -> bytes:
         """Replicate one command (applies everywhere in total order);
         returns the cast payload bytes."""
-        payload = json.dumps(command, sort_keys=True).encode("utf-8")
+        payload = self._tag + json.dumps(command, sort_keys=True).encode("utf-8")
         self.handle.cast(payload)
         return payload
 
     def digest(self) -> str:
-        """SHA-256 over the canonical JSON ``(state, applied_log)``."""
+        """SHA-256 over the snapshot bytes — equal digests mean equal
+        replicated state (the chaos runner's convergence oracle)."""
         return hashlib.sha256(self._state_bytes()).hexdigest()
 
     @property
@@ -100,23 +111,30 @@ class ReplicatedStateMachine:
         return self._xfer.synced if self._xfer is not None else True
 
     def _deliver(self, delivered: DeliveredMessage) -> None:
-        try:
-            command = json.loads(delivered.data.decode("utf-8"))
-        except ValueError:
-            return  # foreign traffic; a command is always JSON
-        self._apply(command)
-        if self.store is not None:
-            self.store.append(delivered.data)
+        data = delivered.data
+        if not data.startswith(self._tag):
+            return  # foreign traffic
+        body = data[len(self._tag):]
+        if self._execute(body) and self.store is not None:
+            self.store.append(body)
             if self.store.since_snapshot >= self._snapshot_every:
                 self.store.snapshot(self._state_bytes(), epoch=0)
 
-    def _apply(self, command: Any) -> None:
-        self.state = self.apply_fn(self.state, command)
-        self.applied_log.append(command)
+    def _execute(self, body: bytes) -> bool:
+        try:
+            command = json.loads(body.decode("utf-8"))
+        except ValueError:
+            return False  # foreign traffic; a command is always JSON
+        return self._apply(command)
 
     # ------------------------------------------------------------------
-    # XFER callbacks and durable journaling
+    # The replicated state: override these three to replicate another kind
     # ------------------------------------------------------------------
+
+    def _apply(self, command: Any) -> bool:
+        self.state = self.apply_fn(self.state, command)
+        self.applied_log.append(command)
+        return True
 
     def _state_bytes(self) -> bytes:
         return json.dumps(
@@ -124,17 +142,26 @@ class ReplicatedStateMachine:
             sort_keys=True,
         ).encode("utf-8")
 
-    def _provide(self) -> bytes:
-        return self._state_bytes()
-
-    def _install(self, state: bytes, epoch: int):
+    def _load(self, state: bytes) -> bool:
         try:
             decoded = json.loads(state.decode("utf-8")) if state else {}
         except ValueError:
-            return None
+            return False
+        if not isinstance(decoded, dict):
+            return False
         self.state = decoded.get("state")
         self.applied_log = list(decoded.get("applied_log", ()))
+        return True
+
+    # ------------------------------------------------------------------
+    # XFER installation and durable journaling
+    # ------------------------------------------------------------------
+
+    def _install(self, state: bytes, epoch: int):
+        if not self._load(state):
+            return None  # undecodable: keep what we have
         if self.store is not None:
+            # The transferred state supersedes the journal: compact.
             # The ticket lets XFER's ack="durable" defer sync to disk.
             return self.store.snapshot(self._state_bytes(), epoch=epoch)
         return None
@@ -142,17 +169,9 @@ class ReplicatedStateMachine:
     def _replay_journal(self) -> None:
         replayed = self.store.replay()
         if replayed.snapshot is not None:
-            try:
-                decoded = json.loads(replayed.snapshot.decode("utf-8"))
-                self.state = decoded.get("state")
-                self.applied_log = list(decoded.get("applied_log", ()))
-            except ValueError:
-                pass
+            self.recovered_snapshot = self._load(replayed.snapshot)
         for record in replayed.entries:
-            try:
-                self._apply(json.loads(record.decode("utf-8")))
-            except ValueError:
-                continue
+            self._execute(record)
         self.recovered_commands = len(replayed.entries)
 
     @property

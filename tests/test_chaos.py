@@ -484,6 +484,11 @@ class TestChaosCli:
          "538177f27181fa60"),
         (["--seed", "7", "--scenarios", "3", "--overload"],
          "7a7887a5c79982ae"),
+        # The only family that drives ReplicatedDict's journal, replay
+        # and state transfer.
+        (["--seed", "0", "--scenarios", "10", "--substrate", "sim",
+          "--stateful", "--durability", "group"],
+         "236bfdc24e5b9c14"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED_SOAKS)

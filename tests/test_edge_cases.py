@@ -53,10 +53,12 @@ class TestUnmarshalFuzz:
 
 
 class TestNakWindowEviction:
-    def test_eviction_produces_lost_message_not_hang(self):
+    @pytest.mark.parametrize("path", ["cast", "send"])
+    def test_eviction_produces_lost_message_not_hang(self, path):
         """A receiver NAK-ing past the sender's tiny buffer gets GONE
         placeholders and LOST_MESSAGE upcalls — the paper's exact
-        fallback — rather than retransmissions that cannot come."""
+        fallback — rather than retransmissions that cannot come, in the
+        multicast and the unicast sequence space alike."""
         world = World(
             seed=19,
             network="udp",
@@ -71,13 +73,18 @@ class TestNakWindowEviction:
         hb.set_destinations(members)
         world.run(0.3)
         for i in range(120):
-            ha.cast(f"m{i:03d}".encode())
+            payload = f"m{i:03d}".encode()
+            if path == "cast":
+                ha.cast(payload)
+            else:
+                ha.send([hb.endpoint_address], payload)
         world.run(30.0)
         nak_b = hb.focus("NAK")
         received = [m.data for m in hb.delivery_log]
         # Whatever arrived is still in FIFO order; holes became
         # LOST_MESSAGE reports instead of stalling the stream.
         assert received == sorted(received)
+        assert nak_b.lost_reported > 0
         assert len(received) + nak_b.lost_reported >= 100
 
     def test_stream_keeps_flowing_after_losses(self):

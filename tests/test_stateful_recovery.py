@@ -104,7 +104,7 @@ class TestWalRecovery:
         # stateful=True keeps the store; the reborn client replays it.
         process = lan_world.recover("a", stateful=True)
         reborn = ReplicatedDict(process.endpoint(), "grp", durable=True)
-        assert reborn.recovered_updates == 5
+        assert reborn.recovered_commands == 5
         assert reborn.get("k3") == 3
         # stateless recovery wipes the node's stores: blank slate.
         lan_world.crash("a")
@@ -113,7 +113,7 @@ class TestWalRecovery:
             lan_world.recover("a", stateful=False).endpoint(), "grp",
             durable=True,
         )
-        assert blank.recovered_updates == 0
+        assert blank.recovered_commands == 0
         assert blank.get("k3") is None
 
     def test_logger_survives_total_failure(self, lan_world):
@@ -190,7 +190,7 @@ class TestRealtimeRecovery:
             reborn = ReplicatedDict(
                 process.endpoint(), "grp", stack=self.STACK, durable=True,
             )
-            assert reborn.recovered_updates + int(
+            assert reborn.recovered_commands + int(
                 reborn.recovered_snapshot
             ) > 0
             ok = world.run_while(
@@ -201,7 +201,7 @@ class TestRealtimeRecovery:
             )
             assert ok, (
                 f"recovered member never caught up: "
-                f"synced={reborn.synced} data={sorted(reborn._data)}"
+                f"synced={reborn.synced} data={sorted(reborn.state)}"
             )
         finally:
             world.close()

@@ -1,5 +1,7 @@
 """Tests for the Isis-style toolkit (Section 1's motivating tools)."""
 
+import pytest
+
 from repro import World
 from repro.toolkit import (
     DistributedLock,
@@ -106,6 +108,70 @@ class TestReplicatedDict:
         lan_world.run(2.0)
         assert joiner.get("k") == "v1"
         assert joiner.snapshot() == members["a"].snapshot()
+
+
+    @pytest.mark.parametrize("payload", [b"X123", b"U[1]", b'U{"op": "set"}'])
+    def test_foreign_casts_are_skipped(self, lan_world, payload):
+        members = build(lan_world, ReplicatedDict, ["a", "b"], durable=True)
+        members["a"].handle.cast(payload)
+        members["b"].set("k", 1)
+        lan_world.run(2.0)
+        for member in members.values():
+            assert member.snapshot() == {"k": 1}
+            assert member.store.replay().entries == [
+                b'{"key": "k", "op": "set", "value": 1}'
+            ]
+
+
+class TestByteFormats:
+    """What each replica casts, journals and snapshots.  These bytes
+    live in write-ahead logs and cross the wire in state transfers, so
+    they must not move when the code behind them does."""
+
+    def test_replicated_dict(self, lan_world):
+        rdict = ReplicatedDict(
+            lan_world.process("a").endpoint(), "grp", durable=True,
+            snapshot_every=3,
+        )
+        lan_world.run(1.0)
+        assert rdict._state_bytes() == b"{}"
+        assert rdict.set("k", 1) == b'U{"key": "k", "op": "set", "value": 1}'
+        assert rdict.delete("j") == b'U{"key": "j", "op": "del"}'
+        lan_world.run(1.0)
+        replayed = rdict.store.replay()
+        assert replayed.snapshot is None
+        assert replayed.entries == [
+            b'{"key": "k", "op": "set", "value": 1}',
+            b'{"key": "j", "op": "del"}',
+        ]
+        rdict.set("m", [2, "x"])
+        lan_world.run(1.0)
+        replayed = rdict.store.replay()
+        assert replayed.snapshot == b'{"k": 1, "m": [2, "x"]}'
+        assert replayed.entries == []
+        assert rdict._state_bytes() == b'{"k": 1, "m": [2, "x"]}'
+
+    def test_replicated_state_machine(self, lan_world):
+        rsm = ReplicatedStateMachine(
+            lan_world.process("a").endpoint(), "grp",
+            lambda state, command: {"n": state["n"] + command["n"]},
+            initial={"n": 0}, durable=True, snapshot_every=2,
+        )
+        lan_world.run(1.0)
+        assert rsm._state_bytes() == b'{"applied_log": [], "state": {"n": 0}}'
+        assert rsm.submit({"n": 2}) == b'{"n": 2}'
+        lan_world.run(1.0)
+        replayed = rsm.store.replay()
+        assert replayed.snapshot is None
+        assert replayed.entries == [b'{"n": 2}']
+        rsm.submit({"n": 3})
+        lan_world.run(1.0)
+        replayed = rsm.store.replay()
+        assert replayed.snapshot == (
+            b'{"applied_log": [{"n": 2}, {"n": 3}], "state": {"n": 5}}'
+        )
+        assert replayed.entries == []
+        assert rsm._state_bytes() == replayed.snapshot
 
 
 class TestDistributedLock:
