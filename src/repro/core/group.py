@@ -124,6 +124,11 @@ class GroupHandle:
         the handler returns).  A ``SHED``/``BLOCKED`` verdict means the
         message will not be sent; the caller decides whether to retry,
         back off, or drop.
+
+        Under TOTAL the cast leaves at the end of the turn that made it
+        (from outside the stack, one scheduler step after this returns),
+        in one ordered message with the other casts of that turn; a
+        CREDIT verdict is still returned here, synchronously.
         """
         self._check_open()
         message = Message(bytes(data))

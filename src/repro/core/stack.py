@@ -268,7 +268,12 @@ class Stack:
 
     def down(self, downcall: Downcall) -> None:
         """Inject a downcall at the top: run to the wire before this
-        returns, or — from inside a turn — when the running handler has."""
+        returns, or — from inside a turn — when the running handler has.
+
+        A layer may hold a downcall back past that: under TOTAL a cast
+        leaves at the end of the turn that made it, packed with the
+        other casts that turn made.  Layers above the holding one, such
+        as CREDIT, still handle the downcall before this returns."""
         self._turn.cross(self.layers[0].down, DOWN, downcall)
 
     def deliver_from_network(self, upcall: Upcall) -> None:

@@ -63,6 +63,11 @@ class WindowManager:
 
     # -- adaptation hooks (no-ops unless the manager adapts) -----------
 
+    @property
+    def floor(self) -> int:
+        """The least window this manager can come to hold."""
+        return self.window
+
     def on_shed(self) -> None:
         """The sender reported overload (shed/blocked) on this flow."""
 
@@ -128,6 +133,10 @@ class AimdWindowManager(WindowManager):
         if tail or pending * 2 >= self.window:
             return pending
         return 0
+
+    @property
+    def floor(self) -> int:
+        return self.min_window
 
     def on_shed(self) -> None:
         self.window = max(self.min_window, self.window // 2)

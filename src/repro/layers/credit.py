@@ -106,13 +106,12 @@ FlowKey = Tuple[int, EndpointAddress]  # (space, peer)
 class _Pending:
     """One queued downcall awaiting credit."""
 
-    __slots__ = ("downcall", "space", "cost", "peers", "enqueued")
+    __slots__ = ("downcall", "space", "cost", "enqueued")
 
-    def __init__(self, downcall, space, cost, peers, enqueued) -> None:
+    def __init__(self, downcall, space, cost, enqueued) -> None:
         self.downcall = downcall
         self.space = space
         self.cost = cost
-        self.peers = peers
         self.enqueued = enqueued
 
 
@@ -166,9 +165,11 @@ class CreditLayer(Layer):
             if key in config
         }
         # Fail fast on a bad manager kind/config (not at first delivery).
-        make_window_manager(
+        #: The least window a receiver's manager can hold: once nothing
+        #: is outstanding to a peer, its credit is at least this.
+        self._floor = make_window_manager(
             self.manager_kind, window=self.window, **self._manager_config
-        )
+        ).floor
         self.max_queue = int(config.get("max_queue", 128))
         if self.max_queue < 1:
             raise ConfigurationError("max_queue must be at least 1")
@@ -307,10 +308,9 @@ class CreditLayer(Layer):
     def handle_down(self, downcall: Downcall) -> None:
         dtype = downcall.type
         if dtype is DowncallType.CAST:
-            space, peers = MCAST_SPACE, self._peers
+            space = MCAST_SPACE
         elif dtype is DowncallType.SEND:
             space = UCAST_SPACE
-            peers = [p for p in downcall.members or () if p != self.endpoint]
         else:
             if dtype is DowncallType.VIEW and downcall.members is not None:
                 self._set_peers(downcall.members)
@@ -319,9 +319,10 @@ class CreditLayer(Layer):
         if downcall.message is None:
             self.pass_down(downcall)
             return
+        peers = self._payers(space, downcall)
         if not peers:
-            # Nobody to protect (no view yet, or a self-send): pass
-            # through uncharged and unheadered.
+            # Nobody to protect (no view yet, a self-send, or a send
+            # outside the view): pass through uncharged and unheadered.
             downcall.extra["flow_verdict"] = FlowVerdict.ACCEPTED
             self.pass_down(downcall)
             return
@@ -330,7 +331,17 @@ class CreditLayer(Layer):
             downcall.extra["flow_verdict"] = FlowVerdict.ACCEPTED
             self._send(downcall, space, cost, 0.0)
             return
-        self._enqueue(downcall, space, cost, peers)
+        self._enqueue(downcall, space, cost)
+
+    def _payers(
+        self, space: int, downcall: Downcall
+    ) -> FrozenSet[EndpointAddress]:
+        """Whom a message is charged to, on admission and again when it
+        leaves the queue: the view's members among its destinations (all
+        of them for a cast), so a peer that left meanwhile is not."""
+        if space == MCAST_SPACE:
+            return self._peers
+        return self._peers.intersection(downcall.members or ())
 
     def _available(self, space: int, peer: EndpointAddress) -> int:
         key = (space, peer)
@@ -343,9 +354,16 @@ class CreditLayer(Layer):
     def _try_charge(
         self, space: int, peers: Collection[EndpointAddress], cost: int
     ) -> bool:
-        """Charge ``cost`` to ``peers`` if every one of them has the credit."""
-        available = self._available
-        if not all(available(space, peer) >= cost for peer in peers):
+        """Charge ``cost`` to ``peers`` if every one of them has the credit.
+
+        A message larger than the least window a receiver can hold (the
+        window; AIMD's ``min_window``) might never find that much: it
+        needs only that floor, which every peer has once nothing is
+        outstanding to it, and its overdraft holds everything behind it
+        until the receivers repay it.
+        """
+        available, need = self._available, min(cost, self._floor)
+        if not all(available(space, peer) >= need for peer in peers):
             return False
         charged = self._charged
         for peer in peers:
@@ -369,13 +387,10 @@ class CreditLayer(Layer):
         self._m_wait.observe(waited)
         self.pass_down(downcall)
 
-    def _enqueue(
-        self, downcall: Downcall, space: int, cost: int,
-        peers: Collection[EndpointAddress],
-    ) -> None:
+    def _enqueue(self, downcall: Downcall, space: int, cost: int) -> None:
         extra = downcall.extra
         if len(self._queue) < self.max_queue:
-            self._queue.append(self._pending(downcall, space, cost, peers))
+            self._queue.append(self._pending(downcall, space, cost))
             self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
             extra["flow_verdict"] = FlowVerdict.QUEUED
             return
@@ -391,13 +406,13 @@ class CreditLayer(Layer):
                 extra["flow_verdict"] = FlowVerdict.SHED
             else:  # drop_oldest: shed the queue head to admit this one
                 self._queue.popleft()
-                self._queue.append(self._pending(downcall, space, cost, peers))
+                self._queue.append(self._pending(downcall, space, cost))
                 extra["flow_verdict"] = FlowVerdict.QUEUED
         self._note_overload()
 
-    def _pending(self, downcall, space, cost, peers) -> _Pending:
+    def _pending(self, downcall, space, cost) -> _Pending:
         """Only a message that really waits reads the clock."""
-        return _Pending(downcall, space, cost, peers, self.now)
+        return _Pending(downcall, space, cost, self.now)
 
     def _note_overload(self) -> None:
         """Edge-triggered PROBLEM upcall when the queue first saturates."""
@@ -417,11 +432,15 @@ class CreditLayer(Layer):
         queue = self._queue
         while queue:
             head = queue[0]
-            if not self._try_charge(head.space, head.peers, head.cost):
+            peers = self._payers(head.space, head.downcall)
+            if not self._try_charge(head.space, peers, head.cost):
                 break
             queue.popleft()
-            self._send(head.downcall, head.space, head.cost,
-                       self.now - head.enqueued)
+            if peers:
+                self._send(head.downcall, head.space, head.cost,
+                           self.now - head.enqueued)
+            else:  # its peers all left: uncharged, as on admission
+                self.pass_down(head.downcall)
         if self._overloaded and len(queue) <= self.max_queue // 2:
             self._overloaded = False
 
@@ -517,6 +536,8 @@ class CreditLayer(Layer):
         if source is None:
             return
         key = (space, source)
+        if key not in self._granted and source not in self._peers:
+            return  # a departed peer's late grant opens no account
         self._available(space, source)  # ensure the account exists
         # Cumulative totals make duplicated/reordered grants idempotent.
         if total > self._granted[key]:

@@ -36,8 +36,9 @@ class SafeOrderLayer(Layer):
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)
         self.view: Optional[View] = None
-        #: Held messages: (origin, sid) -> upcall.
-        self._held: Dict[Tuple[EndpointAddress, int], Upcall] = {}
+        #: Held messages: (origin, sid) -> upcalls.  Several casts share
+        #: one id when TOTAL packs them above STABLE.
+        self._held: Dict[Tuple[EndpointAddress, int], List[Upcall]] = {}
         self._released: Dict[EndpointAddress, int] = {}
         self.delivered_safe = 0
 
@@ -56,7 +57,7 @@ class SafeOrderLayer(Layer):
             return
         if utype is UpcallType.CAST and "stable_id" in upcall.extra:
             origin, sid = upcall.extra["stable_id"]
-            self._held[(origin, sid)] = upcall
+            self._held.setdefault((origin, sid), []).append(upcall)
             # "Processed" here means "safely received": ack immediately
             # so the frontier can advance without application help.
             self.pass_down(
@@ -75,12 +76,9 @@ class SafeOrderLayer(Layer):
                 rank = self.view.rank_of(origin) if self.view else 0
                 ready.append((rank, sid, (origin, sid)))
         for _, _, key in sorted(ready):
-            upcall = self._held.pop(key)
             origin, sid = key
             self._released[origin] = max(self._released.get(origin, 0), sid)
-            self.delivered_safe += 1
-            upcall.extra["safe"] = True
-            self.pass_up(upcall)
+            self._deliver(self._held.pop(key))
 
     def _release_all(self) -> None:
         """View change: everything still held is now safe by VS."""
@@ -92,12 +90,16 @@ class SafeOrderLayer(Layer):
             ),
         )
         for key in ready:
-            upcall = self._held.pop(key)
+            self._deliver(self._held.pop(key))
+
+    def _deliver(self, upcalls: List[Upcall]) -> None:
+        for upcall in upcalls:
             upcall.extra["safe"] = True
             self.delivered_safe += 1
             self.pass_up(upcall)
 
     def dump(self):
         info = super().dump()
-        info.update(held=len(self._held), delivered_safe=self.delivered_safe)
+        info.update(held=sum(map(len, self._held.values())),
+                    delivered_safe=self.delivered_safe)
         return info

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import drain, manual_destinations
+from conftest import drain, join_group, manual_destinations
 from repro import FlowVerdict, World
 from repro.errors import ConfigurationError
+from repro.layers.credit import MCAST_SPACE, UCAST_SPACE
 from repro.flow import (
     AimdWindowManager,
     FixedWindowManager,
@@ -205,6 +206,75 @@ class TestCreditVerdicts:
             flow.manager.decreases for flow in receiver._recv.values()
         )
         assert decreases >= 1
+
+
+class TestCreditWindowEdges:
+    """Casts the window cannot hold, and peers that leave with a message
+    still queued, on ``CREDIT(window=1000):MBRSHIP:FRAG:NAK:COM``."""
+
+    STACK = "CREDIT(window=1000{}):MBRSHIP:FRAG:NAK:COM"
+
+    @pytest.mark.parametrize("manager", [
+        "", ",manager=aimd,min_window=250,max_window=1000,increment=1",
+    ], ids=["fixed", "aimd"])
+    def test_an_over_window_cast_goes_once_nothing_is_outstanding(
+            self, manager):
+        """Under AIMD the receivers halve their window first, so once
+        they have consumed everything the sender holds about 500 B of
+        credit (it regrows by 1 B per grant), less than the window: the
+        second large cast must still go."""
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"], self.STACK.format(manager))
+        sender = handles["a"]
+        flow = (MCAST_SPACE, sender.endpoint_address)
+        receivers = [handles[n].focus("CREDIT") for n in "bc"]
+        for credit in receivers:
+            credit._recv_flow(flow).manager.on_shed()
+        casts = [b"x" * 2000, b"w" * 2000, b"y" * 10]
+        assert [sender.cast(data) for data in casts] == [
+            FlowVerdict.ACCEPTED, FlowVerdict.QUEUED, FlowVerdict.QUEUED]
+        world.run(5.0)
+        for name in "abc":
+            assert [m.data for m in handles[name].delivery_log] == casts
+        credit = sender.focus("CREDIT")
+        assert credit.dump()["queued"] == 0
+        # The overdraft is repaid: a later burst gets exactly the credit
+        # the receivers extended again, and waits for the rest.
+        extended = min(
+            r._recv_flow(flow).advertised - r._recv_flow(flow).consumed
+            for r in receivers)
+        verdicts = [sender.cast(b"z" * 10) for _ in range(150)]
+        accepted = verdicts.count(FlowVerdict.ACCEPTED)
+        assert accepted == extended // 10 and accepted < 150
+        assert verdicts[accepted:] == [FlowVerdict.QUEUED] * (150 - accepted)
+        world.run(5.0)
+        assert all(len(handles[n].delivery_log) == 153 for n in "abc")
+
+    def test_a_message_queued_before_a_peer_left_charges_current_peers(self):
+        """A queued cast and a queued send to b and c leave after c has
+        gone: both are charged to b alone, and c's accounts stay closed.
+        A send outside the view is uncharged on admission too."""
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"], self.STACK.format(""))
+        sender = handles["a"]
+        b, departed = (handles[n].endpoint_address for n in "bc")
+        assert sender.cast(b"x" * 900) is FlowVerdict.ACCEPTED
+        assert sender.cast(b"y" * 500) is FlowVerdict.QUEUED
+        assert sender.send([b, departed], b"s" * 100) is FlowVerdict.QUEUED
+        world.crash("c")  # c never grants: both wait for the view
+        world.run(8.0)
+        assert handles["a"].view.size == 2
+        for name in "ab":
+            assert [m.data for m in handles[name].delivery_log
+                    if m.was_cast] == [b"x" * 900, b"y" * 500]
+        assert [m.data for m in handles["b"].delivery_log
+                if not m.was_cast] == [b"s" * 100]
+        credit = sender.focus("CREDIT")
+        assert credit.queue_depth == 0
+        assert credit._charged[(UCAST_SPACE, b)] == 100
+        assert sender.send([departed], b"t" * 10) is FlowVerdict.ACCEPTED
+        accounts = set(credit._granted) | set(credit._charged)
+        assert all(peer != departed for _space, peer in accounts)
 
 
 class TestCreditOutstanding:

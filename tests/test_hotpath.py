@@ -730,6 +730,7 @@ class TestOnePassSteadyState:
         # Control traffic since (NAK status, stability) went out on the
         # same channel with other shapes: one cast re-primes the template.
         handles[0].cast(b"%08d" % 20 + b"." * 56)
+        world.run(0.0)  # TOTAL releases a cast when the turn ends
 
         calls = {"walk": 0, "plan": 0, "codec": 0}
 
@@ -751,6 +752,7 @@ class TestOnePassSteadyState:
                             lambda source, dests, data: sent.append(bytes(data)))
         body = b"%08d" % 21 + b"." * 56
         handles[0].cast(body)
+        world.run(0.0)
         (wire,) = sent
         installs, shape, fields = table_sections(wire, body)
         assert installs == [] and len(shape) == 1 and shape != b"\x00"

@@ -1,6 +1,16 @@
 """Integration tests for TOTAL, CAUSAL(+TS), SAFE, STABLE, PINWHEEL."""
 
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
 from repro import World
+from repro.core.events import cast_down
+from repro.core.headers import DEFAULT_REGISTRY, WIRE_MODES
+from repro.core.message import Message
+from repro.errors import HeaderError
+from repro.layers import total as total_mod
 
 from conftest import join_group
 
@@ -76,6 +86,7 @@ class TestTotalOrder:
         assert lan_world.run_while(lambda: mbrship.state == "flushing",
                                    timeout=5.0, poll=0.001)
         handles["a"].cast(b"during-flush")
+        lan_world.run(0.0)  # the turn ends: TOTAL releases the cast
         assert total.ordered_sent == 1 and len(mbrship.queued_casts) == 1
         lan_world.run(5.0)
         for name in "ab":
@@ -84,6 +95,32 @@ class TestTotalOrder:
         # The old-epoch copy was dropped at both, looped-back copy included.
         assert all(handles[n].focus("TOTAL").stale_epoch_dropped >= 1 for n in "ab")
         assert total.ordered_sent == 2 and not total._released
+
+    def test_holders_pack_during_a_flush_is_reissued_cast_by_cast(
+            self, lan_world):
+        """The burst variant: five casts made during the flush leave as
+        one pack, MBRSHIP queues it and it reaches the new view with the
+        old epoch.  The holder kept one copy per cast and orders each
+        again, and every cast is delivered exactly once everywhere."""
+        handles = join_group(lan_world, ["a", "b", "c"], TOTAL_STACK)
+        total, mbrship = handles["a"].focus("TOTAL"), handles["a"].focus("MBRSHIP")
+        lan_world.crash("c")
+        assert lan_world.run_while(lambda: mbrship.state == "flushing",
+                                   timeout=5.0, poll=0.001)
+        burst = [f"burst-{i}".encode() for i in range(5)]
+        for data in burst:
+            handles["a"].cast(data)
+        lan_world.run(0.0)
+        assert (total.ordered_sent, total.packs_sent) == (5, 1)
+        assert sorted(total._released) == [1, 2, 3, 4, 5]
+        assert len(mbrship.queued_casts) == 1
+        lan_world.run(5.0)
+        for name in "ab":
+            assert handles[name].view.size == 2
+            log = handles[name].delivery_log
+            assert [m.data for m in log] == burst
+            assert [m.info["total_seq"] for m in log] == [1, 2, 3, 4, 5]
+        assert total.ordered_sent == 10 and not total._released
 
     def test_absorbed_minoritys_released_casts_are_not_reissued(
             self, lan_world, monkeypatch):
@@ -127,6 +164,212 @@ class TestTotalOrder:
         lan_world.run(3.0)
         orders = [tuple(m.data for m in handles[n].delivery_log) for n in "abc"]
         assert orders[0] == orders[1] == orders[2] == ((b"x",))
+
+
+#: The datagram a lone cast by the holder puts on the wire (seed 1, lan,
+#: aligned): a plain TOTAL ``_DATA`` message, recorded before packing.
+GOLDEN_LONE_CAST = bytes.fromhex(
+    "4852000519001800000000000000000100000003023a3000000000000000000001"
+    "002100000000030000000000000000000000000000000103613a30000000000000"
+    "00000a0001010e001d000000000300000000000000010000000000000000000000"
+    "00000000000500090367727003613a3000000000096c6f6e652063617374"
+)
+
+
+class TestTotalPacks:
+    """TOTAL sends what it releases in one turn as one ordered message;
+    above it every cast is still delivered on its own."""
+
+    @staticmethod
+    def _counts_below(handle):
+        return (handle.focus("MBRSHIP").my_seq,
+                handle.focus("NAK").dump()["send_seq"],
+                handle.focus("COM").casts_sent)
+
+    def test_a_burst_outside_any_turn_leaves_as_one_message(self):
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"], TOTAL_STACK)
+        holder = handles["a"]
+        assert holder.focus("TOTAL")._holds_token()
+        before = self._counts_below(holder)
+        burst = [f"m{i:02d}".encode() for i in range(32)]
+        for data in burst:
+            holder.cast(data)
+        world.run(0.0)
+        assert self._counts_below(holder) == tuple(n + 1 for n in before)
+        assert holder.focus("TOTAL").packs_sent == 1
+        world.run(1.0)
+        for name in "abc":
+            log = handles[name].delivery_log
+            assert [m.data for m in log] == burst
+            first = log[0].info["total_seq"]
+            assert [m.info["total_seq"] for m in log] == list(
+                range(first, first + 32))
+
+    def test_a_lone_cast_is_the_plain_data_message(self, monkeypatch):
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"], TOTAL_STACK)
+        network, sent = world.network, []
+        multicast = network.multicast
+
+        def record(source, dests, data):
+            sent.append(bytes(data))
+            multicast(source, dests, data)
+
+        monkeypatch.setattr(network, "multicast", record)
+        handles["a"].cast(b"lone cast")
+        world.run(0.001)
+        assert sent == [GOLDEN_LONE_CAST]
+
+    #: The widest stack of registered layers that can sit below TOTAL
+    #: without FRAG: its headers on a pack measure 300 B in aligned mode
+    #: with the 16-character names below (286 compact, 260 packed, 111
+    #: table), against PACK_RESERVE.
+    WIDEST_WITHOUT_FRAG = (
+        "TOTAL:STABLE:PINWHEEL:MERGE:GOSSIP:VSS:FLUSH:MBRSHIP:PRIO:"
+        "REALTIME(policy=flag):"
+        "KEYDIST:COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM")
+
+    @pytest.mark.parametrize("stack", [
+        "TOTAL:MBRSHIP:NAK:COM", WIDEST_WITHOUT_FRAG], ids=["plain", "widest"])
+    @pytest.mark.parametrize("mode", WIRE_MODES)
+    def test_casts_that_fit_alone_deliver_without_frag(
+            self, stack, mode, monkeypatch):
+        """No FRAG below: a pack must stay within the MTU, so a cast
+        that fits in a datagram alone is never packed past it.  The
+        headers below TOTAL on every pack fit in ``PACK_RESERVE``."""
+        world = World(seed=1, network="lan", mtu=1200, wire_mode=mode)
+        names = [c * 16 for c in "abc"]
+        handles = join_group(world, names, stack, group="g" * 16)
+        holder = handles[names[0]]
+        bodies, marshalled = [], []
+        send_pack = total_mod.TotalOrderLayer._send_pack
+
+        def record_pack(layer, casts, parts):
+            bodies.append(1 + sum(len(part) for part in parts))
+            send_pack(layer, casts, parts)
+
+        monkeypatch.setattr(total_mod.TotalOrderLayer, "_send_pack",
+                            record_pack)
+        registry = holder.focus("COM").context.registry
+        marshal = registry.marshal
+
+        def record_datagram(message, *args, **kwargs):
+            data = marshal(message, *args, **kwargs)
+            marshalled.append((message.body_size, len(data)))
+            return data
+
+        monkeypatch.setattr(registry, "marshal", record_datagram)
+        sizes = [330, 330, 40, 680, 330, 10, 10, 200, 200, 200, 10]
+        rng = random.Random(1)  # incompressible: COMPRESS keeps the size
+        payloads = [rng.randbytes(size) for size in sizes]
+        for data in payloads:
+            holder.cast(data)
+        world.run(2.0)
+        for name in names:
+            assert [m.data for m in handles[name].delivery_log] == payloads
+        total = holder.focus("TOTAL")
+        assert total.ordered_sent == len(payloads) and total.packs_sent >= 2
+        assert max(bodies) <= 1200 - total_mod.PACK_RESERVE
+        below = [size - body for body, size in marshalled if body in bodies]
+        assert below and max(below) <= total_mod.PACK_RESERVE
+
+    def test_packed_casts_carry_the_packs_stable_id_and_acks_reach_it(self):
+        """STABLE below TOTAL numbers the pack, not its casts: every cast
+        is delivered with the pack's ``stable_id``, acking each one (the
+        same id again) is harmless, and the frontier reaches it."""
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"],
+                             "TOTAL:STABLE:MBRSHIP:FRAG:NAK:COM")
+        holder = handles["a"]
+        burst = [f"s{i}".encode() for i in range(8)]
+        for data in burst:
+            holder.cast(data)
+        world.run(0.0)
+        assert holder.focus("TOTAL").packs_sent == 1
+        sid = holder.focus("STABLE").my_sid
+        world.run(1.0)
+        for name in "abc":
+            log = handles[name].delivery_log
+            assert [m.data for m in log] == burst
+            assert {m.info["stable_id"] for m in log} == {
+                (holder.endpoint_address, sid)}
+            for delivered in log:
+                handles[name].ack(delivered)
+        world.run(1.0)
+        for name in "abc":
+            frontier = handles[name].focus("STABLE").stability_frontier()
+            assert frontier[holder.endpoint_address] == sid
+
+    @pytest.mark.parametrize("stack", [
+        "SAFE:TOTAL:STABLE:MBRSHIP:FRAG:NAK:COM",
+        "CAUSAL:TOTAL:CAUSAL_TS:MBRSHIP:FRAG:NAK:COM",
+    ], ids=["SAFE-over-STABLE", "CAUSAL-over-CAUSAL_TS"])
+    def test_a_pack_stamped_below_total_delivers_every_cast(self, stack):
+        """A layer above TOTAL that reads what its partner below stamped
+        sees one stamp shared by the casts of a pack, and still delivers
+        every one of them, in order."""
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"], stack)
+        burst = [f"p{i}".encode() for i in range(8)]
+        for data in burst:
+            handles["a"].cast(data)
+        world.run(0.0)
+        assert handles["a"].focus("TOTAL").packs_sent == 1
+        world.run(2.0)
+        for name in "abc":
+            assert [m.data for m in handles[name].delivery_log] == burst
+
+    @staticmethod
+    def _pack_body(casts):
+        parts = [bytes([len(casts)])]  # the count, a one-byte varint
+        for cast in casts:
+            parts += total_mod._record(cast, DEFAULT_REGISTRY)[0]
+        return Message(b"".join(bytes(part) for part in parts))
+
+    @given(st.lists(st.tuples(st.binary(max_size=200), st.booleans()),
+                    min_size=2, max_size=8))
+    def test_pack_records_round_trip(self, casts):
+        """Bodies travel alone; a cast with headers from above TOTAL
+        comes back as a message with those headers."""
+        messages = []
+        for body, headered in casts:
+            message = Message(body)
+            if headered:
+                message.push_header("CREDIT", {"kind": 0, "flow_id": 0,
+                                               "credit_delta": len(body)})
+            messages.append(message)
+        out = total_mod._unpack(self._pack_body(messages), DEFAULT_REGISTRY)
+        assert [m.body_bytes() for m in out] == [body for body, _ in casts]
+        assert [m.headers() for m in out] == [m.headers() for m in messages]
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_pack_bodies_unpack_or_raise_header_error(self, body):
+        try:
+            casts = total_mod._unpack(Message(body), DEFAULT_REGISTRY)
+        except HeaderError:
+            return
+        assert len(casts) >= 2
+
+    @pytest.mark.parametrize("body", [
+        b"\x02\x06abc\x0aab",  # the second record is cut short
+        b"\x03\x06abc\x06def",  # three casts announced, two present
+        b"\x02\x80",  # the first length is cut mid-varint
+    ], ids=["truncated-record", "miscounted", "truncated-varint"])
+    def test_a_malformed_pack_is_dropped_and_counted(self, body):
+        world = World(seed=1, network="lan")
+        handles = join_group(world, ["a", "b", "c"], TOTAL_STACK)
+        total = handles["a"].focus("TOTAL")
+        pack = Message(body)
+        pack.push_header("TOTAL", {"kind": 3, "gseq": total.next_gseq,
+                                   "epoch": total._epoch})
+        total._enter(total.pass_down, cast_down(pack))
+        world.run(1.0)
+        handles["a"].cast(b"after")
+        world.run(1.0)
+        for name in "abc":
+            assert handles[name].stack.undecodable_messages == 1
+            assert [m.data for m in handles[name].delivery_log] == [b"after"]
 
 
 class TestCausalOrder:
