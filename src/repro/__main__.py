@@ -19,16 +19,7 @@ Commands:
   widens the op palette with slow receivers, fan-in storms, and WAN
   squeezes against the CREDIT overload stack; ``--faults-through-flush``
   keeps every member casting and the links lossy across every crash,
-  flush and install; ``--large-n`` generates
-  thousand-node storm timelines and runs them through the gossip scale
-  harness (SWIM agents, no stacks) instead of the verify checkers.
-* ``gossip --nodes 1000 --seed 0`` — SWIM failure detection at fleet
-  scale on the DES: steady state, a seeded crash storm, then measure
-  view-convergence time, per-node message overhead, false positives,
-  and consistent-hash shard convergence.  ``--scenario INDEX`` runs a
-  generated large-n chaos timeline instead of the plain crash storm;
-  ``--check`` makes the exit code the acceptance gate (converged, zero
-  false positives).
+  flush and install.
 * ``load --senders 4 --rate 200 --duration 5`` — open-loop load
   generation against a CREDIT stack with an SLO-style report: goodput,
   p50/p99 latency, shed/block verdicts, queue and NAK-buffer
@@ -165,53 +156,9 @@ def _cmd_obs_report(args) -> int:
     return 0
 
 
-def _chaos_large_n(args) -> int:
-    """The ``chaos --large-n`` path: storm timelines over SWIM fleets.
-
-    Large-n scenarios describe crash storms and partitions for fleets
-    of thousands — far past what full protocol stacks can simulate —
-    so they run through the gossip scale harness, and the verdict is
-    membership convergence rather than the verify checkers.
-    """
-    import hashlib
-
-    from repro.chaos import generate_scenario
-    from repro.gossip import GossipScaleConfig, run_scenario
-
-    config = GossipScaleConfig(seed=args.seed)
-    results = []
-    failures = 0
-    for index in range(args.scenarios):
-        scenario = generate_scenario(
-            args.seed, index, nodes=args.nodes, large_n=True
-        )
-        report = run_scenario(scenario, config)
-        results.append(report)
-        verdict = "ok" if report.converged else "FAIL"
-        print(
-            f"[{verdict}] {scenario.name} nodes={report.nodes} "
-            f"ops={len(scenario.ops)} crashed={report.crashed} "
-            f"convergence={report.convergence_time:.2f}s "
-            f"fp={report.false_positives} digest={report.digest[:12]}"
-        )
-        if not report.converged:
-            failures += 1
-    soak_digest = hashlib.sha256(
-        "".join(r.digest for r in results).encode()
-    ).hexdigest()[:16]
-    print(
-        f"soak: {len(results)} scenarios, {failures} failed, "
-        f"seed={args.seed} large-n digest={soak_digest}"
-    )
-    return 1 if failures else 0
-
-
 def _cmd_chaos(args) -> int:
     import hashlib
     import json
-
-    if args.large_n:
-        return _chaos_large_n(args)
 
     from repro.chaos import (
         DEFAULT_CHAOS_STACK,
@@ -297,53 +244,6 @@ def _cmd_chaos(args) -> int:
             fh.write("\n")
         print(f"report written to {args.report}")
     return 1 if failures else 0
-
-
-def _cmd_gossip(args) -> int:
-    import json
-
-    from repro.gossip import GossipScaleConfig, run_scale, run_scenario
-    from repro.gossip.swim import SwimConfig
-
-    config = GossipScaleConfig(
-        nodes=args.nodes,
-        seed=args.seed,
-        crash_frac=args.crash_frac,
-        storm_at=args.storm_at,
-        max_duration=args.max_duration,
-        shards=args.shards,
-        replication=args.replication,
-        swim=SwimConfig(
-            period=args.period, suspect_timeout=args.suspect_timeout
-        ),
-    )
-    if args.scenario is not None:
-        from repro.chaos import generate_scenario
-
-        scenario = generate_scenario(
-            args.seed, args.scenario, nodes=args.nodes, large_n=True
-        )
-        report = run_scenario(scenario, config)
-    else:
-        report = run_scale(config)
-    rendered = report.render()
-    print(rendered)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            if args.output.endswith(".json"):
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            else:
-                fh.write(rendered + "\n")
-        print(f"report written to {args.output}")
-    if args.check and not (report.converged and report.false_positives == 0):
-        print(
-            "check failed: converged="
-            f"{report.converged} false_positives={report.false_positives}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _cmd_load(args) -> int:
@@ -481,43 +381,6 @@ def main(argv: List[str] = None) -> int:
                        help="eight members casting at a Poisson rate "
                             "with 1%% loss + 8%% reordering held across "
                             "every crash, flush, install and recover")
-    chaos.add_argument("--large-n", action="store_true", dest="large_n",
-                       help="generate thousand-node storm timelines "
-                            "(crash storms, minority partitions, "
-                            "recovery waves) and run them through the "
-                            "gossip scale harness instead of the "
-                            "verify checkers")
-    gossip = sub.add_parser(
-        "gossip", help="SWIM failure detection at fleet scale on the DES"
-    )
-    gossip.add_argument("--nodes", type=int, default=1000,
-                        help="fleet size (SWIM agents, no stacks)")
-    gossip.add_argument("--seed", type=int, default=0,
-                        help="seed; pins digests, curves, and storms")
-    gossip.add_argument("--crash-frac", type=float, default=0.01,
-                        help="fraction of the fleet the storm kills")
-    gossip.add_argument("--storm-at", type=float, default=5.0,
-                        help="seconds of steady state before the storm")
-    gossip.add_argument("--max-duration", type=float, default=120.0,
-                        help="convergence deadline in simulated seconds")
-    gossip.add_argument("--period", type=float, default=1.0,
-                        help="SWIM protocol period in seconds")
-    gossip.add_argument("--suspect-timeout", type=float, default=6.0,
-                        help="suspicion-to-confirmation deadline")
-    gossip.add_argument("--shards", type=int, default=64,
-                        help="consistent-hash shard count to evaluate")
-    gossip.add_argument("--replication", type=int, default=3,
-                        help="owners per shard on the hash ring")
-    gossip.add_argument("--scenario", type=int, default=None,
-                        metavar="INDEX",
-                        help="run generated large-n chaos timeline "
-                             "INDEX instead of the plain crash storm")
-    gossip.add_argument("--output", default=None, metavar="PATH",
-                        help="also write the report to PATH (.json for "
-                             "the structured form)")
-    gossip.add_argument("--check", action="store_true",
-                        help="exit nonzero unless the fleet converged "
-                             "with zero false positives")
     load = sub.add_parser(
         "load", help="open-loop load generation with an SLO-style report"
     )
@@ -572,7 +435,6 @@ def main(argv: List[str] = None) -> int:
         "demo": _cmd_demo,
         "obs-report": _cmd_obs_report,
         "chaos": _cmd_chaos,
-        "gossip": _cmd_gossip,
         "load": _cmd_load,
         "store-inspect": _cmd_store_inspect,
     }

@@ -68,19 +68,6 @@ _FAULT_PALETTES = (
 _OVERLOAD_KINDS = ("slow_receiver", "fanin_storm", "wan_squeeze")
 
 
-#: Large-n pacing: (min duration, max duration, settle, max ops).  The
-#: timeline is consumed by the gossip scale harness (lightweight SWIM
-#: agents, no stacks), whose convergence clock runs in tens of seconds.
-_LARGE_N_PROFILE = (20.0, 40.0, 120.0, 8)
-
-#: Ceilings for the large-n op family, as fractions of the fleet: a
-#: crash storm may fell at most ``_LARGE_N_MAX_DEAD`` of the fleet in
-#: total, and a partition may cut off at most ``_LARGE_N_MAX_CUT`` —
-#: storms the membership plane is supposed to absorb, scaled so they
-#: never trivially destroy a majority at any node count.
-_LARGE_N_MAX_DEAD = 0.05
-_LARGE_N_MAX_CUT = 0.10
-
 #: Faults-through-flush: what the links do from the first op to the end
 #: of the storm — every crash, flush, install and re-join included.
 _FLUSH_FAULTS = {"jitter": 0.0002, "loss_rate": 0.01,
@@ -98,7 +85,6 @@ def generate_scenario(
     profile: str = "sim",
     stateful: bool = False,
     overload: bool = False,
-    large_n: bool = False,
     faults_through_flush: bool = False,
 ) -> Scenario:
     """Deterministically generate scenario ``index`` of a soak.
@@ -117,14 +103,6 @@ def generate_scenario(
     so CREDIT is there to absorb it.  Overload timelines are their own
     deterministic family — same ``(seed, index, overload)``, same storm.
 
-    ``large_n=True`` generates for fleets of thousands (``nodes`` is
-    lifted to at least 1000): crash *storms* instead of single crashes,
-    minority partitions bounded by fleet fraction, recovery waves —
-    sized so no storm kills more than a twentieth of the fleet.  The
-    family draws from its own rng stream (``chaos.gen.large.{index}``),
-    so the base and overload ``(seed, index)`` timelines stay
-    byte-identical whether or not large-n mode exists.
-
     ``faults_through_flush=True`` generates the storm the base family
     never does (``nodes`` is lifted to at least 8): every member casts
     at a Poisson rate while 1 % loss + 8 % reordering stay on across
@@ -133,8 +111,6 @@ def generate_scenario(
     """
     if profile not in _PROFILES:
         raise ValueError(f"unknown chaos profile {profile!r}")
-    if large_n:
-        return _generate_large_n(seed, index, max(nodes, 1000), stack)
     if faults_through_flush:
         return _generate_faults_through_flush(
             seed, index, max(nodes, 8), stack, profile
@@ -283,84 +259,4 @@ def _generate_faults_through_flush(
         stack=stack,
         duration=duration,
         settle=settle,
-    )
-
-
-def _generate_large_n(
-    seed: int, index: int, nodes: int, stack: str
-) -> Scenario:
-    """The large-n op family: storms scaled to fleets of thousands.
-
-    Ops come in waves — a crash storm fells a batch of nodes in one
-    instant, a recovery wave brings a batch back, a partition cuts off
-    a bounded minority — because at fleet scale single-node events are
-    noise.  The dead fraction never exceeds
-    :data:`_LARGE_N_MAX_DEAD` and a partition never isolates more than
-    :data:`_LARGE_N_MAX_CUT` of the fleet, so every generated storm is
-    one the gossip plane is supposed to converge through.
-    """
-    rng = random.Random(derive_seed(seed, f"chaos.gen.large.{index}"))
-    lo, hi, settle, max_ops = _LARGE_N_PROFILE
-    duration = rng.uniform(lo, hi)
-    names = tuple(f"n{i}" for i in range(nodes))
-
-    ops: List[ChaosOp] = []
-    dead: set = set()
-    partitioned = False
-    max_dead = max(1, int(nodes * _LARGE_N_MAX_DEAD))
-
-    palette = ("crash_storm", "crash_storm", "recover_wave",
-               "partition", "heal", "set_faults")
-    n_ops = rng.randint(3, max_ops)
-    for _ in range(n_ops):
-        at = round(rng.uniform(0.2, duration * 0.8), 2)
-        kind = rng.choice(palette)
-        if kind == "crash_storm" and len(dead) < max_dead:
-            # Fell 0.2%-1% of the fleet at one instant, honoring the cap.
-            count = min(
-                rng.randint(max(1, nodes // 500), max(2, nodes // 100)),
-                max_dead - len(dead),
-            )
-            victims = rng.sample([n for n in names if n not in dead], count)
-            for victim in victims:
-                dead.add(victim)
-                ops.append(Crash(at=at, node=victim))
-        elif kind == "recover_wave" and dead:
-            count = rng.randint(1, max(1, len(dead) // 2))
-            for back in rng.sample(sorted(dead), count):
-                dead.discard(back)
-                ops.append(Recover(at=at, node=back))
-        elif kind == "partition" and not partitioned:
-            cut = rng.randint(2, max(2, int(nodes * _LARGE_N_MAX_CUT)))
-            shuffled = list(names)
-            rng.shuffle(shuffled)
-            ops.append(Partition(
-                at=at,
-                components=(tuple(sorted(shuffled[cut:])),
-                            tuple(sorted(shuffled[:cut]))),
-            ))
-            partitioned = True
-        elif kind == "heal" and partitioned:
-            ops.append(Heal(at=at))
-            partitioned = False
-        elif kind == "set_faults":
-            faults = rng.choice(_FAULT_PALETTES)
-            ops.append(SetFaults.of(at, **faults))
-    if not any(isinstance(op, Crash) for op in ops):
-        # Every large-n scenario carries at least one storm: that is
-        # what the convergence checker is for.
-        count = max(1, nodes // 200)
-        victims = rng.sample([n for n in names if n not in dead], count)
-        ops.extend(
-            Crash(at=round(duration * 0.5, 2), node=v) for v in victims
-        )
-
-    return Scenario(
-        name=f"s{seed}-{index}-large",
-        nodes=names,
-        ops=tuple(ops),
-        stack=stack,
-        duration=duration,
-        settle=settle,
-        stateful=False,
     )

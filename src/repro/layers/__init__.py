@@ -21,7 +21,6 @@ it implements.  Layer names usable in stack specs:
 ``MERGE``             automatic view merging
 ``CHKSUM`` ``SIGN`` ``CRYPT`` ``COMPRESS``  integrity/privacy/bandwidth
 ``CREDIT``            credit-based flow control with backpressure
-``GOSSIP``            SWIM failure detection (scalable, gossip-based)
 ``PRIO``              priority delivery
 ``LOGGER`` ``TRACER`` ``ACCOUNT``  journaling / tracing / metering
 ``XFER``              state transfer to joiners (snapshot streaming)
@@ -41,7 +40,6 @@ from repro.layers.credit import CreditLayer
 from repro.layers.crypt import EncryptionLayer
 from repro.layers.flush import FlushLayer
 from repro.layers.frag import FragLayer
-from repro.layers.gossip import GossipLayer
 from repro.layers.keydist import KeyDistributionLayer
 from repro.layers.locate import ResourceLocationLayer
 from repro.layers.logger import AccountingLayer, LoggingLayer, TracerLayer
@@ -76,7 +74,6 @@ __all__ = [
     "EncryptionLayer",
     "FlushLayer",
     "FragLayer",
-    "GossipLayer",
     "HorusSocket",
     "KeyDistributionLayer",
     "LoggingLayer",

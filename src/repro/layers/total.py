@@ -88,12 +88,13 @@ _PACK = 3  # ordered data: n >= 2 casts numbered from gseq, n in the body
 #: Bytes of an MTU left for the headers of the layers below TOTAL (and
 #: TOTAL's own) on a pack: a pack's body never exceeds ``mtu - PACK_RESERVE``.
 #: Measured: the widest stack of registered layers that can sit below
-#: TOTAL without FRAG (TOTAL:STABLE:PINWHEEL:MERGE:GOSSIP:VSS:FLUSH:
-#: MBRSHIP:PRIO:REALTIME:KEYDIST:COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM) puts
-#: 300 B of headers on a pack in ``aligned`` mode, 286 ``compact``, 260
+#: TOTAL without FRAG (TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:
+#: PRIO:REALTIME:KEYDIST:COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM) puts 300 B
+#: of headers on a pack in ``aligned`` mode, 286 ``compact``, 260
 #: ``packed`` and 111 ``table``, with 16-character endpoint and group
-#: names; TOTAL:MBRSHIP:NAK:COM puts 180 B.  Names are the only fields
-#: that vary: about 2 B per endpoint-name and 1 B per group-name character.
+#: names; TOTAL:MBRSHIP:NAK:COM puts 160 B in ``aligned`` mode.  Names
+#: are the only fields that vary: about 2 B per endpoint-name and 1 B
+#: per group-name character.
 PACK_RESERVE = 512
 #: The wire mode of a pack record that carries headers from above TOTAL.
 _RECORD_MODE = "compact"

@@ -5,11 +5,8 @@ this package holds the surrounding services the paper describes:
 
 * :class:`~repro.membership.directory.GroupDirectory` — the rendezvous
   (name) service endpoints use to find an existing view of a group.
-* :class:`~repro.membership.failure_detector.FailureDetector` — the
-  pluggable failure-suspicion protocol, with the built-in
-  :class:`~repro.membership.failure_detector.TimeoutFailureDetector`
-  (inaccurate, timeout-based suspicion; the SWIM-based alternative
-  lives in :mod:`repro.gossip`).
+* :class:`~repro.membership.failure_detector.TimeoutFailureDetector` —
+  inaccurate, timeout-based failure suspicion.
 * :class:`~repro.membership.external_fd.ExternalFailureDetector` — the
   Section 5 "external service [that] picks up communication
   problem-reports ... fed to all instances of the MBRSHIP layer".
@@ -19,10 +16,7 @@ this package holds the surrounding services the paper describes:
 
 from repro.membership.directory import GroupDirectory
 from repro.membership.external_fd import ExternalFailureDetector
-from repro.membership.failure_detector import (
-    FailureDetector,
-    TimeoutFailureDetector,
-)
+from repro.membership.failure_detector import TimeoutFailureDetector
 from repro.membership.partition_models import (
     ExtendedVirtualSynchrony,
     PartitionPolicy,
@@ -34,7 +28,6 @@ from repro.membership.partition_models import (
 __all__ = [
     "ExtendedVirtualSynchrony",
     "ExternalFailureDetector",
-    "FailureDetector",
     "GroupDirectory",
     "PartitionPolicy",
     "PrimaryPartition",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Set
 from repro.net.address import EndpointAddress
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.membership.failure_detector import FailureDetector
+    from repro.membership.failure_detector import TimeoutFailureDetector
 
 VerdictCallback = Callable[[EndpointAddress], None]
 
@@ -55,17 +55,13 @@ class ExternalFailureDetector:
             callback(endpoint)
 
     def attach(
-        self, detector: "FailureDetector", reporter: EndpointAddress
-    ) -> "FailureDetector":
+        self, detector: "TimeoutFailureDetector", reporter: EndpointAddress
+    ) -> "TimeoutFailureDetector":
         """Feed ``detector``'s suspicions in as problem reports.
 
-        This is the seam that makes failure detectors interchangeable:
-        anything speaking the
-        :class:`~repro.membership.failure_detector.FailureDetector`
-        protocol — the built-in timeout scan or the SWIM gossip plane —
-        files its suspicions here as ``reporter``, and every subscribed
-        MBRSHIP instance sees the same verdicts in the same order.
-        Returns ``detector`` for chaining.
+        The detector files each suspicion here as ``reporter``, and
+        every subscribed MBRSHIP instance sees the same verdicts in the
+        same order.  Returns ``detector`` for chaining.
         """
         detector.subscribe(
             lambda suspect: self.report_problem(reporter, suspect)

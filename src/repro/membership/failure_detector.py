@@ -1,33 +1,21 @@
-"""Failure suspicion behind one pluggable protocol.
+"""Timeout-based failure suspicion.
 
 Failure detectors in Horus are *inaccurate by design* (Section 11: "the
 system membership service ... uses potentially inaccurate failure
-suspicions").  :class:`FailureDetector` names the contract every
-detector speaks — components feed it evidence of life
-(:meth:`~FailureDetector.heartbeat`) and it raises suspicion through
-subscribed callbacks.  It never claims certainty — a suspected process
-may merely be slow, which is exactly the gap the virtual synchrony
-model papers over by *simulating* fail-stop behaviour (Section 5).
+suspicions").  Components feed the detector evidence of life
+(:meth:`~TimeoutFailureDetector.heartbeat`) and it raises suspicion
+through subscribed callbacks.  It never claims certainty — a suspected
+process may merely be slow, which is exactly the gap the virtual
+synchrony model papers over by *simulating* fail-stop behaviour
+(Section 5).
 
-Two families implement the protocol:
-
-* :class:`TimeoutFailureDetector` (here) — the built-in per-member
-  silence scan: O(members) state and scan cost per detector, fine for
-  the small groups MBRSHIP runs.
-* :class:`repro.gossip.GossipFailureDetector` — SWIM-style ping /
-  ping-req probing with infection-style dissemination: constant
-  per-node probe cost, built for thousands of nodes.
-
-Because both speak this protocol, either can feed the Section 5
-external failure-detection service
-(:meth:`~repro.membership.external_fd.ExternalFailureDetector.attach`)
-and MBRSHIP consumes consistent verdicts without knowing which detector
-produced them.
+Its suspicions feed the Section 5 external failure-detection service
+(:meth:`~repro.membership.external_fd.ExternalFailureDetector.attach`),
+so every subscribed MBRSHIP instance consumes the same verdicts.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Set
 
 from repro.net.address import EndpointAddress
@@ -37,52 +25,16 @@ from repro.runtime.clock import PeriodicTimer
 SuspectCallback = Callable[[EndpointAddress], None]
 
 
-class FailureDetector(ABC):
-    """The pluggable failure-suspicion contract.
+class TimeoutFailureDetector:
+    """Suspects monitored endpoints that have been silent too long.
 
     Usage: call :meth:`monitor` for each peer of interest and
     :meth:`heartbeat` whenever evidence of life arrives (any received
     message counts).  Subscribers get one ``on_suspect`` call per
     silence episode; a later heartbeat rescinds the suspicion and
-    re-arms detection.
-    """
-
-    @abstractmethod
-    def subscribe(self, listener: SuspectCallback) -> None:
-        """Register a callback invoked on each new suspicion."""
-
-    @abstractmethod
-    def monitor(self, endpoint: EndpointAddress) -> None:
-        """Start watching ``endpoint``."""
-
-    @abstractmethod
-    def forget(self, endpoint: EndpointAddress) -> None:
-        """Stop watching ``endpoint`` (e.g. it left the group)."""
-
-    @abstractmethod
-    def heartbeat(self, endpoint: EndpointAddress) -> None:
-        """Record evidence that ``endpoint`` is alive."""
-
-    @abstractmethod
-    def suspects(self) -> Set[EndpointAddress]:
-        """The currently suspected endpoints."""
-
-    def is_suspected(self, endpoint: EndpointAddress) -> bool:
-        """Whether ``endpoint`` is currently under suspicion."""
-        return endpoint in self.suspects()
-
-    def stop(self) -> None:
-        """Stop any background activity (detector becomes inert)."""
-
-
-class TimeoutFailureDetector(FailureDetector):
-    """Suspects monitored endpoints that have been silent too long.
-
-    The built-in detector: a periodic scan compares each monitored
-    endpoint's last-heard time against ``suspect_timeout``.  Cost is
-    O(monitored endpoints) per ``scan_period`` — cheap for one group,
-    quadratic across a fleet, which is what the gossip detector exists
-    to avoid.
+    re-arms detection.  A periodic scan compares each monitored
+    endpoint's last-heard time against ``suspect_timeout``, so the cost
+    is O(monitored endpoints) per ``scan_period``.
     """
 
     def __init__(
@@ -100,6 +52,7 @@ class TimeoutFailureDetector(FailureDetector):
         self._timer.start()
 
     def subscribe(self, listener: SuspectCallback) -> None:
+        """Register a callback invoked on each new suspicion."""
         self._listeners.append(listener)
 
     def monitor(self, endpoint: EndpointAddress) -> None:
@@ -107,17 +60,21 @@ class TimeoutFailureDetector(FailureDetector):
         self._last_heard.setdefault(endpoint, self.scheduler.now)
 
     def forget(self, endpoint: EndpointAddress) -> None:
+        """Stop watching ``endpoint`` (e.g. it left the group)."""
         self._last_heard.pop(endpoint, None)
         self._suspected.discard(endpoint)
 
     def heartbeat(self, endpoint: EndpointAddress) -> None:
+        """Record evidence that ``endpoint`` is alive."""
         self._last_heard[endpoint] = self.scheduler.now
         self._suspected.discard(endpoint)
 
     def suspects(self) -> Set[EndpointAddress]:
+        """The currently suspected endpoints."""
         return set(self._suspected)
 
     def is_suspected(self, endpoint: EndpointAddress) -> bool:
+        """Whether ``endpoint`` is currently under suspicion."""
         return endpoint in self._suspected
 
     def stop(self) -> None:

@@ -10,7 +10,7 @@ One instrumentation API for both execution substrates:
   pushed/popped, recorded by a :class:`StackObserver` wrapping every
   layer's ``down``/``up`` the same way.
 * :mod:`repro.obs.exporters` — JSON-lines snapshots (deterministic on
-  the DES) and Prometheus text format.
+  the DES).
 * :mod:`repro.obs.report` — the ``python -m repro obs-report`` tables.
 
 Enable per-layer instrumentation by constructing a world with
@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.exporters import (
-    parse_prometheus,
     read_jsonl,
     render_jsonl,
-    render_prometheus,
     snapshot_records,
     write_jsonl,
 )
@@ -105,14 +103,12 @@ __all__ = [
     "SpanRecorder",
     "StackObserver",
     "TIME_BUCKETS",
-    "parse_prometheus",
     "read_jsonl",
     "render_flow_report",
     "render_jsonl",
     "render_layer_report",
     "render_network_report",
     "render_store_report",
-    "render_prometheus",
     "snapshot_records",
     "write_jsonl",
 ]

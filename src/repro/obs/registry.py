@@ -10,7 +10,7 @@ numbers.  That symmetry is the point: the Section 10 methodology of
 "measure before optimizing" only works if both substrates feed one
 pipeline.
 
-Three instrument kinds, Prometheus-shaped so the exporters are trivial:
+Three instrument kinds, Prometheus-shaped so the exporter is trivial:
 
 * :class:`Counter` — monotone accumulator (``inc``).
 * :class:`Gauge` — settable level (``set``/``inc``/``dec``).
@@ -383,7 +383,7 @@ class MetricsRegistry:
         """Every family, sorted by name (deterministic).
 
         Runs the collectors first: every export path (JSONL snapshot,
-        Prometheus render, ad-hoc iteration) reads through here, so
+        ad-hoc iteration) reads through here, so
         collector-fed series are reconciled before they are seen.
         """
         self.collect()

@@ -260,15 +260,6 @@ register_profile(
 )
 register_profile(
     LayerProfile(
-        "GOSSIP",
-        requires=frozenset(),
-        provides=frozenset(),
-        purpose="SWIM failure detection: constant-load probing, "
-        "incarnation-refutable suspicion, infection-style dissemination",
-    )
-)
-register_profile(
-    LayerProfile(
         "PRIO",
         requires=frozenset(),
         provides=_ps(2),

@@ -128,6 +128,19 @@ class TestExternalFailureDetector:
         with pytest.raises(ValueError):
             ExternalFailureDetector(threshold=0)
 
+    def test_attached_timeout_detector_files_verdicts(self):
+        sched = Scheduler()
+        efd = ExternalFailureDetector(threshold=1)
+        reporter = EndpointAddress("watcher", 1)
+        target = EndpointAddress("b", 0)
+        detector = TimeoutFailureDetector(
+            sched, suspect_timeout=1.0, scan_period=0.25
+        )
+        assert efd.attach(detector, reporter) is detector
+        detector.monitor(target)
+        sched.run(until=2.0)
+        assert efd.faulty() == [target]
+
     def test_mbrship_consumes_consistent_verdicts(self):
         """Section 5: the external service's output 'can be fed to all
         instances of the MBRSHIP layer' — local problems route through

@@ -22,12 +22,10 @@ from repro.net.address import EndpointAddress, GroupAddress
 from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
-    parse_prometheus,
     read_jsonl,
     render_jsonl,
     render_layer_report,
     render_network_report,
-    render_prometheus,
 )
 
 FULL_STACK = "TOTAL:MBRSHIP:FRAG:NAK:COM"
@@ -194,26 +192,6 @@ class TestExporters:
         with pytest.raises(ConfigurationError):
             read_jsonl(io.StringIO('{"kind":"mystery"}\n'))
 
-    def test_prometheus_roundtrip(self):
-        reg = self.make_registry()
-        parsed = parse_prometheus(render_prometheus(reg))
-        assert parsed["net_packets_sent_total"][(("component", "lan"),)] == 7
-        assert parsed["lat_seconds_count"][()] == 3
-        assert parsed["lat_seconds_sum"][()] == pytest.approx(5.0505)
-        buckets = parsed["lat_seconds_bucket"]
-        # Cumulative: le=0.001 has 1, le=0.1 has 2, +Inf has all 3.
-        assert buckets[(("le", "0.001"),)] == 1
-        assert buckets[(("le", "0.1"),)] == 2
-        assert buckets[(("le", "+Inf"),)] == 3
-
-    def test_prometheus_escapes_label_values(self):
-        reg = MetricsRegistry()
-        reg.counter("odd_total", "odd", labels=("tag",)).labels(
-            tag='a"b\\c\nd'
-        ).inc()
-        parsed = parse_prometheus(render_prometheus(reg))
-        assert parsed["odd_total"][(("tag", 'a"b\\c\nd'),)] == 1
-
     def test_an_export_runs_each_collector_once(self):
         reg = self.make_registry()
         gauge = reg.gauge("level", "collector-fed").labels()
@@ -226,8 +204,9 @@ class TestExporters:
         reg.add_collector(collector)
         reg.snapshot()
         assert len(runs) == 1
-        parsed = parse_prometheus(render_prometheus(reg))
-        assert len(runs) == 2 and parsed["level"][()] == 2
+        snapshot = read_jsonl(io.StringIO(render_jsonl(reg)))
+        level = [m for m in snapshot["metrics"] if m["name"] == "level"]
+        assert len(runs) == 2 and level[0]["value"] == 2
         render_jsonl(reg)
         assert len(runs) == 3
         # A direct family read still reconciles first.

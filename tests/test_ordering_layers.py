@@ -168,10 +168,11 @@ class TestTotalOrder:
 
 #: The datagram a lone cast by the holder puts on the wire (seed 1, lan,
 #: aligned): a plain TOTAL ``_DATA`` message, recorded before packing.
+#: Layer ids follow codec registration order (TOTAL 24, MBRSHIP 13).
 GOLDEN_LONE_CAST = bytes.fromhex(
-    "4852000519001800000000000000000100000003023a3000000000000000000001"
+    "4852000518001800000000000000000100000003023a3000000000000000000001"
     "002100000000030000000000000000000000000000000103613a30000000000000"
-    "00000a0001010e001d000000000300000000000000010000000000000000000000"
+    "00000a0001010d001d000000000300000000000000010000000000000000000000"
     "00000000000500090367727003613a3000000000096c6f6e652063617374"
 )
 
@@ -226,7 +227,7 @@ class TestTotalPacks:
     #: with the 16-character names below (286 compact, 260 packed, 111
     #: table), against PACK_RESERVE.
     WIDEST_WITHOUT_FRAG = (
-        "TOTAL:STABLE:PINWHEEL:MERGE:GOSSIP:VSS:FLUSH:MBRSHIP:PRIO:"
+        "TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:PRIO:"
         "REALTIME(policy=flag):"
         "KEYDIST:COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM")
 
