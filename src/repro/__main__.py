@@ -9,7 +9,7 @@ Commands:
 * ``demo`` — a 30-second tour: join, cast, crash, view change.
 * ``obs-report snapshot.jsonl`` — render the per-layer latency/byte
   table (and optionally network counters) from a metrics snapshot
-  written by ``World.write_metrics`` or a benchmark's ``--metrics-out``.
+  written by ``World.write_metrics`` or ``load --metrics-out``.
 * ``chaos --seed 0 --scenarios 25 --substrate sim`` — run a seeded
   soak of generated failure scenarios through the verify checkers;
   failing scenarios are greedily shrunk to minimal repro timelines.

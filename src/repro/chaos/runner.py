@@ -20,7 +20,8 @@ A run has four phases:
 4. **verify** — the delivery logs and the world trace are replayed
    through the :mod:`repro.verify` checkers; every
    :class:`~repro.errors.VerificationError` becomes a violation string
-   carrying the data needed to replay (seed + timeline).
+   carrying the data needed to replay (seed + timeline), and so does a
+   group that did not converge in phase 3.
 
 On the DES the whole run is a pure function of ``(seed, scenario)``:
 the :meth:`ScenarioResult.digest` — a hash over every member's view
@@ -89,9 +90,10 @@ class ScenarioResult:
     #: Hash over all members' view histories and delivery logs.  On the
     #: DES this is a pure function of (seed, scenario).
     digest: str = ""
-    #: Whether every live member agreed on one final view before the
-    #: settle budget ran out.  Non-convergence is reported but is not by
-    #: itself a violation (the checkers judge what *was* delivered).
+    #: Whether every live member agreed on one full final view (and,
+    #: stateful, on one synced state) before the settle budget ran out.
+    #: A group that does not converge is a violation: a split group is
+    #: not ``[ok]``, whatever it delivered.
     converged: bool = False
     casts_sent: int = 0
     casts_skipped: int = 0
@@ -354,6 +356,11 @@ class ScenarioRunner:
         all_handles = [h for per_node in handles.values() for h in per_node]
         final_clients = [c[-1] for c in clients.values() if c]
         self._verify(world, all_handles, sent_by, final_clients, result)
+        if not result.converged:
+            result.violations.append(
+                "converged: the live members agreed on no single full view "
+                f"within the {scenario.settle:g} s settle budget"
+            )
         result.digest = self._digest(all_handles, final_clients)
         self._note_metrics(world, result)
 

@@ -13,16 +13,17 @@ seconds, and reports:
 * **goodput** — payload bytes per second actually delivered at the
   receiver during the measurement window;
 * **latency** — p50/p99/max of send-to-delivery time (the send
-  timestamp rides in the payload, so no side channel is needed);
+  timestamp rides in the payload, so no side channel is needed), from
+  an :class:`~repro.obs.registry.Histogram`;
 * **verdict counts** — accepted / queued / shed / blocked, straight
   from the :class:`~repro.core.events.FlowVerdict` each cast returns;
 * **high-water marks** — per-sender CREDIT queue depth and NAK
   retransmission-buffer size, sampled through the ``dump`` downcall
   during the storm (the numbers the acceptance bound is about).
 
-On the DES the whole report is a pure function of ``(seed, config)`` —
-the checked-in baseline under ``benchmarks/results/`` is reproducible
-byte-for-byte.
+On the DES the whole report is a pure function of ``(seed, config)``:
+``python -m repro load --substrate sim`` prints the same report
+byte-for-byte on every run.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import Histogram
 
 #: Stack template used when the caller does not supply one.  CREDIT on
 #: top (only application traffic is charged), reliable FIFO below.
@@ -233,15 +235,6 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile over pre-sorted data (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
-
-
 def _make_world(config: LoadConfig, instrument: bool = False):
     from repro.sim.rand import derive_seed
 
@@ -285,14 +278,14 @@ def _run(world, config: LoadConfig) -> LoadReport:
     report = LoadReport(config=config)
     stack = config.resolved_stack()
     group = "load"
-    latencies: List[float] = []
+    latency = Histogram({})
 
     def on_delivery(delivered) -> None:
         report.delivered += 1
         report.delivered_bytes += len(delivered.data)
         if len(delivered.data) >= _STAMP.size:
             (sent_at,) = _STAMP.unpack_from(delivered.data)
-            latencies.append(world.now - sent_at)
+            latency.observe(world.now - sent_at)
 
     receiver = world.process("recv").endpoint().join(group, stack=stack)
     receiver.on_message = on_delivery
@@ -399,8 +392,7 @@ def _run(world, config: LoadConfig) -> LoadReport:
     report.datagrams = int(wire.packets_sent) - datagrams_before
     report.wire_bytes_per_s = report.wire_bytes / window
     report.datagrams_per_s = report.datagrams / window
-    latencies.sort()
-    report.p50_ms = _percentile(latencies, 0.50) * 1000.0
-    report.p99_ms = _percentile(latencies, 0.99) * 1000.0
-    report.max_ms = latencies[-1] * 1000.0 if latencies else 0.0
+    report.p50_ms = latency.percentile(50) * 1000.0
+    report.p99_ms = latency.percentile(99) * 1000.0
+    report.max_ms = latency.max * 1000.0
     return report

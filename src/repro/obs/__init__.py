@@ -80,8 +80,7 @@ class ObsOptions:
     def production(cls, sample: int = 32) -> "ObsOptions":
         """Exact event counters plus 1/``sample`` detailed traversals
         (timing, header bytes, spans): the low-overhead realtime
-        configuration (see benchmarks/results/runtime_loopback_obs.txt
-        for the measured cost)."""
+        configuration."""
         return cls(layer_metrics=True, spans=True, sample=sample)
 
     @classmethod

@@ -33,7 +33,6 @@ _EXPORTS = {
     "PeriodicTimer": "repro.runtime.clock",
     "Timer": "repro.runtime.clock",
     "RealtimeEngine": "repro.runtime.engine",
-    "LatencyHistogram": "repro.runtime.metrics",
     "TransportStats": "repro.runtime.metrics",
     "UdpTransport": "repro.runtime.transport",
     "DEFAULT_MTU": "repro.runtime.transport",
@@ -45,7 +44,7 @@ __all__ = sorted(_EXPORTS)
 if TYPE_CHECKING:  # pragma: no cover - import-time types for checkers only
     from repro.runtime.clock import Clock, EventHandle, PeriodicTimer, Timer
     from repro.runtime.engine import RealtimeEngine
-    from repro.runtime.metrics import LatencyHistogram, TransportStats
+    from repro.runtime.metrics import TransportStats
     from repro.runtime.transport import DEFAULT_MTU, UdpTransport
     from repro.runtime.world import RealtimeWorld
 

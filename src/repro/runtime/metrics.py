@@ -3,95 +3,16 @@
 The simulated :class:`~repro.net.network.NetworkStats` counters are what
 benchmarks and tests read; the realtime transport keeps the same counter
 names so the two substrates are directly comparable, and adds what only
-a real network has: a wall-clock one-way latency distribution.
-
-The histogram stores raw samples in a bounded reservoir, so quantile
-queries are exact until the bound and statistically faithful after it —
-good enough for p50/p99 over loopback benchmarks without pulling in any
-dependency.
+a real network has: a wall-clock one-way latency distribution, kept as
+the registry's ``transport_latency_seconds`` histogram.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.network import NetworkStats, _counter_view
 from repro.obs import MetricsRegistry, TIME_BUCKETS
-
-
-class LatencyHistogram:
-    """Reservoir-sampled latency distribution with exact min/max/mean.
-
-    ``observe`` is O(1); quantiles sort the reservoir on demand.
-    Sampling uses its own seeded generator so recording latencies never
-    perturbs any protocol randomness stream.
-    """
-
-    def __init__(self, reservoir_size: int = 4096, seed: int = 0) -> None:
-        self.reservoir_size = reservoir_size
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self._samples: List[float] = []
-        self._rng = random.Random(seed)
-
-    def observe(self, value: float) -> None:
-        """Record one latency sample (seconds)."""
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if len(self._samples) < self.reservoir_size:
-            self._samples.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.reservoir_size:
-                self._samples[slot] = value
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of every observed sample."""
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0–100) of the sampled distribution."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if p <= 0:
-            return ordered[0]
-        if p >= 100:
-            return ordered[-1]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-    def summary(self) -> Dict[str, float]:
-        """min/mean/p50/p99/max snapshot (zeros when empty)."""
-        if not self.count:
-            return {"count": 0, "min": 0.0, "mean": 0.0, "p50": 0.0,
-                    "p99": 0.0, "max": 0.0}
-        return {
-            "count": self.count,
-            "min": self.min,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "max": self.max,
-        }
-
-    def __repr__(self) -> str:
-        s = self.summary()
-        return (
-            f"<LatencyHistogram n={s['count']} p50={s['p50'] * 1e3:.3f}ms "
-            f"p99={s['p99'] * 1e3:.3f}ms>"
-        )
 
 
 class TransportStats(NetworkStats):
@@ -104,10 +25,9 @@ class TransportStats(NetworkStats):
     actually observed.
 
     Like the base class this is a registry view; the two transport-only
-    counters appear as ``transport_*_total{component}``, and delivered
-    latencies additionally feed a fixed-bucket
-    ``transport_latency_seconds{component}`` histogram (the exportable
-    complement of the exact-quantile reservoir kept in :attr:`latency`).
+    counters appear as ``transport_*_total{component}``, and
+    :attr:`latency` is the ``transport_latency_seconds{component}``
+    histogram child.
     """
 
     _counter_specs = dict(NetworkStats._counter_specs)
@@ -127,15 +47,13 @@ class TransportStats(NetworkStats):
         registry: Optional[MetricsRegistry] = None,
         component: str = "udp-os",
     ) -> None:
-        #: One-way wire latency of delivered datagrams (sender stamp →
-        #: receipt), reservoir-sampled for exact loopback quantiles.
-        self.latency = LatencyHistogram()
-        self._latency_hist = None
         super().__init__(registry, component=component)
 
     def _bind(self, registry: MetricsRegistry) -> None:
         super()._bind(registry)
-        self._latency_hist = registry.histogram(
+        #: One-way wire latency of delivered datagrams (sender stamp →
+        #: receipt).
+        self.latency = registry.histogram(
             "transport_latency_seconds",
             "One-way wire latency of delivered datagrams",
             labels=("component",),
@@ -148,11 +66,10 @@ class TransportStats(NetworkStats):
         self.bytes_delivered += size
         if latency >= 0.0:
             self.latency.observe(latency)
-            self._latency_hist.observe(latency)
 
     def as_dict(self) -> Dict[str, object]:
         data = super().as_dict()
-        data["latency"] = self.latency.summary()
+        data["latency"] = self.latency.values()
         return data
 
 

@@ -190,7 +190,6 @@ class WalWriter:
         ticket = CommitTicket(lsn, waiter=self._ticket_waiter)
         entry = (payload, ticket, self._now())
         if self._threaded:
-            ticket._ensure_event()
             self._start_thread()
             with self._cv:
                 self._queue.append(entry)
@@ -315,8 +314,16 @@ class WalWriter:
 
     def _ticket_waiter(self, ticket: CommitTicket) -> None:
         """Progress hook for ``ticket.wait()``: force the covering flush
-        (sync modes) or nudge the writer thread (threaded mode)."""
+        (sync modes) or nudge the writer thread (threaded mode).
+
+        A threaded ticket gets its cross-thread wait event here, from the
+        one caller that blocks on it, not at append: a ``threading.Event``
+        per record cost more than the rest of an append.  No wakeup is
+        lost: ``_complete`` sets the done flag before it looks for the
+        event, and ``wait()`` re-reads the flag after this hook returns.
+        """
         if self._threaded:
+            ticket._ensure_event()
             with self._cv:
                 self._cv.notify()
         else:

@@ -142,6 +142,17 @@ class TestRunnerDeterminism:
         assert result.converged
         assert result.casts_sent > 0
 
+    def test_a_group_that_does_not_converge_is_a_violation(self):
+        """The crashed member re-joins in the mend phase, but a 50 ms
+        settle budget ends before its merge can install a full view."""
+        scenario = Scenario(
+            name="no-settle", nodes=("n0", "n1", "n2", "n3"),
+            ops=(Crash(at=0.5, node="n3"),), duration=1.0, settle=0.05,
+        )
+        result = ScenarioRunner(substrate="sim", seed=42).run(scenario)
+        assert not result.converged and not result.ok
+        assert [v.split(":")[0] for v in result.violations] == ["converged"]
+
     def test_generated_soak_slice_is_clean(self):
         runner = ScenarioRunner(substrate="sim", seed=0)
         for index in range(3):

@@ -307,10 +307,24 @@ class TestPublicSurface:
 
 class TestCli:
     def test_tables_command(self, capsys):
+        """T1/T2: the HCPI call sets regenerate from the live event
+        vocabulary, entry for entry as the paper's Tables 1 and 2."""
         from repro.__main__ import main
 
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
+        table1, rest = out.split("Table 1 — HCPI downcalls\n")[1].split("\n\n", 1)
+        table2 = rest.split("Table 2 — HCPI upcalls\n")[1].split("\n\n", 1)[0]
+        assert table1.split() == [
+            "endpoint", "join", "merge", "merge_denied", "merge_granted",
+            "view", "cast", "send", "ack", "stable", "leave", "flush",
+            "flush_ok", "destroy", "focus", "dump",
+        ]
+        assert table2.split() == [
+            "merge_request", "merge_denied", "flush", "flush_ok", "view",
+            "cast", "send", "leave", "destroy", "lost_message", "stable",
+            "problem", "system_error", "exit",
+        ]
         assert "Table 3" in out and "MBRSHIP" in out
 
     def test_layers_command(self, capsys):

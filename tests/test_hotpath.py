@@ -28,12 +28,14 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+import time
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
+from repro import World
 from repro.core import headers as hdr
 from repro.core.headers import (
     DEFAULT_REGISTRY,
@@ -53,6 +55,8 @@ from repro.net.address import EndpointAddress, GroupAddress
 from repro.net.coalesce import Coalescer, decode_batch
 from repro.net.packet import Packet
 from repro.sim.scheduler import Scheduler
+
+from conftest import join_group
 
 SRC = EndpointAddress("alice", 1)
 GRP = GroupAddress("grp")
@@ -301,6 +305,110 @@ class TestHeaderTableMode:
 # ----------------------------------------------------------------------
 # Presence-coded table rows
 # ----------------------------------------------------------------------
+
+class TestHotpathGate:
+    """S10b and CI's perf-smoke gate.  Header bytes per wire mode and a
+    seeded DES run of the Section 7 stack compare exactly: a drift is a
+    wire change, not noise.  Codec throughput is machine-dependent, so
+    it is checked as same-run ratios against generous floors."""
+
+    SOURCE = EndpointAddress("node-a", 0)
+    GROUP = GroupAddress("bench")
+
+    def data_message(self, seq: int = 42) -> Message:
+        """A data cast as it looks on the wire below the Section 7 stack."""
+        message = Message(b"p" * 100)
+        message.push_header(
+            "TOTAL", {"kind": 0, "gseq": 17 + seq - 42, "holder": self.SOURCE}
+        )
+        message.push_header(
+            "MBRSHIP", {"kind": 0, "vid": 3, "seq": seq, "origin": self.SOURCE}
+        )
+        message.push_header("FRAG", {"last": True})
+        message.push_header("NAK", {"kind": 0, "era": 3, "seq": seq})
+        message.push_header(
+            "COM", {"group": self.GROUP, "source": self.SOURCE, "kind": 0}
+        )
+        return message
+
+    def test_header_bytes_per_wire_mode(self):
+        """Word alignment wastes bytes, packing wins, and the header
+        table beats packing once the channel's table is warm.  FRAG
+        carries one bit yet costs four aligned bytes."""
+        message = self.data_message()
+        sizes = {
+            mode: DEFAULT_REGISTRY.header_overhead(message, mode)
+            for mode in ("aligned", "compact", "packed")
+        }
+        channel = make_channel_encoder(self.SOURCE, self.GROUP, epoch=1)
+        tables = HeaderTableStore()
+        table = []
+        for seq in range(42, 50):
+            msg = self.data_message(seq)
+            data = DEFAULT_REGISTRY.marshal(msg, "table", channel=channel)
+            DEFAULT_REGISTRY.unmarshal(data, tables=tables)
+            table.append(len(data) - msg.body_size - 8)
+        assert sizes == {"aligned": 136, "compact": 129, "packed": 121}
+        assert (table[0], table[-1]) == (60, 23)
+        assert set(table[1:]) == {23}
+        assert hdr.packed_bit_size(DEFAULT_REGISTRY, message) == 905
+
+        frag = Message(b"x")
+        frag.push_header("FRAG", {"last": True})
+        assert hdr.packed_bit_size(DEFAULT_REGISTRY, frag) == 1
+        assert DEFAULT_REGISTRY.header_overhead(frag, "aligned") == 4
+
+    @pytest.mark.parametrize("wire_mode, coalesce, expected", [
+        ("aligned", False, (200, 97, 33677)),
+        ("table", {"max_delay": 0.002, "max_batch": 16}, (200, 88, 28530)),
+    ])
+    def test_section7_stack_datagrams_and_wire_bytes(
+            self, wire_mode, coalesce, expected):
+        """(delivered, datagrams, wire bytes) for 200 casts, seed 11."""
+        world = World(
+            seed=11, network="lan", wire_mode=wire_mode,
+            trace=False, coalesce=coalesce,
+        )
+        handles = join_group(
+            world, ["a", "b"], "TOTAL:MBRSHIP:FRAG:NAK:COM",
+            group="bench", settle=0.4,
+        )
+        for index in range(200):
+            handles["a"].cast(b"\x5a" * 120)
+            if index % 16 == 15:
+                world.run(0.05)
+        world.run(5.0)
+        stats = world.network.stats
+        assert (
+            len(handles["b"].delivery_log), stats.packets_sent, stats.bytes_sent
+        ) == expected
+
+    def test_codec_throughput_ratio_floors(self):
+        """Table-mode marshal keeps at least half of aligned's rate, and
+        a lazy top pop beats an eager full decode by 10 %."""
+
+        def ops_per_s(fn, ops=20_000):
+            fn()  # warm caches out of the timed window
+            start = time.perf_counter()
+            for _ in range(ops):
+                fn()
+            return ops / (time.perf_counter() - start)
+
+        message = self.data_message()
+        buf = bytearray()
+        channel = make_channel_encoder(self.SOURCE, self.GROUP, epoch=1)
+        marshal = DEFAULT_REGISTRY.marshal
+        aligned = ops_per_s(lambda: marshal(message, "aligned", into=buf))
+        table = ops_per_s(
+            lambda: marshal(message, "table", channel=channel, into=buf)
+        )
+        data = marshal(message, "aligned")
+        unmarshal = DEFAULT_REGISTRY.unmarshal
+        eager = ops_per_s(lambda: unmarshal(data))
+        lazy = ops_per_s(lambda: unmarshal(data, lazy=True).pop_header("COM"))
+        assert table / aligned >= 0.5
+        assert lazy / eager >= 1.1
+
 
 _EDGE_INTS = (0, 1, 127, 128, 16383, 16384, 2**21, 2**32 - 1, 2**63, 2**64 - 1)
 
@@ -715,7 +823,6 @@ class TestOnePassSteadyState:
 
     def test_steady_cast_is_one_reference_replayed_and_decoded_flat(self, monkeypatch):
         from repro.core.headers import table as table_mode
-        from repro.core.process import World
 
         world = World(seed=3, network="lan", wire_mode="table", trace=False)
         handles = []
@@ -910,8 +1017,6 @@ class IntegrityRig:
     decodes every header up front."""
 
     def __init__(self, spec, mode, above=""):
-        from repro.core.process import World
-
         self.world = World(seed=5, network="lan", wire_mode=mode)
         self.a = self.world.process("a").endpoint()
         self.b = self.world.process("b").endpoint()
@@ -1281,8 +1386,6 @@ class TestCoalescedWorld:
 
     @staticmethod
     def run_workload(coalesce):
-        from repro.core.process import World
-
         stack = "TOTAL:MBRSHIP:FRAG(max_size=900):NAK:COM"
         world = World(seed=21, network="lan", wire_mode="table",
                       trace=False, coalesce=coalesce)
@@ -1318,7 +1421,6 @@ class TestCreditAdmission:
 
     def test_admission_is_lookup_free(self, monkeypatch):
         from repro import FlowVerdict
-        from repro.core.process import World
         from repro.obs.registry import MetricFamily
 
         world = World(seed=4, network="lan", trace=False)

@@ -8,6 +8,7 @@ from repro.core.events import DowncallType, Upcall, UpcallType
 from repro.core.layer import UP
 from repro.core.message import Message
 from repro.layers.mbrship import _DATA, _FLUSH, _FLUSH_OK, _INSTALL, _STABILITY
+from repro.verify import check_view_agreement, check_virtual_synchrony
 
 from conftest import join_group
 
@@ -127,6 +128,9 @@ class TestCrash:
             assert [m.data for m in handle.delivery_log] == [b"M"]
             assert handle.view.size == 3
         assert views_agree(handles, ["a", "b", "c"])
+        survivors = [handles[n] for n in "abc"]
+        check_view_agreement(survivors)
+        check_virtual_synchrony(survivors)
 
     def test_virtual_synchrony_same_messages_before_view_change(self, lan_world):
         handles = join_group(lan_world, ["a", "b", "c", "d"], STACK)
@@ -182,7 +186,6 @@ class TestCrash:
         the new view but sequenced in NAK's old era, every member
         (B through loopback included) dropped it as stale."""
         from repro.core.headers import DEFAULT_REGISTRY
-        from repro.verify import check_virtual_synchrony
 
         handles = join_group(lan_world, ["a", "b", "c", "d"], STACK)
         a, b, d = (handles[n].endpoint_address for n in "abd")
@@ -444,8 +447,6 @@ class TestThreeWayPartition:
                  for n in "abcdef"}
         assert len(views) == 1
         assert handles["a"].view.size == 6
-        from repro.verify import check_view_agreement
-
         check_view_agreement(handles.values())
 
     def test_messages_scoped_per_component_then_flow_after_merge(self):
@@ -502,8 +503,6 @@ class TestStorePruning:
             got = [m.data for m in handles[name].delivery_log]
             assert got[-1] == b"M"
             assert len(got) == 51
-        from repro.verify import check_virtual_synchrony
-
         check_virtual_synchrony([handles[n] for n in "abc"])
 
 

@@ -500,6 +500,23 @@ class TestPinwheel:
         pin_msgs = sum(h.focus("PINWHEEL").broadcasts_sent for h in hp.values())
         assert pin_msgs * 2 < stable_msgs  # much less background traffic
 
+        # S10c on the wire: every packet an idle six-member group sends
+        # in 20 s after one warm-up cast (402 vs 216 per second).
+        idle = {}
+        for layer in ("STABLE", "PINWHEEL"):
+            world = World(seed=9, network="lan", trace=False)
+            names = [f"m{i}" for i in range(6)]
+            handles = join_group(
+                world, names, f"{layer}:MBRSHIP:FRAG:NAK:COM",
+                settle=0.4, final_settle=3.0,
+            )
+            handles["m0"].cast(b"warm-up")
+            world.run(1.0)
+            before = world.network.stats.packets_sent
+            world.run(20.0)
+            idle[layer] = world.network.stats.packets_sent - before
+        assert idle == {"STABLE": 8042, "PINWHEEL": 4314}
+
 
 class TestSafeDelivery:
     def test_safe_delivery_waits_for_stability(self, lan_world):

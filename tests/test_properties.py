@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import World
 from repro.errors import IllFormedStackError, SynthesisError
 from repro.properties import (
     ALL_PROPERTIES,
@@ -21,6 +22,8 @@ from repro.properties.checker import ordering_matters
 from repro.properties.props import parse_property
 from repro.properties.registry import PROFILES, TABLE3_ORDER
 from repro.properties.synthesis import synthesize_spec
+
+from conftest import join_group
 
 
 class TestProps:
@@ -63,9 +66,28 @@ class TestProfiles:
 
 class TestChecker:
     def test_section7_derivation_exact(self):
-        """The paper's Section 7 walkthrough, verbatim."""
-        props = derive_properties("TOTAL:MBRSHIP:FRAG:NAK:COM", network="atm")
+        """S7: the paper's Section 7 walkthrough, verbatim, and the
+        derived properties holding when the stack runs over ATM: one
+        total order (P6) including a 5000-byte cast (P12), and one
+        agreed view after a crash (P15)."""
+        spec = "TOTAL:MBRSHIP:FRAG:NAK:COM"
+        props = derive_properties(spec, network="atm")
         assert props == {P(n) for n in (3, 4, 6, 8, 9, 10, 11, 12, 15)}
+
+        world = World(seed=4, network="atm", trace=False)
+        handles = join_group(world, ["a", "b", "c"], spec, settle=0.4)
+        handles["a"].cast(b"L" * 5000)
+        for i in range(5):
+            handles["b"].cast(f"b{i}".encode())
+            handles["c"].cast(f"c{i}".encode())
+        world.run(4.0)
+        world.crash("c")
+        world.run(6.0)
+        a_log = [m.data for m in handles["a"].delivery_log]
+        assert a_log == [m.data for m in handles["b"].delivery_log]
+        assert len(a_log) == 11 and b"L" * 5000 in a_log
+        assert handles["a"].view == handles["b"].view
+        assert handles["a"].view.size == 2
 
     def test_well_formed_example_stack(self):
         analysis = check_well_formed("TOTAL:MBRSHIP:FRAG:NAK:COM", "atm")
@@ -109,10 +131,21 @@ class TestChecker:
         assert "FRAG:NAK" in why
 
     def test_tables_render(self):
+        """T3/T4: both tables regenerate from the live registry, with
+        the paper's fifteen Table 3 rows and sixteen properties."""
         t3 = render_table3()
         assert "MBRSHIP" in t3 and "TOTAL" in t3
+        assert len(TABLE3_ORDER) == 15
+        assert [line.split("|")[0].strip() for line in t3.splitlines()[2:]] == list(
+            TABLE3_ORDER
+        )
+        assert profile_for("MBRSHIP").provides == {
+            P.VIRTUALLY_SEMI_SYNC, P.VIRTUALLY_SYNC, P.CONSISTENT_VIEWS,
+        }
+        assert profile_for("TOTAL").provides == {P.TOTAL_ORDER}
         t4 = render_table4()
         assert "virtually synchronous delivery" in t4
+        assert all(f"P{n}" in t4 for n in range(1, 17))
 
 
 class TestSynthesis:

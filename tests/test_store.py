@@ -2,6 +2,7 @@
 
 import os
 import struct
+import time
 
 import pytest
 
@@ -344,6 +345,25 @@ class TestWalWriterBehavior:
         assert offsets == [wal_len // 2, wal_len]
         store.snapshot(b"S", epoch=1)
         assert backend.read("wal.log.batches") == b""
+
+
+class TestWalThroughputFloor:
+    def test_group_mode_sustains_50k_durable_appends_per_s(self, tmp_path):
+        """CI's perf-smoke gate: 64 B records on the file backend, timed
+        to durable completion (the clock stops when every ticket is
+        done).  Below the floor, group commit has regressed to something
+        close to one fsync per record."""
+        policy = DurabilityPolicy(mode="group")
+        store = DurableStore(FileBackend(str(tmp_path)), name="floor", policy=policy)
+        records = 2000
+        started = time.perf_counter()
+        for _ in range(records):
+            last = store.append(b"u" * 64)
+        store.flush()
+        rate = records / (time.perf_counter() - started)
+        assert last.done()
+        store.close()
+        assert rate >= 50_000
 
 
 class TestBackendProtocol:

@@ -69,6 +69,7 @@ class TestForwarding:
         return sched, wan, a, b, got
 
     def test_multi_hop_delivery_and_latency(self):
+        """X-WAN: one-way latency grows with the hop count."""
         sched, wan, a, b, got = self._pair()
         wan.unicast(a, b, b"cross-country")
         sched.run()
@@ -77,6 +78,16 @@ class TestForwarding:
         assert packet.payload == b"cross-country"
         assert 0.030 <= arrival <= 0.032  # 10ms + 20ms + local delivery
         assert wan.hops_forwarded == 2
+
+        series = []
+        for site in ("nyc", "chi", "sfo"):
+            dest = EndpointAddress(f"at-{site}", 0)
+            wan.place_node(dest.node, site)
+            wan.attach(dest, lambda p: series.append(sched.now - start))
+            start = sched.now
+            wan.unicast(a, dest, b"x")
+            sched.run()
+        assert [round(t, 6) for t in series] == [0.00005, 0.01005, 0.03005]
 
     def test_link_failure_mid_simulation_reroutes(self):
         sched, wan, a, b, got = self._pair()
