@@ -99,8 +99,21 @@ __all__ = [
     "HeaderChannelEncoder", "HeaderTableStore", "make_channel_encoder",
     "HeaderFrameStore",
     "BitReader", "BitWriter", "packed_bit_size",
-    "content_chunks",
+    "content_chunks", "HEADER_RESERVE",
 ]
+
+#: Bytes of an MTU left for one message's headers where a layer sizes a
+#: body to share a datagram: TOTAL's packs and FRAG's runs keep their
+#: bodies within ``mtu - HEADER_RESERVE``.  Measured: the widest stack
+#: of registered layers that can sit below TOTAL without FRAG
+#: (TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:PRIO:REALTIME:KEYDIST:
+#: COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM) puts 300 B of headers on a pack
+#: in ``aligned`` mode, 286 ``compact``, 260 ``packed`` and 111
+#: ``table``, with 16-character endpoint and group names;
+#: TOTAL:MBRSHIP:NAK:COM puts 160 B in ``aligned`` mode.  Names are the
+#: only fields that vary: about 2 B per endpoint-name and 1 B per
+#: group-name character.
+HEADER_RESERVE = 512
 
 #: The mode table: every wire format, by the name ``marshal`` is given
 #: and by the mode byte ``unmarshal`` reads.

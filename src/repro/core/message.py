@@ -213,6 +213,8 @@ class Message:
 
         Used by the fragmentation layers: slicing yields (at most two
         partial and many whole) segment references, not a copied blob.
+        A partial cut of a ``bytes`` segment is a ``memoryview`` over it,
+        so a fragment shares its parent's buffer.
         """
         if start < 0 or end < start:
             raise MessageError(f"bad body slice [{start}, {end})")
@@ -225,6 +227,8 @@ class Message:
             if lo < hi:
                 if lo == offset and hi == seg_end:
                     out.append(seg)
+                elif type(seg) is bytes:
+                    out.append(memoryview(seg)[lo - offset : hi - offset])
                 else:
                     out.append(seg[lo - offset : hi - offset])
             offset = seg_end

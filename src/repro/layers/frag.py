@@ -17,6 +17,23 @@ Zero-copy note: non-final fragments are fresh messages carrying body
 message object, so headers pushed by layers above FRAG travel exactly
 once, on the last fragment.
 
+Runs
+----
+
+Where the network below shares datagrams (a
+:class:`~repro.net.coalesce.Coalescer`) and FRAG sits directly on NAK,
+consecutive fragments of one message go down as one *run*: one message
+whose body is the run's slice and whose header is the FRAG header of
+its last fragment, with the downcall's ``extra["frag_run"]`` holding a
+:class:`FragmentRun`.  NAK numbers every fragment of the run and
+rebuilds fragment ``i`` from it only to retransmit it, so loss recovery
+stays per fragment.  A run holds at most the coalescer's ``max_batch``
+fragments, NAK's ``window`` fragments and ``mtu - HEADER_RESERVE`` bytes
+(TOTAL's bound on a pack);
+without a coalescer, or over any other layer, a run is one fragment and
+the traffic is exactly the unbatched one.  The receive side does not
+change: to FRAG a run is a bigger fragment.
+
 Properties (Table 3): requires P3, P4, P10, P11; provides P12 (large
 messages).
 """
@@ -40,6 +57,35 @@ hdr.register("FRAG", fields=[("last", hdr.BOOL)])
 _BufferKey = Tuple[EndpointAddress, bool]
 
 
+class FragmentRun:
+    """The fragment list of one run message, built one at a time on demand.
+
+    ``run`` is a copy of the run message as FRAG passed it down (its own
+    header stack and segment list, so nothing the layers below do to
+    the message shows here).  Fragment ``i`` is the ``i``-th
+    ``max_size`` slice of its body; the run's last fragment carries the
+    run's headers, every other one a fresh ``last=False`` FRAG header.
+    """
+
+    __slots__ = ("run", "count", "max_size")
+
+    def __init__(self, run: Message, count: int, max_size: int) -> None:
+        self.run = run
+        self.count = count
+        self.max_size = max_size
+
+    def fragment(self, i: int) -> Message:
+        """A new message holding fragment ``i`` alone, as FRAG would send it."""
+        lo = i * self.max_size
+        fragment = Message()
+        fragment._segments = self.run.slice_body(lo, lo + self.max_size)
+        if i == self.count - 1:
+            fragment._headers = list(self.run._headers)
+        else:
+            fragment.push_owned_header(FragLayer.name, {"last": False})
+        return fragment
+
+
 @register_layer
 class FragLayer(Layer):
     """Splits big bodies going down; reassembles going up.
@@ -57,8 +103,21 @@ class FragLayer(Layer):
         if self.max_size <= 0:
             raise ValueError(f"max_size must be positive, got {self.max_size}")
         self._reassembly: Dict[_BufferKey, List[bytes]] = {}
+        #: Fragments per run; set by :meth:`start` once the stack is wired.
+        self._run_fragments = 1
         self.fragments_sent = 0
+        self.runs_sent = 0
+        #: Messages joined from more than one arriving piece (fragment or
+        #: run); one that arrived as a single run is delivered as it came.
         self.messages_reassembled = 0
+
+    def start(self) -> None:
+        network, below = self.context.network, self.below
+        max_batch = getattr(network, "max_batch", None)  # only a Coalescer's
+        if max_batch is not None and below is not None and below.name == "NAK":
+            # NAK drops a range as wide as its window as garbled.
+            fit = (network.mtu - hdr.HEADER_RESERVE) // self.max_size
+            self._run_fragments = max(1, min(max_batch, fit, below.window))
 
     # ------------------------------------------------------------------
     # Downcalls
@@ -76,26 +135,34 @@ class FragLayer(Layer):
     def _fragment(self, downcall: Downcall) -> None:
         message = downcall.message
         size = message.body_size
-        if size <= self.max_size:
+        max_size = self.max_size
+        if size <= max_size:
             message.push_owned_header(self.name, {"last": True})
             self.pass_down(downcall)
             return
-        # Emit all-but-last fragments as bare slice carriers...
+        self.fragments_sent += -(-size // max_size)
+        # Emit all-but-last runs as bare slice carriers...
+        run_size = self._run_fragments * max_size
         offset = 0
-        while size - offset > self.max_size:
-            fragment = Message()
-            for segment in message.slice_body(offset, offset + self.max_size):
-                fragment.add_segment(segment)
-            fragment.push_owned_header(self.name, {"last": False})
-            self.fragments_sent += 1
-            self.pass_down(self._like(downcall, fragment))
-            offset += self.max_size
+        while size - offset > run_size:
+            run = Message()
+            run._segments = message.slice_body(offset, offset + run_size)
+            run.push_owned_header(self.name, {"last": False})
+            self._pass_run(self._like(downcall, run), run_size)
+            offset += run_size
         # ...and ship the original message (with every header pushed by
-        # the layers above) as the final fragment, body trimmed to the tail.
-        tail = message.slice_body(offset, size)
-        message._segments[:] = tail
+        # the layers above) as the final run, body trimmed to the tail.
+        message._segments[:] = message.slice_body(offset, size)
         message.push_owned_header(self.name, {"last": True})
-        self.fragments_sent += 1
+        self._pass_run(downcall, size - offset)
+
+    def _pass_run(self, downcall: Downcall, size: int) -> None:
+        count = -(-size // self.max_size)
+        if count > 1:
+            self.runs_sent += 1
+            downcall.extra["frag_run"] = FragmentRun(
+                downcall.message.shallow_copy(), count, self.max_size
+            )
         self.pass_down(downcall)
 
     @staticmethod
@@ -140,6 +207,8 @@ class FragLayer(Layer):
         info.update(
             max_size=self.max_size,
             fragments_sent=self.fragments_sent,
+            run_fragments=self._run_fragments,
+            runs_sent=self.runs_sent,
             messages_reassembled=self.messages_reassembled,
             partial_buffers=len(self._reassembly),
         )

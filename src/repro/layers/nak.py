@@ -35,6 +35,20 @@ guarantees that all old-view messages are delivered before the new view
 is installed (virtual synchrony).  The send buffer of the previous era
 is retained for one more view change so that slower members can still
 recover old-era messages from it.
+
+Fragment runs: a downcall from FRAG may carry a run of ``k``
+fragments as one message (``extra["frag_run"]``, a
+:class:`~repro.layers.frag.FragmentRun`).  NAK gives the run the ``k``
+sequence numbers ``seq .. hi`` under one ``_DATA`` header with ``hi``
+set (a lone message leaves ``hi`` at 0, so its wire is unchanged), and
+buffers one ``(run, i)`` entry per number: fragment ``i`` is built only
+if it is retransmitted, and then alone, as a plain ``_DATA`` message.  A
+receiver delivers an in-order run as one upcall and advances
+``expected`` past ``hi``; it holds a run that arrives ahead of a gap
+whole (its later numbers marked held, so they are neither NAKed nor
+accepted twice); and it drops a run that overlaps anything already
+received or held, whose missing numbers are then NAKed and recovered
+fragment by fragment.
 """
 
 from __future__ import annotations
@@ -64,6 +78,9 @@ _DATA = (_DATA_M, _DATA_U)
 _GONE = (_GONE_M, _GONE_U)
 _NAK = (_NAK_M, _NAK_U)
 _UPCALL = (UpcallType.CAST, UpcallType.SEND)
+
+#: The pending-entry kind of a seq covered by a held run's head.
+_HELD = -1
 
 #: Sanity bound for sequence fields: an honest peer can run far ahead of
 #: a receiver (window eviction), but a garbled 64-bit field is random —
@@ -95,12 +112,21 @@ class _RecvState:
 
     def __init__(self) -> None:
         self.expected = 1  # next sequence number to deliver
-        self.pending: Dict[int, Tuple[int, Message]] = {}  # seq -> (kind, msg)
+        #: seq -> (kind, message, hi): ``hi`` is the last seq the message
+        #: covers; a held run's later seqs map to ``(_HELD, None, seq)``.
+        self.pending: Dict[int, Tuple[int, Optional[Message], int]] = {}
         self.known_max = 0  # highest seq known to exist (from data/status)
 
     @property
     def has_gap(self) -> bool:
         return self.expected <= self.known_max
+
+
+def _overlaps(pending: Dict[int, object], seq: int, hi: int) -> bool:
+    """Whether any of ``seq .. hi`` is already held in ``pending``."""
+    if hi == seq:
+        return seq in pending
+    return any(s in pending for s in range(seq, hi + 1))
 
 
 @register_layer
@@ -146,6 +172,8 @@ class NakLayer(Layer):
         self.stale_era_dropped = 0
         self.bogus_dropped = 0
         self.lost_reported = 0
+        self.runs_sent = 0
+        self.runs_held = 0
 
     def start(self) -> None:
         self._status_timer = self.periodic(self.status_period, self._status_tick)
@@ -174,29 +202,52 @@ class NakLayer(Layer):
             self.pass_down(downcall)
 
     def _cast_data(self, downcall: Downcall) -> None:
-        self._send_seq += 1
-        message = downcall.message
-        message.push_owned_header(
-            self.name, {"kind": _DATA_M, "era": self._era, "seq": self._send_seq}
-        )
-        self._buffer(self._sent[self._era], self._send_seq, message.shallow_copy())
+        message, run = downcall.message, downcall.extra.get("frag_run")
+        seq = self._send_seq + 1
+        header = {"kind": _DATA_M, "era": self._era, "seq": seq}
+        buffer = self._sent[self._era]
+        if run is None:
+            self._send_seq = seq
+            message.push_owned_header(self.name, header)
+            self._buffer(buffer, seq, message.shallow_copy())
+        else:
+            self._send_seq = header["hi"] = seq + run.count - 1
+            message.push_owned_header(self.name, header)
+            self._buffer_run(buffer, seq, run)
         self.pass_down(downcall)
 
     def _send_data(self, downcall: Downcall) -> None:
         # Each destination gets its own reliably sequenced copy.
+        run = downcall.extra.get("frag_run")
         for dest in downcall.members or []:
             seq = self._usend_seq.get(dest, 0) + 1
-            self._usend_seq[dest] = seq
             message = downcall.message.copy()
-            message.push_owned_header(self.name, {"kind": _DATA_U, "seq": seq})
+            header = {"kind": _DATA_U, "seq": seq}
             buffer = self._usent.setdefault(dest, OrderedDict())
-            self._buffer(buffer, seq, message.shallow_copy())
+            if run is None:
+                self._usend_seq[dest] = seq
+                message.push_owned_header(self.name, header)
+                self._buffer(buffer, seq, message.shallow_copy())
+            else:
+                self._usend_seq[dest] = header["hi"] = seq + run.count - 1
+                message.push_owned_header(self.name, header)
+                self._buffer_run(buffer, seq, run)
             self.pass_down(
                 Downcall(DowncallType.SEND, message=message, members=[dest])
             )
 
-    def _buffer(self, buffer: "OrderedDict[int, Message]", seq: int, msg: Message) -> None:
-        buffer[seq] = msg
+    def _buffer(self, buffer: "OrderedDict[int, object]", seq: int, entry) -> None:
+        buffer[seq] = entry
+        self._evict(buffer)
+
+    def _buffer_run(self, buffer: "OrderedDict[int, object]", seq: int, run) -> None:
+        """One ``(run, i)`` entry per fragment: each is retransmitted alone."""
+        self.runs_sent += 1
+        for i in range(run.count):
+            buffer[seq + i] = (run, i)
+        self._evict(buffer)
+
+    def _evict(self, buffer: "OrderedDict[int, object]") -> None:
         while len(buffer) > self.window:
             buffer.popitem(last=False)
 
@@ -259,11 +310,14 @@ class NakLayer(Layer):
         self._heard(source)
         kind = header["kind"]
         if kind in (_DATA_M, _GONE_M):
-            self._arrived(
-                source, 0, header["era"], header["seq"], kind, message, upcall
-            )
+            seq = header["seq"]
+            # A FRAG run's last number; 0 (or, sent locally, absent) else.
+            hi = header.get("hi") or seq
+            self._arrived(source, 0, header["era"], seq, hi, kind, message, upcall)
         elif kind in (_DATA_U, _GONE_U):
-            self._arrived(source, 1, 0, header["seq"], kind, message, upcall)
+            seq = header["seq"]
+            hi = header.get("hi") or seq
+            self._arrived(source, 1, 0, seq, hi, kind, message, upcall)
         elif kind == _STATUS:
             self._on_status(source, 0, header["era"], header["seq"])
             if message.top_owner() == _MARKS:
@@ -291,10 +345,12 @@ class NakLayer(Layer):
         space: int,
         era: int,
         seq: int,
+        hi: int,
         kind: int,
         message: Message,
         upcall: Upcall,
     ) -> None:
+        """``message`` covers ``seq .. hi``: one number, or a FRAG run's."""
         if space == 0 and era < self._era:
             # Message from a view we already left; the flush protocol
             # accounted for it before the view was installed.
@@ -304,12 +360,13 @@ class NakLayer(Layer):
         state = self._streams.get(key)
         if state is None:
             state = self._streams[key] = _RecvState()
-        if seq > state.expected + _SEQ_SANITY:
-            self.bogus_dropped += 1  # garbled sequence number
+        if seq > state.expected + _SEQ_SANITY or hi < seq or hi - seq >= self.window:
+            self.bogus_dropped += 1  # garbled sequence number or range
             return
         # A multicast stream of a later era is held until our membership
         # layer installs that view; _advance_era will drain it.
         current = space or era == self._era
+        pending = state.pending
         # In-order fast path (the steady state): the next expected data
         # message arrives as the upcall it will leave as — forward the
         # incoming upcall itself instead of round-tripping through the
@@ -319,30 +376,41 @@ class NakLayer(Layer):
             and seq == state.expected
             and kind == _DATA[space]
             and upcall.type is _UPCALL[space]
+            and (hi == seq or not _overlaps(pending, seq, hi))
         ):
-            state.expected = seq + 1
-            if seq > state.known_max:
-                state.known_max = seq
+            state.expected = hi + 1
+            if hi > state.known_max:
+                state.known_max = hi
             self.pass_up(upcall)
-            if state.pending:
+            if pending:
                 self._drain(state, source, space)
             self._maybe_schedule_nak(state, source, space, era)
             return
-        if seq > state.known_max:
-            state.known_max = seq
-        if seq < state.expected or seq in state.pending:
+        if hi > state.known_max:
+            state.known_max = hi
+        if seq < state.expected or _overlaps(pending, seq, hi):
+            # A duplicate, or a run partly received already: what it
+            # still lacks is NAKed and recovered fragment by fragment.
             self.duplicates_dropped += 1
         else:
-            state.pending[seq] = (kind, message)
+            pending[seq] = (kind, message, hi)
+            if hi > seq:
+                self.runs_held += 1
+                for held in range(seq + 1, hi + 1):
+                    pending[held] = (_HELD, None, held)
         if current:
             self._drain(state, source, space)
             self._maybe_schedule_nak(state, source, space, era)
 
     def _drain(self, state: _RecvState, source: EndpointAddress, space: int) -> None:
         data_kind, upcall_type = _DATA[space], _UPCALL[space]
-        while state.expected in state.pending:
-            kind, message = state.pending.pop(state.expected)
-            state.expected += 1
+        pending = state.pending
+        while state.expected in pending:
+            seq = state.expected
+            kind, message, hi = pending.pop(seq)
+            for held in range(seq + 1, hi + 1):
+                del pending[held]
+            state.expected = hi + 1
             if kind == data_kind:
                 self.pass_up(Upcall(upcall_type, message=message, source=source))
             else:  # a GONE placeholder: the data is unrecoverable
@@ -351,7 +419,7 @@ class NakLayer(Layer):
                     Upcall(
                         UpcallType.LOST_MESSAGE,
                         source=source,
-                        extra={"seq": state.expected - 1, "space": space},
+                        extra={"seq": seq, "space": space},
                     )
                 )
 
@@ -376,7 +444,7 @@ class NakLayer(Layer):
         if state is None or not state.has_gap:
             return  # gap closed in the meantime
         kind = _NAK[space]
-        for lo, hi in self._missing_runs(state, limit=8):
+        for lo, hi in self._missing_runs(state, limit=8, width=self.window):
             nak = Message()
             nak.push_header(self.name, {"kind": kind, "era": era, "lo": lo, "hi": hi})
             self.naks_sent += 1
@@ -385,11 +453,13 @@ class NakLayer(Layer):
         self._maybe_schedule_nak(state, source, space, era)
 
     @staticmethod
-    def _missing_runs(state: _RecvState, limit: int):
+    def _missing_runs(state: _RecvState, limit: int, width: int):
         """Contiguous runs of sequence numbers we lack, oldest first.
 
         Requesting only the holes (not the whole [expected, known_max]
         range) keeps retransmission traffic proportional to actual loss.
+        A hole wider than ``width`` (the window: a sender drops a wider
+        request as garbled) is requested ``width`` numbers at a time.
         """
         runs = []
         seq = state.expected
@@ -398,7 +468,11 @@ class NakLayer(Layer):
                 seq += 1
                 continue
             start = seq
-            while seq <= state.known_max and seq not in state.pending:
+            while (
+                seq <= state.known_max
+                and seq not in state.pending
+                and seq - start < width
+            ):
                 seq += 1
             runs.append((start, seq - 1))
         return runs
@@ -420,7 +494,16 @@ class NakLayer(Layer):
             buffer = self._usent.get(requester, {})
         for seq in range(lo, hi + 1):
             buffered = buffer.get(seq)
-            if buffered is not None:
+            if type(buffered) is tuple:  # one fragment of a run, built now
+                self.retransmissions += 1
+                run, index = buffered
+                message = run.fragment(index)
+                message.push_owned_header(
+                    self.name,
+                    {"kind": _DATA_M, "era": era, "seq": seq} if space == 0
+                    else {"kind": _DATA_U, "seq": seq},
+                )
+            elif buffered is not None:
                 self.retransmissions += 1
                 message = buffered.copy()
             else:
@@ -518,6 +601,8 @@ class NakLayer(Layer):
             stale_era_dropped=self.stale_era_dropped,
             bogus_dropped=self.bogus_dropped,
             lost_reported=self.lost_reported,
+            runs_sent=self.runs_sent,
+            runs_held=self.runs_held,
             peers=[str(p) for p in sorted(self._peers)],
         )
         return info

@@ -47,7 +47,7 @@ marshalled``, then ``length`` bytes, which are the cast's body alone
 when no layer above TOTAL pushed a header, else the cast marshalled in
 the registry's channel-free ``compact`` mode.  A pack holds at most
 ``max_batch`` casts and its body stays within the network's MTU less
-:data:`PACK_RESERVE`, so on a stack without FRAG a cast that fits a
+:data:`repro.core.headers.HEADER_RESERVE`, so on a stack without FRAG a cast that fits a
 datagram alone is never packed past one; a cast too big to share goes
 alone.
 Above TOTAL every cast is delivered on its own, with its own
@@ -85,17 +85,6 @@ _REQ = 1  # token request (sender has pending casts)
 _TOKEN = 2  # token transfer: new holder, next gseq, hand-off generation
 _PACK = 3  # ordered data: n >= 2 casts numbered from gseq, n in the body
 
-#: Bytes of an MTU left for the headers of the layers below TOTAL (and
-#: TOTAL's own) on a pack: a pack's body never exceeds ``mtu - PACK_RESERVE``.
-#: Measured: the widest stack of registered layers that can sit below
-#: TOTAL without FRAG (TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:
-#: PRIO:REALTIME:KEYDIST:COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM) puts 300 B
-#: of headers on a pack in ``aligned`` mode, 286 ``compact``, 260
-#: ``packed`` and 111 ``table``, with 16-character endpoint and group
-#: names; TOTAL:MBRSHIP:NAK:COM puts 160 B in ``aligned`` mode.  Names
-#: are the only fields that vary: about 2 B per endpoint-name and 1 B
-#: per group-name character.
-PACK_RESERVE = 512
 #: The wire mode of a pack record that carries headers from above TOTAL.
 _RECORD_MODE = "compact"
 
@@ -196,7 +185,7 @@ class TotalOrderLayer(Layer):
         # is armed only while pending_out holds casts.
         self._pacer.cancel()
         pending, registry = self.pending_out, self.context.registry
-        limit = self.context.network.mtu - PACK_RESERVE
+        limit = self.context.network.mtu - hdr.HEADER_RESERVE
         casts: List[Downcall] = []
         parts: List[bytes] = []
         size = 0

@@ -34,7 +34,8 @@ A buffered batch is flushed when any of these holds:
   end of the current turn when nothing left for these destinations in
   the last ``max_delay`` seconds of Clock time (a lone message is not
   held for company that never comes, yet everything one handler
-  produces — a FRAG train, a burst of casts — still shares datagrams),
+  produces — the runs of one large FRAG message, a burst of casts —
+  still shares datagrams),
   else ``max_delay`` after the previous flush.  No payload waits longer
   than ``max_delay`` and the deadline sends at most one datagram per
   ``max_delay`` per destination set; it runs on whichever Clock seam

@@ -13,6 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro import World
+from repro.core.headers import DEFAULT_REGISTRY
+from repro.layers.nak import _DATA_M
 from repro.net.address import EndpointAddress
 from repro.net.coalesce import Coalescer, decode_batch
 from repro.obs import MetricsRegistry
@@ -195,12 +197,22 @@ class TestCoalescerOnly:
         manual_destinations(handles)
         world.run(0.9)  # NAK's last status round is far more than max_delay ago
         stats, coalescer = world.network.inner.stats, world.network
-        sent, batched = stats.packets_sent, coalescer.messages_batched
+        sent = stats.packets_sent
+        payloads = []
+        multicast = coalescer.inner.multicast
+        coalescer.inner.multicast = (
+            lambda source, dests, payload: (payloads.append(payload),
+                                            multicast(source, dests, payload))
+        )
         handles["a"].cast(b"f" * 500)
         assert stats.packets_sent == sent  # not inside the cast ...
         world.run(0.0)                     # ... at the end of its turn
         assert stats.packets_sent == sent + 1
-        assert coalescer.messages_batched == batched + 5
+        # The five fragments are one FRAG run: a single payload whose one
+        # NAK data header numbers all five (seq .. hi).
+        (payload,) = payloads
+        nak = dict(DEFAULT_REGISTRY.unmarshal(payload).headers())["NAK"]
+        assert (nak["kind"], nak["hi"] - nak["seq"] + 1) == (_DATA_M, 5)
         world.run(1.0)
         assert [d.data for d in handles["b"].delivery_log] == [b"f" * 500]
 

@@ -91,6 +91,19 @@ class TestBodySegments:
         parts = msg.slice_body(2, 102)
         assert parts[0] is seg  # zero copy for whole segments
 
+    def test_a_fragment_shares_its_parents_buffer(self):
+        parent = bytes(range(200))
+        msg = Message(parent)
+        msg.add_segment(b"tail")
+        first, second = msg.slice_body(0, 100), msg.slice_body(100, 202)
+        assert first[0].obj is parent and second[0].obj is parent
+        assert bytes(first[0]) == parent[:100]
+        assert second[1] == b"ta"
+        # A cut of a cut stays a view of the same buffer.
+        carrier = Message()
+        carrier.add_segment(first[0])
+        assert carrier.slice_body(10, 20)[0].obj is parent
+
     def test_slice_bad_range(self):
         with pytest.raises(MessageError):
             Message(b"abc").slice_body(2, 1)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro import World
 from repro.core.events import cast_down
-from repro.core.headers import DEFAULT_REGISTRY, WIRE_MODES
+from repro.core.headers import DEFAULT_REGISTRY, HEADER_RESERVE, WIRE_MODES
 from repro.core.message import Message
 from repro.errors import HeaderError
 from repro.layers import total as total_mod
@@ -225,7 +225,7 @@ class TestTotalPacks:
     #: The widest stack of registered layers that can sit below TOTAL
     #: without FRAG: its headers on a pack measure 300 B in aligned mode
     #: with the 16-character names below (286 compact, 260 packed, 111
-    #: table), against PACK_RESERVE.
+    #: table), against HEADER_RESERVE.
     WIDEST_WITHOUT_FRAG = (
         "TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:PRIO:"
         "REALTIME(policy=flag):"
@@ -238,7 +238,7 @@ class TestTotalPacks:
             self, stack, mode, monkeypatch):
         """No FRAG below: a pack must stay within the MTU, so a cast
         that fits in a datagram alone is never packed past it.  The
-        headers below TOTAL on every pack fit in ``PACK_RESERVE``."""
+        headers below TOTAL on every pack fit in ``HEADER_RESERVE``."""
         world = World(seed=1, network="lan", mtu=1200, wire_mode=mode)
         names = [c * 16 for c in "abc"]
         handles = join_group(world, names, stack, group="g" * 16)
@@ -271,9 +271,9 @@ class TestTotalPacks:
             assert [m.data for m in handles[name].delivery_log] == payloads
         total = holder.focus("TOTAL")
         assert total.ordered_sent == len(payloads) and total.packs_sent >= 2
-        assert max(bodies) <= 1200 - total_mod.PACK_RESERVE
+        assert max(bodies) <= 1200 - HEADER_RESERVE
         below = [size - body for body, size in marshalled if body in bodies]
-        assert below and max(below) <= total_mod.PACK_RESERVE
+        assert below and max(below) <= HEADER_RESERVE
 
     def test_packed_casts_carry_the_packs_stable_id_and_acks_reach_it(self):
         """STABLE below TOTAL numbers the pack, not its casts: every cast
