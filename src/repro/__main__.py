@@ -261,7 +261,6 @@ def _cmd_load(args) -> int:
         substrate=args.substrate,
         stack=args.stack,
         window=args.window,
-        manager=args.manager,
         max_queue=args.max_queue,
         shed_policy=args.shed_policy,
         consume_rate=args.consume_rate,
@@ -352,10 +351,10 @@ def main(argv: List[str] = None) -> int:
                             "substrate; failing runs leave their "
                             "stores for `store-inspect`)")
     chaos.add_argument("--durability", default=None,
-                       choices=["fsync_per_record", "group", "async"],
+                       choices=["fsync_per_record", "group"],
                        help="store durability mode for stateful "
                             "clients (default fsync_per_record; "
-                            "group/async exercise the batched "
+                            "group exercises the batched "
                             "group-commit pipeline)")
     chaos.add_argument("--check-total", action="store_true",
                        help="also demand total order (fails on stacks "
@@ -398,13 +397,10 @@ def main(argv: List[str] = None) -> int:
                       choices=["sim", "realtime"])
     load.add_argument("--stack", default=None,
                       help="explicit stack spec (default: a CREDIT stack "
-                           "built from --window/--manager/--max-queue/"
+                           "built from --window/--max-queue/"
                            "--shed-policy)")
     load.add_argument("--window", type=int, default=16384,
                       help="CREDIT per-flow window in bytes")
-    load.add_argument("--manager", default="fixed",
-                      choices=["fixed", "aimd", "paced"],
-                      help="CREDIT window-manager kind")
     load.add_argument("--max-queue", type=int, default=64,
                       help="CREDIT bounded send-queue capacity")
     load.add_argument("--shed-policy", default="block",

@@ -155,9 +155,9 @@ class ScenarioRunner:
             DES event loop, so sim digests stay pure in
             ``(seed, scenario)``.
         durability: the store durability mode stateful clients journal
-            under — ``fsync_per_record`` (default), ``group``, or
-            ``async`` (see :class:`~repro.store.DurabilityPolicy`).
-            Relaxed modes exercise the group-commit pipeline: a crash
+            under — ``fsync_per_record`` (default) or ``group`` (see
+            :class:`~repro.store.DurabilityPolicy`).  ``group``
+            exercises the group-commit pipeline: a crash
             drops volatile batch buffers (tickets never completed), and
             stateful recovery must still converge from the durable
             prefix plus XFER catch-up.

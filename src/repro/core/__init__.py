@@ -24,9 +24,6 @@ from repro.core.events import (
     Upcall,
     UpcallType,
     cast_down,
-    cast_up,
-    send_down,
-    send_up,
 )
 from repro.core.group import DeliveredMessage, GroupHandle
 from repro.core.headers import (
@@ -72,12 +69,9 @@ __all__ = [
     "ViewId",
     "World",
     "cast_down",
-    "cast_up",
     "format_stack_spec",
     "known_layers",
     "packed_bit_size",
     "parse_stack_spec",
     "register_layer",
-    "send_down",
-    "send_up",
 ]

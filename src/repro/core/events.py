@@ -131,17 +131,3 @@ def cast_down(message: Message) -> Downcall:
     """Shorthand for the hot-path CAST downcall."""
     return Downcall(DowncallType.CAST, message=message)
 
-
-def send_down(message: Message, members: List[EndpointAddress]) -> Downcall:
-    """Shorthand for the SEND-to-subset downcall."""
-    return Downcall(DowncallType.SEND, message=message, members=list(members))
-
-
-def cast_up(message: Message, source: EndpointAddress) -> Upcall:
-    """Shorthand for the hot-path CAST upcall."""
-    return Upcall(UpcallType.CAST, message=message, source=source)
-
-
-def send_up(message: Message, source: EndpointAddress) -> Upcall:
-    """Shorthand for the SEND upcall."""
-    return Upcall(UpcallType.SEND, message=message, source=source)

@@ -1,36 +1,16 @@
-"""repro.flow — credit windows, backpressure, and the overload plane.
+"""repro.flow — the overload plane's load generator.
 
-The flow subsystem supplies the *policy* half of flow control; the
-``CREDIT`` stack layer (:mod:`repro.layers.credit`) supplies the
-*mechanism*.  Split this way, the grant policies here are plain
-deterministic objects — testable in isolation, reusable beneath any
-upper stack (the hourglass argument), and blind to wire formats:
-
-* :mod:`repro.flow.window` — the pluggable :class:`WindowManager`
-  protocol with fixed, AIMD-adaptive, and rate-pacing implementations;
-* :mod:`repro.flow.loadgen` — the open-loop load generator behind
-  ``python -m repro load``, reporting SLO-style goodput, tail latency,
-  shed counts, and retransmit-buffer high-water marks on either
-  substrate.
+Flow control itself is the ``CREDIT`` stack layer
+(:mod:`repro.layers.credit`).  This package holds
+:mod:`repro.flow.loadgen`, the open-loop load generator behind
+``python -m repro load``, reporting SLO-style goodput, tail latency,
+shed counts, and retransmit-buffer high-water marks on either
+substrate.
 """
 
-from repro.flow.window import (
-    DEFAULT_WINDOW,
-    AimdWindowManager,
-    FixedWindowManager,
-    PacedWindowManager,
-    WindowManager,
-    make_window_manager,
-)
 from repro.flow.loadgen import LoadConfig, LoadReport, run_load
 
 __all__ = [
-    "DEFAULT_WINDOW",
-    "AimdWindowManager",
-    "FixedWindowManager",
-    "PacedWindowManager",
-    "WindowManager",
-    "make_window_manager",
     "LoadConfig",
     "LoadReport",
     "run_load",

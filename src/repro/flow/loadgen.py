@@ -38,7 +38,7 @@ from repro.obs.registry import Histogram
 #: Stack template used when the caller does not supply one.  CREDIT on
 #: top (only application traffic is charged), reliable FIFO below.
 DEFAULT_LOAD_STACK = (
-    "CREDIT(window={window},manager={manager},max_queue={max_queue},"
+    "CREDIT(window={window},max_queue={max_queue},"
     "shed_policy={shed_policy}):MBRSHIP:FRAG:NAK:COM"
 )
 
@@ -58,9 +58,9 @@ class LoadConfig:
         seed: world seed; on the DES it pins the entire report.
         substrate: ``"sim"`` or ``"realtime"``.
         stack: explicit stack spec; ``None`` builds one from
-            ``window``/``manager``/``max_queue``/``shed_policy`` via
+            ``window``/``max_queue``/``shed_policy`` via
             :data:`DEFAULT_LOAD_STACK`.
-        window / manager / max_queue / shed_policy: CREDIT parameters
+        window / max_queue / shed_policy: CREDIT parameters
             for the default stack (ignored when ``stack`` is given).
         consume_rate: receiver consumption rate in bytes/second
             (``None`` = the receiver keeps up; small values make it the
@@ -76,7 +76,6 @@ class LoadConfig:
     substrate: str = "sim"
     stack: Optional[str] = None
     window: int = 16384
-    manager: str = "fixed"
     max_queue: int = 64
     shed_policy: str = "block"
     consume_rate: Optional[float] = None
@@ -87,7 +86,6 @@ class LoadConfig:
             return self.stack
         return DEFAULT_LOAD_STACK.format(
             window=self.window,
-            manager=self.manager,
             max_queue=self.max_queue,
             shed_policy=self.shed_policy,
         )

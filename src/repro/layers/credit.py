@@ -44,10 +44,11 @@ turn into consumed credit, so tests and the chaos ``slow_receiver`` op
 can model an application that cannot keep up without touching delivery
 itself.
 
-Grant sizing and timing are delegated to a pluggable
-:class:`~repro.flow.window.WindowManager` (``fixed``, ``aimd``,
-``paced``); AIMD's congestion signal is end-to-end — a sender that shed
-piggybacks a congestion bit on its next data message.
+Grants are batched to half-window quanta: a receiver grants once the
+credit it has earned back but not yet advertised reaches half the
+window, or on the grant tick, so a chatty flow costs two grants per
+window, not one per message, and a sender never stalls for more than
+half a window plus one tick.
 
 Known limit: credit charged for a message the stack *permanently*
 loses (a NAK ``GONE`` placeholder) is never returned.  With CREDIT
@@ -76,13 +77,15 @@ from repro.core.layer import Layer
 from repro.core.message import Message
 from repro.core.stack import register_layer
 from repro.errors import ConfigurationError
-from repro.flow.window import DEFAULT_WINDOW, WindowManager, make_window_manager
 from repro.net.address import EndpointAddress
 from repro.obs import MetricsRegistry
 
 _DATA = 0  # charged data message
-_DATA_CONGESTED = 1  # charged data + "I shed since my last send" bit
 _GRANT = 2  # WINDOW_UPDATE: credit_delta = cumulative granted total
+
+#: Default per-flow window in credit bytes (one credit = one body byte,
+#: minimum one per message).
+DEFAULT_WINDOW = 64 * 1024
 
 #: The multicast (cast) and unicast (subset send) credit spaces.
 MCAST_SPACE = 0
@@ -99,6 +102,10 @@ hdr.register(
 )
 
 _SHED_POLICIES = ("block", "drop_newest", "drop_oldest")
+
+_CONFIG_KEYS = frozenset(
+    ("window", "max_queue", "shed_policy", "grant_period", "consume_rate")
+)
 
 FlowKey = Tuple[int, EndpointAddress]  # (space, peer)
 
@@ -118,13 +125,11 @@ class _Pending:
 class _RecvFlow:
     """Receiver-side state for one (space, peer) flow."""
 
-    __slots__ = ("consumed", "advertised", "manager", "congested")
+    __slots__ = ("consumed", "advertised")
 
-    def __init__(self, window: int, manager: WindowManager) -> None:
+    def __init__(self, window: int) -> None:
         self.consumed = 0
         self.advertised = window  # the implicit initial grant
-        self.manager = manager
-        self.congested = False  # shed bit seen since the last grant
 
 
 @register_layer
@@ -132,10 +137,7 @@ class CreditLayer(Layer):
     """Credit-based flow control with end-to-end backpressure.
 
     Config:
-        window (int): initial per-flow credit window in bytes
-            (default 65536).
-        manager (str): window-manager kind — ``fixed`` | ``aimd`` |
-            ``paced`` (default ``fixed``).
+        window (int): per-flow credit window in bytes (default 65536).
         max_queue (int): bounded send-queue capacity in messages
             (default 128).
         shed_policy (str): what to do when the queue is full —
@@ -147,29 +149,23 @@ class CreditLayer(Layer):
             (default 0.05).
         consume_rate (float | None): receiver consumption rate in
             bytes/second; ``None`` consumes instantly on delivery.
-        min_window / max_window / increment: AIMD manager parameters.
-        rate (float): paced manager grant rate in bytes/second.
+
+    Any other key is a :class:`~repro.errors.ConfigurationError`.
     """
 
     name = "CREDIT"
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)
+        unknown = sorted(set(config) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown CREDIT config {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(_CONFIG_KEYS))}"
+            )
         self.window = int(config.get("window", DEFAULT_WINDOW))
         if self.window < 1:
             raise ConfigurationError("window must be at least 1")
-        self.manager_kind = str(config.get("manager", "fixed"))
-        self._manager_config = {
-            key: config[key]
-            for key in ("min_window", "max_window", "increment", "rate")
-            if key in config
-        }
-        # Fail fast on a bad manager kind/config (not at first delivery).
-        #: The least window a receiver's manager can hold: once nothing
-        #: is outstanding to a peer, its credit is at least this.
-        self._floor = make_window_manager(
-            self.manager_kind, window=self.window, **self._manager_config
-        ).floor
         self.max_queue = int(config.get("max_queue", 128))
         if self.max_queue < 1:
             raise ConfigurationError("max_queue must be at least 1")
@@ -192,7 +188,6 @@ class CreditLayer(Layer):
         self._queue: Deque[_Pending] = deque()
         #: The view's members but this endpoint: whom a cast charges.
         self._peers: FrozenSet[EndpointAddress] = frozenset()
-        self._congested_flag = False  # shed since my last outgoing data
         self._overloaded = False  # edge-trigger for the PROBLEM upcall
 
         # Receiver side.
@@ -356,13 +351,12 @@ class CreditLayer(Layer):
     ) -> bool:
         """Charge ``cost`` to ``peers`` if every one of them has the credit.
 
-        A message larger than the least window a receiver can hold (the
-        window; AIMD's ``min_window``) might never find that much: it
-        needs only that floor, which every peer has once nothing is
+        A message larger than the window might never find that much: it
+        needs only the window, which every peer has once nothing is
         outstanding to it, and its overdraft holds everything behind it
         until the receivers repay it.
         """
-        available, need = self._available, min(cost, self._floor)
+        available, need = self._available, min(cost, self.window)
         if not all(available(space, peer) >= need for peer in peers):
             return False
         charged = self._charged
@@ -374,11 +368,9 @@ class CreditLayer(Layer):
         self, downcall: Downcall, space: int, cost: int, waited: float
     ) -> None:
         """Stamp and pass down a charged message."""
-        kind = _DATA_CONGESTED if self._congested_flag else _DATA
-        self._congested_flag = False
         downcall.message.push_header(
             self.name,
-            {"kind": kind, "flow_id": space, "credit_delta": cost},
+            {"kind": _DATA, "flow_id": space, "credit_delta": cost},
         )
         self.data_charged += 1
         self.bytes_charged += cost
@@ -394,7 +386,6 @@ class CreditLayer(Layer):
             self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
             extra["flow_verdict"] = FlowVerdict.QUEUED
             return
-        self._congested_flag = True
         if self.shed_policy == "block":
             self.blocked += 1
             self._m_blocked.inc()
@@ -465,17 +456,14 @@ class CreditLayer(Layer):
                 upcall.source, header["flow_id"], header["credit_delta"]
             )
             return  # control traffic stops here
-        # DATA / DATA_CONGESTED: deliver first, account afterwards so
-        # flow control never delays or reorders the delivery path.
+        # DATA: deliver first, account afterwards so flow control never
+        # delays or reorders the delivery path.
         self.pass_up(upcall)
         if upcall.source is None or upcall.source == self.endpoint:
             return  # a local loopback copy consumes no credit
         key = (header["flow_id"], upcall.source)
         cost = int(header["credit_delta"])
         flow = self._recv_flow(key)
-        if kind == _DATA_CONGESTED:
-            flow.congested = True
-            flow.manager.on_shed()
         if self.consume_rate is None:
             flow.consumed += cost
             self._maybe_grant(key, flow, tail=False)
@@ -489,15 +477,7 @@ class CreditLayer(Layer):
     def _recv_flow(self, key: FlowKey) -> _RecvFlow:
         flow = self._recv.get(key)
         if flow is None:
-            flow = _RecvFlow(
-                self.window,
-                make_window_manager(
-                    self.manager_kind,
-                    window=self.window,
-                    **self._manager_config,
-                ),
-            )
-            self._recv[key] = flow
+            flow = self._recv[key] = _RecvFlow(self.window)
         return flow
 
     def _consume(self, key: FlowKey, cost: int, tail: bool = False) -> None:
@@ -506,15 +486,11 @@ class CreditLayer(Layer):
         self._maybe_grant(key, flow, tail=tail)
 
     def _maybe_grant(self, key: FlowKey, flow: _RecvFlow, tail: bool) -> None:
-        pending = flow.consumed + flow.manager.window - flow.advertised
-        if pending <= 0:
+        """Grant what ``flow`` has earned back once that is half the
+        window, or any of it on the tail tick."""
+        amount = flow.consumed + self.window - flow.advertised
+        if amount <= 0 or not (tail or 2 * amount >= self.window):
             return
-        amount = flow.manager.grant(pending, self.now, tail=tail)
-        if amount <= 0:
-            return
-        if not flow.congested:
-            flow.manager.on_ack()
-        flow.congested = False
         flow.advertised += amount
         space, peer = key
         grant = Message()
@@ -634,7 +610,6 @@ class CreditLayer(Layer):
         info = super().dump()
         info.update(
             window=self.window,
-            manager=self.manager_kind,
             shed_policy=self.shed_policy,
             queued=len(self._queue),
             max_queue_depth=self.max_queue_depth,

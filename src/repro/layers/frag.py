@@ -34,13 +34,24 @@ without a coalescer, or over any other layer, a run is one fragment and
 the traffic is exactly the unbatched one.  The receive side does not
 change: to FRAG a run is a bigger fragment.
 
+Loss
+----
+
+A LOST_MESSAGE from below names a hole in one source's stream (NAK's
+``extra["space"]``: 0 casts, 1 subset sends).  The one-bit header
+cannot say which message the hole was in, so FRAG drops that stream's
+pieces up to and including the next ``last`` fragment and reports them
+all as that one LOST_MESSAGE: it never delivers a message with a hole.
+If the lost piece was itself a ``last``, the next whole message goes
+with it.
+
 Properties (Table 3): requires P3, P4, P10, P11; provides P12 (large
 messages).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core import headers as hdr
 from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
@@ -103,6 +114,8 @@ class FragLayer(Layer):
         if self.max_size <= 0:
             raise ValueError(f"max_size must be positive, got {self.max_size}")
         self._reassembly: Dict[_BufferKey, List[bytes]] = {}
+        #: Streams that lost a piece: dropped through their next ``last``.
+        self._discarding: Set[_BufferKey] = set()
         #: Fragments per run; set by :meth:`start` once the stack is wired.
         self._run_fragments = 1
         self.fragments_sent = 0
@@ -178,10 +191,7 @@ class FragLayer(Layer):
 
     def handle_up(self, upcall: Upcall) -> None:
         if upcall.type is UpcallType.LOST_MESSAGE and upcall.source is not None:
-            # A hole in the FIFO stream poisons any partial reassembly.
-            self._reassembly.pop((upcall.source, True), None)
-            self._reassembly.pop((upcall.source, False), None)
-            self.pass_up(upcall)
+            self._lost(upcall)
             return
         message = upcall.message
         if (
@@ -193,6 +203,10 @@ class FragLayer(Layer):
             return
         header = message.pop_header(self.name)
         key = (upcall.source, upcall.type is UpcallType.CAST)
+        if self._discarding and key in self._discarding:
+            if header["last"]:
+                self._discarding.discard(key)
+            return
         if not header["last"]:
             self._reassembly.setdefault(key, []).extend(message.segments)
             return
@@ -201,6 +215,21 @@ class FragLayer(Layer):
             message._segments[:0] = prefix
             self.messages_reassembled += 1
         self.pass_up(upcall)
+
+    def _lost(self, upcall: Upcall) -> None:
+        """A hole in a FIFO stream: discard through the message it broke,
+        and pass the loss up once per such message."""
+        space = upcall.extra.get("space")
+        casts = (True, False) if space is None else (space == 0,)
+        report = False
+        for cast in casts:
+            key = (upcall.source, cast)
+            self._reassembly.pop(key, None)
+            if key not in self._discarding:
+                self._discarding.add(key)
+                report = True
+        if report:
+            self.pass_up(upcall)
 
     def dump(self):
         info = super().dump()
@@ -211,5 +240,6 @@ class FragLayer(Layer):
             runs_sent=self.runs_sent,
             messages_reassembled=self.messages_reassembled,
             partial_buffers=len(self._reassembly),
+            discarding=len(self._discarding),
         )
         return info

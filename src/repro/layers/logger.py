@@ -80,8 +80,8 @@ class LoggingLayer(Layer):
             contexts).  The WAL is keyed by ``(node, "logger.<group>")``
             so a re-incarnated process finds its own journal.
         durability (str | DurabilityPolicy): the store's durability
-            policy — ``fsync_per_record`` (default), ``group``, or
-            ``async`` (see :mod:`repro.store.policy`).
+            policy — ``fsync_per_record`` (default) or ``group`` (see
+            :mod:`repro.store.policy`).
         ack ("enqueue" | "durable"): when to pass a journaled upcall on
             up the stack.  ``enqueue`` (default) passes it immediately —
             under a relaxed ``durability`` a crash may lose the journal

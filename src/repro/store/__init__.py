@@ -15,10 +15,10 @@ one narrow waist, two substrates beneath it):
   with atomic replace (realtime); backends grow ``append_many``/``sync``
   so a whole batch can ride one fsync;
 * :mod:`repro.store.policy` — :class:`DurabilityPolicy`
-  (``fsync_per_record`` / ``group`` / ``async``) and the
+  (``fsync_per_record`` / ``group``) and the
   :class:`CommitTicket` every ``append`` now returns;
-* :mod:`repro.store.writer` — :class:`WalWriter`, the group-commit /
-  async pipeline implementing the policy under a bounded latency
+* :mod:`repro.store.writer` — :class:`WalWriter`, the group-commit
+  pipeline implementing the policy under a bounded latency
   budget on the Clock seam;
 * :class:`DurableStore` — append / atomic snapshot+compaction / replay
   over one backend;
@@ -26,7 +26,7 @@ one narrow waist, two substrates beneath it):
   stores keyed by ``(node, namespace)``, so node names (which survive
   crash/recover) find their state again;
 * :mod:`repro.store.torture` — crash-at-every-fsync injection pinning
-  that relaxed modes recover a clean prefix of acknowledged records;
+  that ``group`` recovers a clean prefix of acknowledged records;
 * :mod:`repro.store.inspect` — ``python -m repro store-inspect``.
 
 The in-band half is the XFER layer
@@ -37,7 +37,6 @@ snapshot streaming to joiners over the ordinary stack.
 from repro.store.backend import FileBackend, MemoryBackend
 from repro.store.inspect import find_stores, render_path, render_store
 from repro.store.policy import (
-    ASYNC,
     DURABILITY_MODES,
     FSYNC_PER_RECORD,
     GROUP,
@@ -57,7 +56,6 @@ from repro.store.wal import MAX_RECORD_BYTES, WalScan, encode_record, scan
 from repro.store.writer import WalWriter
 
 __all__ = [
-    "ASYNC",
     "CommitTicket",
     "DURABILITY_MODES",
     "DurabilityPolicy",

@@ -37,7 +37,7 @@ def _preview(payload: bytes, limit: int = 60) -> str:
 
 def _batch_boundaries(path: str, wal_len: int) -> List[int]:
     """Flush-boundary WAL offsets from the advisory ``wal.log.batches``
-    sidecar a relaxed-mode :class:`~repro.store.writer.WalWriter`
+    sidecar a ``group``-mode :class:`~repro.store.writer.WalWriter`
     leaves beside the log.  Tolerant by design: a truncated trailing
     u64 is dropped, and offsets beyond the WAL's current length (stale
     after an unsynced sidecar write or a torn tail) are ignored."""

@@ -15,33 +15,29 @@ record becomes durable:
   rule it shares with :class:`repro.net.coalesce.Coalescer`).
   ``append`` returns immediately; the ticket completes at the flush
   that covers it.
-* ``async`` — like ``group``, but the write/fsync pipeline is moved off
-  the caller entirely: a background writer thread on the realtime
-  substrate (record encoding overlaps I/O), a deterministic
-  clock-driven drain on the DES (completions are delivered as
-  scheduled events, so digests stay pure functions of the seed).
+
+Both run on the caller's thread: a stack runs on one event queue per
+endpoint, and the write and fsync are part of the turn that needs them.
 
 Every ``append`` returns a :class:`CommitTicket` carrying the record's
 LSN.  Callers choose their acknowledgment discipline per record:
 ack-after-enqueue (just return), or ack-after-durable
 (``ticket.wait()`` / ``ticket.add_done_callback``).  The recovery
-contract for the relaxed modes: a crash may lose *enqueued* records,
+contract for ``group``: a crash may lose *buffered* records,
 but replay always recovers a clean **prefix** of the append sequence
 that includes every record whose ticket completed.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-#: The three durability modes, in decreasing strictness.
+#: The two durability modes, in decreasing strictness.
 FSYNC_PER_RECORD = "fsync_per_record"
 GROUP = "group"
-ASYNC = "async"
 
-DURABILITY_MODES = (FSYNC_PER_RECORD, GROUP, ASYNC)
+DURABILITY_MODES = (FSYNC_PER_RECORD, GROUP)
 
 
 @dataclass(frozen=True)
@@ -105,11 +101,11 @@ class CommitTicket:
 
     A ticket is *done* once the record it names is on stable storage
     (written and fsynced, or appended to the deterministic in-memory
-    blob).  ``fsync_per_record`` tickets are born done; relaxed-mode
+    blob).  ``fsync_per_record`` tickets are born done; ``group``
     tickets complete at the flush that covers them.
     """
 
-    __slots__ = ("lsn", "_done", "_event", "_callbacks", "_waiter")
+    __slots__ = ("lsn", "_done", "_callbacks", "_waiter")
 
     def __init__(
         self,
@@ -121,10 +117,9 @@ class CommitTicket:
         #: append sequence.
         self.lsn = lsn
         self._done = done
-        self._event: Optional[threading.Event] = None
         self._callbacks: List[Callable[["CommitTicket"], None]] = []
-        #: How to make progress when a caller blocks on this ticket
-        #: (the writer's flush/drain hook); None once done.
+        #: How to make progress when a caller waits on this ticket
+        #: (the writer's flush hook); None once done.
         self._waiter = None if done else waiter
 
     # -- the future surface ------------------------------------------------
@@ -133,22 +128,14 @@ class CommitTicket:
         """Whether the record is durable."""
         return self._done
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until durable; returns :meth:`done`.
+    def wait(self) -> bool:
+        """Make the record durable now; returns :meth:`done`.
 
-        On a synchronous writer this *forces* the covering flush (so a
-        ticket can never deadlock waiting for a timer that only fires
-        when the world runs); on a threaded writer it waits for the
-        writer thread to drain past this record.
+        This *forces* the covering flush, so a ticket can never deadlock
+        waiting for a timer that only fires when the world runs.
         """
-        if self._done:
-            return True
-        if self._waiter is not None:
+        if not self._done and self._waiter is not None:
             self._waiter(self)
-        if self._done:
-            return True
-        if self._event is not None:
-            self._event.wait(timeout)
         return self._done
 
     def add_done_callback(self, fn: Callable[["CommitTicket"], None]) -> None:
@@ -157,47 +144,18 @@ class CommitTicket:
             fn(self)
             return
         self._callbacks.append(fn)
-        if self._done and fn in self._callbacks:
-            # A threaded writer completed between the check and the
-            # append; the callback landed on the post-completion list
-            # and would never fire.  Run it here instead.
-            self._callbacks.remove(fn)
-            fn(self)
 
     # -- writer side -------------------------------------------------------
 
-    def _ensure_event(self) -> threading.Event:
-        """The cross-thread wait primitive (threaded writers only)."""
-        if self._event is None:
-            self._event = threading.Event()
-        return self._event
-
-    def _complete(self, dispatch: Optional[Callable] = None) -> None:
-        """Mark durable and fire callbacks.  Idempotent.
-
-        ``dispatch`` reroutes the *callbacks* (not the done flag, which
-        is set immediately so ``wait()`` unblocks) — the writer passes
-        ``clock.call_soon`` on the DES (acks become scheduled events)
-        or ``loop.call_soon_threadsafe`` from its thread (callbacks run
-        on the engine thread, where layers are allowed to act).
-        """
+    def _complete(self) -> None:
+        """Mark durable and fire callbacks.  Idempotent."""
         if self._done:
             return
         self._done = True
         self._waiter = None
-        if self._event is not None:
-            self._event.set()
         callbacks, self._callbacks = self._callbacks, []
-        if not callbacks:
-            return
-        if dispatch is None:
-            for fn in callbacks:
-                fn(self)
-        else:
-            def fire(ticket=self, fns=tuple(callbacks)) -> None:
-                for fn in fns:
-                    fn(ticket)
-            dispatch(fire)
+        for fn in callbacks:
+            fn(self)
 
     def __repr__(self) -> str:
         state = "durable" if self._done else "pending"

@@ -10,17 +10,16 @@ that implements the store's :class:`~repro.store.policy
 * :meth:`append` accepts one update and returns a
   :class:`~repro.store.policy.CommitTicket` — under the default
   ``fsync_per_record`` policy the ticket is already done (the update
-  is durable before anything is applied); under ``group``/``async``
-  the caller chooses ack-after-enqueue (ignore the ticket) or
+  is durable before anything is applied); under ``group`` the caller
+  chooses ack-after-enqueue (ignore the ticket) or
   ack-after-durable (``ticket.wait()`` / ``add_done_callback``);
 * :meth:`snapshot` atomically replaces the snapshot with the full state
   at some epoch and compacts (truncates) the WAL — after a snapshot the
   log only holds updates newer than it;
 * :meth:`replay` returns ``(snapshot, epoch, entries)`` — the state to
   reinstall and the intact WAL suffix to re-apply on top — tolerating a
-  torn tail or corrupt record by ignoring the damaged suffix.  Under a
-  relaxed policy a crash may lose *enqueued-but-unacknowledged*
-  records; it never loses one whose ticket completed, and replay is
+  torn tail or corrupt record by ignoring the damaged suffix.  Under
+  ``group`` a crash may lose *buffered-but-unacknowledged* records; it never loses one whose ticket completed, and replay is
   always a clean prefix of the append sequence.
 
 A :class:`StoreDomain` owns every store of one world, keyed by
@@ -31,7 +30,7 @@ of ``domain.store(node, ns)`` shares one writer (and one pending
 batch).  :class:`MemoryStoreDomain` backs the DES (state is part of
 the pure function of the seed); :class:`FileStoreDomain` backs the
 realtime substrate with real per-endpoint directories.  Worlds call
-:meth:`~MemoryStoreDomain.bind_clock` at construction so relaxed-mode
+:meth:`~MemoryStoreDomain.bind_clock` at construction so ``group``
 flush timers ride the same Clock seam as every protocol layer.
 """
 
@@ -133,7 +132,7 @@ class DurableStore:
         policy = parse_policy(policy)
         if policy == self.writer.policy:
             return
-        self.writer.close()
+        self.writer.drain()
         self.writer = WalWriter(
             self.backend, WAL_NAME, policy=policy, clock=self.clock,
             label=self.name, metrics=self.metrics,
@@ -146,7 +145,7 @@ class DurableStore:
 
         Returns the record's :class:`CommitTicket`.  Under
         ``fsync_per_record`` it is done before this returns; under
-        ``group``/``async`` use ``ticket.wait()`` or
+        ``group`` use ``ticket.wait()`` or
         ``ticket.add_done_callback`` for ack-after-durable; the record's
         index is ``ticket.lsn``.
         """
@@ -249,7 +248,7 @@ class DurableStore:
 
     def close(self) -> None:
         """Drain the writer and release backend resources."""
-        self.writer.close()
+        self.writer.drain()
         close = getattr(self.backend, "close", None)
         if close is not None:
             close()

@@ -1,6 +1,6 @@
 """Crash-at-every-fsync torture: the durability contract, executed.
 
-The relaxed durability modes buy throughput by holding acknowledged-
+The ``group`` durability mode buys throughput by holding acknowledged-
 later records in volatile buffers.  The contract they must keep (and
 the one this module exists to break if it can) is:
 
@@ -207,28 +207,20 @@ def run_crash_cycle(
     are dropped, nothing else runs.  Returns the LSNs that were
     acknowledged (ticket done) at the moment of death.
 
-    The injected :class:`SimulatedCrash` may surface inline (sync
-    modes), or as the writer thread's death on drain (async mode); any
-    other exception propagates — a torture harness must not eat real
-    bugs.
+    The injected :class:`SimulatedCrash` surfaces inline, from the
+    append or flush that hit it; any other exception propagates — a
+    torture harness must not eat real bugs.
     """
     store = DurableStore(backend, name="torture", policy=policy, clock=clock)
     if crasher is not None:
         store.writer.fault_hook = crasher
     tickets = []
-    crashed = False
     try:
         for payload in payloads:
             tickets.append(store.append(payload))
         store.writer.drain()
     except SimulatedCrash:
-        crashed = True
-    except RuntimeError as exc:
-        if not isinstance(exc.__cause__, SimulatedCrash):
-            raise
-        crashed = True
-    if not crashed and crasher is not None and crasher.fired:
-        crashed = True
+        pass
     # The power is off: whatever never reached the backend is gone.
     store.writer.discard_pending()
     return [t.lsn for t in tickets if t.done()]

@@ -41,8 +41,8 @@ class ReplicatedDict(ReplicatedStateMachine):
         snapshot_every: compact the WAL into a snapshot after this many
             journaled updates (durable mode only).
         policy: the journal's :class:`~repro.store.DurabilityPolicy`
-            (or mode string: ``fsync_per_record``, ``group``,
-            ``async``).  Relaxed modes batch journal fsyncs; a crash
+            (or mode string: ``fsync_per_record``, ``group``).
+            ``group`` batches journal fsyncs; a crash
             may lose the tail of *applied-but-unflushed* updates, which
             stateful recovery then catches back up over XFER.
     """

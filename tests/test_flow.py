@@ -1,8 +1,7 @@
-"""The flow-control plane: WindowManagers, CREDIT, overload, load gen.
+"""The flow-control plane: CREDIT, overload, load gen.
 
-Covers the repro.flow subsystem in isolation (grant policies as plain
-objects), the CREDIT layer end-to-end on both substrates (verdicts,
-bounded queues, shed policies, grants, AIMD congestion feedback), the
+Covers the CREDIT layer end-to-end on both substrates (verdicts,
+bounded queues, shed policies, half-window grant batching), the
 acceptance bound — a fan-in storm with a slow receiver keeps sender
 queues and NAK retransmission buffers bounded by the configured window.
 """
@@ -15,12 +14,6 @@ from conftest import drain, join_group, manual_destinations
 from repro import FlowVerdict, World
 from repro.errors import ConfigurationError
 from repro.layers.credit import MCAST_SPACE, UCAST_SPACE
-from repro.flow import (
-    AimdWindowManager,
-    FixedWindowManager,
-    PacedWindowManager,
-    make_window_manager,
-)
 from repro.flow.loadgen import LoadConfig, run_load
 
 
@@ -31,77 +24,6 @@ def pair(world, stack, names=("a", "b")):
     manual_destinations(handles)
     world.run(0.3)
     return handles
-
-
-# ----------------------------------------------------------------------
-# WindowManagers in isolation
-# ----------------------------------------------------------------------
-
-class TestWindowManagers:
-    def test_fixed_batches_grants_to_half_window(self):
-        manager = FixedWindowManager(window=1000)
-        # Below half the window, the grant is deferred...
-        assert manager.grant(400, now=0.0) == 0
-        # ...until the pending credit crosses half the window...
-        assert manager.grant(500, now=0.0) == 500
-        # ...or the tail tick flushes whatever is left.
-        assert manager.grant(1, now=0.0, tail=True) == 1
-        assert manager.grant(0, now=0.0, tail=True) == 0
-
-    def test_aimd_decrease_on_shed_increase_on_ack(self):
-        manager = AimdWindowManager(
-            window=8192, min_window=1024, max_window=16384, increment=1024
-        )
-        manager.on_shed()
-        assert manager.window == 4096 and manager.decreases == 1
-        for _ in range(20):
-            manager.on_shed()
-        assert manager.window == 1024  # floored at min_window
-        for _ in range(100):
-            manager.on_ack()
-        assert manager.window == 16384  # capped at max_window
-        increases = manager.increases
-        manager.on_ack()  # at the cap: no further increase counted
-        assert manager.increases == increases
-
-    def test_aimd_validates_window_ordering(self):
-        with pytest.raises(ConfigurationError):
-            AimdWindowManager(window=100, min_window=200, max_window=400)
-
-    def test_paced_meters_grants_by_rate(self):
-        manager = PacedWindowManager(window=1000, rate=100.0)
-        # The initial bucket holds one full window...
-        assert manager.grant(600, now=5.0) == 600
-        assert manager.grant(600, now=5.0) == 400
-        # ...then grants are metered: 2 s at 100 B/s = 200 more.
-        assert manager.grant(600, now=5.0) == 0
-        assert manager.grant(600, now=7.0) == 200
-
-    def test_paced_epoch_is_lazy(self):
-        # First use at a late clock must NOT credit rate x now tokens.
-        manager = PacedWindowManager(window=100, rate=1000.0)
-        manager.grant(100, now=1000.0)  # drain the initial burst
-        assert manager.grant(100, now=1000.0) == 0
-
-    def test_factory_kinds_and_unknown_kind(self):
-        assert isinstance(make_window_manager("fixed"), FixedWindowManager)
-        assert isinstance(
-            make_window_manager("aimd", window=2048, min_window=512),
-            AimdWindowManager,
-        )
-        assert isinstance(make_window_manager("paced"), PacedWindowManager)
-        with pytest.raises(ConfigurationError, match="known managers"):
-            make_window_manager("bogus")
-        with pytest.raises(ConfigurationError):
-            make_window_manager("fixed", window=0)
-
-    def test_snapshots_expose_state(self):
-        manager = AimdWindowManager(window=4096)
-        manager.on_shed()
-        snap = manager.snapshot()
-        assert snap["kind"] == "AimdWindowManager"
-        assert snap["window"] == 2048
-        assert snap["decreases"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +96,36 @@ class TestCreditVerdicts:
         assert str(problems[0]) == str(handles["a"].endpoint_address)
 
     def test_unknown_manager_kind_fails_at_build_time(self, lan_world):
-        with pytest.raises(ConfigurationError, match="known managers"):
-            pair(lan_world, "CREDIT(manager=bogus):COM", names=("q",))
+        """CREDIT has one grant rule, so ``manager`` is an unknown key
+        and a stack that sets it does not build."""
+        with pytest.raises(ConfigurationError, match="unknown CREDIT config"):
+            pair(lan_world, "CREDIT(manager=aimd):COM", names=("q",))
+
+    def test_grants_batch_to_half_the_window(self, lan_world):
+        """A receiver grants once it has earned back half the window, or
+        whatever it has earned on the tail tick; no tick fires here
+        unless the test calls it."""
+        handles = pair(lan_world, "CREDIT(window=1000,grant_period=1000.0):COM")
+        sender, receiver = (handles[n].focus("CREDIT") for n in "ab")
+        peer = handles["b"].endpoint_address
+
+        def cast(size):
+            handles["a"].cast(b"g" * size)
+            lan_world.run(0.2)
+            return receiver.grants_sent, sender.available(MCAST_SPACE, peer)
+
+        # Below half the window, the grant is deferred...
+        assert cast(400) == (0, 600)
+        # ...until the earned credit reaches half the window...
+        assert cast(100) == (1, 1000)
+        assert cast(1) == (1, 999)
+        # ...or the tail tick grants whatever is left.
+        receiver._tick()
+        lan_world.run(0.2)
+        assert (receiver.grants_sent, sender.available(MCAST_SPACE, peer)) \
+            == (2, 1000)
+        receiver._tick()
+        assert receiver.grants_sent == 2  # nothing earned, nothing granted
 
     def test_send_charges_unicast_space_only(self, lan_world):
         handles = pair(lan_world, "CREDIT(window=128):COM")
@@ -188,48 +138,21 @@ class TestCreditVerdicts:
         lan_world.run(0.5)
         assert drain(handles["b"]) == [b"u" * 100]
 
-    def test_aimd_receiver_shrinks_window_on_congestion_bit(self, lan_world):
-        handles = pair(
-            lan_world,
-            "CREDIT(window=4096,manager=aimd,max_queue=1,"
-            "shed_policy=drop_newest):COM",
-        )
-        # Force sheds at the sender, then let a data message carry the
-        # congestion bit to the receiver.
-        for _ in range(8):
-            handles["a"].cast(b"z" * 1024)
-        lan_world.run(1.0)
-        handles["a"].cast(b"tail")
-        lan_world.run(1.0)
-        receiver = handles["b"].focus("CREDIT")
-        decreases = sum(
-            flow.manager.decreases for flow in receiver._recv.values()
-        )
-        assert decreases >= 1
-
 
 class TestCreditWindowEdges:
     """Casts the window cannot hold, and peers that leave with a message
     still queued, on ``CREDIT(window=1000):MBRSHIP:FRAG:NAK:COM``."""
 
-    STACK = "CREDIT(window=1000{}):MBRSHIP:FRAG:NAK:COM"
+    STACK = "CREDIT(window=1000):MBRSHIP:FRAG:NAK:COM"
 
-    @pytest.mark.parametrize("manager", [
-        "", ",manager=aimd,min_window=250,max_window=1000,increment=1",
-    ], ids=["fixed", "aimd"])
-    def test_an_over_window_cast_goes_once_nothing_is_outstanding(
-            self, manager):
-        """Under AIMD the receivers halve their window first, so once
-        they have consumed everything the sender holds about 500 B of
-        credit (it regrows by 1 B per grant), less than the window: the
-        second large cast must still go."""
+    def test_an_over_window_cast_goes_once_nothing_is_outstanding(self):
+        """Each 2,000 B cast needs more than the window: it goes once the
+        receivers have repaid everything outstanding, and overdraws."""
         world = World(seed=1, network="lan")
-        handles = join_group(world, ["a", "b", "c"], self.STACK.format(manager))
+        handles = join_group(world, ["a", "b", "c"], self.STACK)
         sender = handles["a"]
         flow = (MCAST_SPACE, sender.endpoint_address)
         receivers = [handles[n].focus("CREDIT") for n in "bc"]
-        for credit in receivers:
-            credit._recv_flow(flow).manager.on_shed()
         casts = [b"x" * 2000, b"w" * 2000, b"y" * 10]
         assert [sender.cast(data) for data in casts] == [
             FlowVerdict.ACCEPTED, FlowVerdict.QUEUED, FlowVerdict.QUEUED]
@@ -255,7 +178,7 @@ class TestCreditWindowEdges:
         gone: both are charged to b alone, and c's accounts stay closed.
         A send outside the view is uncharged on admission too."""
         world = World(seed=1, network="lan")
-        handles = join_group(world, ["a", "b", "c"], self.STACK.format(""))
+        handles = join_group(world, ["a", "b", "c"], self.STACK)
         sender = handles["a"]
         b, departed = (handles[n].endpoint_address for n in "bc")
         assert sender.cast(b"x" * 900) is FlowVerdict.ACCEPTED
@@ -430,8 +353,8 @@ class TestOverloadBounds:
 class TestFlowDeterminism:
     def _digest(self) -> tuple:
         world = World(seed=11, network="lan")
-        stack = "CREDIT(window=512,manager=aimd,min_window=128," \
-                "max_queue=8,shed_policy=drop_newest):MBRSHIP:FRAG:NAK:COM"
+        stack = "CREDIT(window=512,max_queue=8,shed_policy=drop_newest)" \
+                ":MBRSHIP:FRAG:NAK:COM"
         handles = {}
         for name in ("a", "b", "c"):
             handles[name] = world.process(name).endpoint().join(

@@ -2,10 +2,10 @@
 
 Over a coalescing network, FRAG hands NAK each run of fragments as one
 message; NAK numbers every fragment of it (one ``_DATA`` header carries
-``seq .. hi``) and retransmits them one at a time.  Every world here is
-the DES with a 65,000 B MTU and a coalescer, the shape under which runs
-form; the chaos families' payloads fit one fragment, so none reaches
-this path.
+``seq .. hi``) and retransmits them one at a time.  Every world here but
+the last class's is the DES with a 65,000 B MTU and a coalescer, the
+shape under which runs form; the chaos families' payloads fit one
+fragment, so none reaches this path.
 """
 
 from __future__ import annotations
@@ -412,3 +412,33 @@ class TestRunsUnderFaults:
         assert sum(n.retransmissions for n in naks) == 0
         assert sum(n.runs_held for n in naks) > 0
         assert sum(n.duplicates_dropped for n in naks) > 0
+
+
+class TestLossInsideAMessage:
+    """A partition outlasts NAK's window in the middle of a 1,000 B cast,
+    so the receiver gets only its tail: FRAG drops that tail and reports
+    one loss instead of delivering it as a message, and the next cast
+    arrives whole.  No coalescer, so every fragment is its own message."""
+
+    def test_a_message_with_a_hole_is_reported_lost_not_delivered(self):
+        world = World(seed=3, network="lan")
+        handles = pair(world, stack="FRAG(max_size=100):NAK(window=10):COM")
+        frag = handles["b"].focus("FRAG")
+        lost, pass_up = [], frag.pass_up
+
+        def tap(upcall):
+            if upcall.type is UpcallType.LOST_MESSAGE:
+                lost.append(upcall)
+            pass_up(upcall)
+
+        frag.pass_up = tap
+        world.partition(["a"], ["b"])
+        handles["a"].cast(b"A" * 1000)
+        world.run(2.0)
+        world.heal()
+        handles["a"].cast(b"B" * 500)
+        world.run(3.0)
+        assert drain(handles["b"]) == [b"B" * 500]
+        assert handles["b"].focus("NAK").lost_reported > 1
+        assert len(lost) == 1
+        assert frag.dump()["discarding"] == 0

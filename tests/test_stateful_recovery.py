@@ -52,9 +52,7 @@ class TestStatefulChaos:
         assert result.ok, result.violations
         assert result.converged
 
-    @pytest.mark.parametrize(
-        "durability", ["fsync_per_record", "group", "async"]
-    )
+    @pytest.mark.parametrize("durability", ["fsync_per_record", "group"])
     def test_acceptance_scenario_converges_in_every_durability_mode(
         self, durability
     ):

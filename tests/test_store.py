@@ -219,10 +219,12 @@ class TestDurabilityPolicy:
     def test_parse_policy_coercions(self):
         assert parse_policy(None) == DurabilityPolicy()
         assert parse_policy("group").mode == "group"
-        policy = DurabilityPolicy(mode="async", max_batch_records=7)
+        policy = DurabilityPolicy(mode="group", max_batch_records=7)
         assert parse_policy(policy) is policy
         with pytest.raises(ValueError):
             parse_policy("eventually")
+        with pytest.raises(ValueError):
+            parse_policy("async")
         with pytest.raises(TypeError):
             parse_policy(42)
 
@@ -264,20 +266,6 @@ class TestCommitTicket:
         assert tickets[4].wait()  # wait() forces the covering flush
         assert fired == [0, 1, 2, 3, 4]
         assert store.replay().entries == [b"u%d" % i for i in range(5)]
-
-    def test_async_mode_drains_to_durable(self):
-        store = DurableStore(MemoryBackend(), policy="async")
-        tickets = [store.append(b"a%d" % i) for i in range(200)]
-        store.flush()
-        assert all(t.done() for t in tickets)
-        assert len(store.replay().entries) == 200
-
-    def test_async_wait_blocks_until_durable(self):
-        store = DurableStore(MemoryBackend(), policy="async")
-        ticket = store.append(b"only")
-        assert ticket.wait(timeout=10.0)
-        assert store.replay().entries == [b"only"]
-        store.close()
 
 
 class TestWalWriterBehavior:

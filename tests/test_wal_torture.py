@@ -4,12 +4,12 @@ The durability contract under test (see :mod:`repro.store.torture`):
 whatever replay recovers after a crash is a clean **prefix** of the
 append sequence, and that prefix contains every record whose
 :class:`~repro.store.CommitTicket` completed before the crash.
-Enqueued-but-unacknowledged records may be lost — that is the deal the
-relaxed modes sell — but never silently reordered, mixed, or holed.
+Buffered-but-unacknowledged records may be lost — that is the deal
+``group`` mode sells — but never silently reordered, mixed, or holed.
 
 The matrix runs on both substrates' backends (the DES's
-:class:`MemoryBackend` and the realtime :class:`FileBackend`) for all
-three durability policies, plus the torn-tail partial-write case, the
+:class:`MemoryBackend` and the realtime :class:`FileBackend`) for both
+durability policies, plus the torn-tail partial-write case, the
 compaction crash windows, and the DES determinism pin: ``group`` mode
 produces byte-identical WALs for a fixed ``(seed, scenario)``.
 """
@@ -40,7 +40,6 @@ PAYLOADS = [b"update-%03d" % i for i in range(12)]
 POLICIES = {
     "fsync_per_record": DurabilityPolicy(),
     "group": DurabilityPolicy(mode="group", max_batch_records=4),
-    "async": DurabilityPolicy(mode="async", max_batch_records=4),
 }
 
 
