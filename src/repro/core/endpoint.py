@@ -148,17 +148,12 @@ class Endpoint:
             return
         world = self.process.world
         try:
-            # Clean packets take the lazy zero-copy path: structure is
-            # validated here, headers decode as their layers pop them.
-            # Known-garbled packets (the DES fault model marks them) go
-            # through the eager path so a value-level decode error still
-            # surfaces — and drops the packet — right here at the demux,
-            # exactly as before laziness existed.  The world's frame
-            # store is for the clean path only: the other endpoints of
-            # this process are handed the same bytes.
+            # Structure is validated here; headers decode as their
+            # layers pop them.  The world's frame store serves the other
+            # endpoints of this process, which are handed the same bytes.
             message = world.registry.unmarshal(
                 packet.payload,
-                lazy=not packet.garbled,
+                lazy=True,
                 tables=self._header_tables,
                 frames=world.header_frames,
             )
@@ -168,10 +163,9 @@ class Endpoint:
             self.undecodable_packets += 1
             return
         try:
-            # On the lazy path this decodes the bottom header; a
-            # value-level failure surfaces here and drops the packet,
-            # the same outcome the eager path produces above.  (Table
-            # rows, lost installs included, already failed above.)
+            # This decodes the bottom header; a value-level failure
+            # surfaces here and drops the packet.  (Table rows, lost
+            # installs included, already failed above.)
             bottom = message.peek_header()
         except HeaderError:
             self.undecodable_packets += 1

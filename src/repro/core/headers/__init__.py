@@ -32,7 +32,7 @@ it; the integrity layers cover the spans as they arrived
 decode in place, in one pass over the datagram.  In every mode the body
 can be shared as a ``memoryview`` slice instead of a copied ``bytes``.
 
-What a clean ``aligned`` / ``compact`` datagram says is a pure function
+What an ``aligned`` / ``compact`` datagram says is a pure function
 of its bytes, so receivers that share a process need not each work it
 out: ``unmarshal`` takes the caller's :class:`HeaderFrameStore`
 (``frames=``; a world owns one, its endpoints pass it) and a datagram
@@ -47,10 +47,9 @@ that unmarshalled before is neither framed nor decoded again.
   tables, and ``packed`` (a :class:`WireFormat` says whether its frames
   are ``receiver_independent``); the integrity sums — CHKSUM and SIGN
   fold the spans at every receiver, a check is not a value to hand
-  round; packets the fault model garbled, which take the eager path and
-  neither read nor fill the store; failures — a datagram that does not
-  frame is stored nowhere and raises at every receiver, a span that
-  does not decode raises at every pop.
+  round; failures — a datagram that does not frame is stored nowhere
+  and raises at every receiver, a span that does not decode raises at
+  every pop.
 * *Bounded:* a module constant of entries, oldest-stored first, each
   pinning one datagram's bytes.  Content-addressed: a receiver gets the
   frame of bytes it was itself handed, so what one receiver lost,
@@ -133,10 +132,10 @@ WIRE_MODES = tuple(_FORMATS)
 class HeaderRegistry:
     """Maps layer names to codecs and numeric wire identifiers.
 
-    Identifiers are assigned at registration time; because every node in
-    a simulation shares one Python process (and registration happens at
-    import), sender and receiver always agree on the numbering — the
-    single system-wide message format the paper calls for.
+    Every codec declares its identifier where its layer registers it, so
+    the numbering — the single system-wide message format the paper
+    calls for — does not depend on which layers a process imports, or in
+    what order.
     """
 
     def __init__(self) -> None:
@@ -144,13 +143,18 @@ class HeaderRegistry:
         self._by_name = Lookup("no codec registered for layer")
         self._by_id = Lookup("unknown header id")
 
-    def register(self, codec: HeaderCodec) -> HeaderCodec:
-        """Register ``codec``; re-registering the same layer name is an error."""
+    def register(self, codec: HeaderCodec, layer_id: int) -> HeaderCodec:
+        """Register ``codec`` under wire id ``layer_id`` (1..255); a layer
+        name or an id registered before is an error."""
         if codec.layer in self._by_name:
             raise HeaderError(f"codec for layer {codec.layer!r} already registered")
-        layer_id = len(self._by_id) + 1
-        if layer_id > 0xFF:
-            raise HeaderError("too many registered header codecs")
+        if not 0 < layer_id <= 0xFF:
+            raise HeaderError(f"header id {layer_id} is not in 1..255")
+        if layer_id in self._by_id:
+            raise HeaderError(
+                f"header id {layer_id} of {codec.layer!r} is taken by "
+                f"{self._by_id[layer_id].layer!r}"
+            )
         self._by_name[codec.layer] = (layer_id, codec)
         self._by_id[layer_id] = codec
         return codec
@@ -214,19 +218,16 @@ class HeaderRegistry:
         is a single sequential bit stream and ``table`` fields decode
         in place, both always here), the datagram's structure is validated
         once but each header is decoded only when its owning layer pops
-        or peeks it.  Lazy and eager decode accept and reject exactly
-        the same datagrams *at unmarshal*; laziness only moves *when* a
-        value-level ``HeaderError`` surfaces (at access instead of
-        here), which is why receive paths feed known-garbled packets
-        through the eager path.  Past unmarshal the lazy path is
-        stricter about spans that are not ``encode(decode(span))``:
-        bytes after a lazy header's last field raise at access
-        (``wire._LazyHeader`` says why), where eager decode ignores
-        them; and the integrity layers cover the span as it arrived
-        (:func:`content_chunks`), so a ``BOOL`` byte of ``0x02`` or junk
-        inside a frame's declared length fails CHKSUM / SIGN even with
-        a sum valid for the decoded values, where the eager path
-        re-encodes the values and passes it.
+        or peeks it.  Which path is a matter of what is being decoded:
+        every datagram from the wire is lazy, and TOTAL's pack records,
+        which TOTAL marshals itself in ``compact`` mode, are eager.  Both
+        accept and reject the same bytes — bytes after a header's last
+        field raise either way (``wire._LazyHeader`` says why); laziness
+        only moves *when* a value-level ``HeaderError`` surfaces (at
+        access instead of here).  The integrity layers cover a lazy
+        span as it arrived (:func:`content_chunks`), so a ``BOOL`` byte
+        of ``0x02`` fails CHKSUM / SIGN even with a sum valid for the
+        decoded values.
 
         ``tables`` carries the receiver's per-channel state for ``table``
         mode; without it each datagram gets a throwaway store (only
@@ -290,8 +291,9 @@ DEFAULT_REGISTRY = HeaderRegistry()
 
 def register(
     layer: str,
+    wire_id: int,
     fields: Sequence[FieldSpec],
     defaults: Optional[Dict[str, Any]] = None,
 ) -> HeaderCodec:
     """Shorthand: build a codec and register it on the default registry."""
-    return DEFAULT_REGISTRY.register(HeaderCodec(layer, fields, defaults))
+    return DEFAULT_REGISTRY.register(HeaderCodec(layer, fields, defaults), wire_id)

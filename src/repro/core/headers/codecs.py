@@ -419,11 +419,11 @@ class CanonicalCodec:
                 reraise(exc, f"{self.layer}: cannot encode field "
                              f"{name!r}={value!r}")
 
-    def decode(self, data: bytes, exact: bool = False) -> Header:
+    def decode(self, data: bytes) -> Header:
         """Decode bytes produced by :meth:`encode` back into a dict.
 
-        Bytes after the last field are ignored, or with ``exact`` raise
-        :class:`HeaderError` (the lazy spans of ``wire`` say why).
+        Bytes after the last field raise :class:`HeaderError` (the lazy
+        spans of ``wire`` say why).
         """
         header: Header = {}
         offset = 0
@@ -442,7 +442,7 @@ class CanonicalCodec:
                     header[name], offset = ftype.decode(data, offset)
                 except Exception as exc:
                     reraise(exc, f"{self.layer}: cannot decode field {name!r}")
-        if exact and offset != len(data):
+        if offset != len(data):
             raise HeaderError(
                 f"{self.layer}: {len(data) - offset} bytes after the last field"
             )

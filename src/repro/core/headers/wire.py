@@ -139,7 +139,7 @@ class _LazyHeader:
     def materialize(self) -> Header:
         value = self._value
         if value is None:
-            value = self._value = self.codec.decode(bytes(self.span), exact=True)
+            value = self._value = self.codec.decode(bytes(self.span))
         return self.codec.private_copy(value)
 
 
@@ -151,7 +151,7 @@ _MAX_FRAMES = 256
 
 
 class HeaderFrameStore(dict):
-    """What clean datagrams said, by their bytes: datagram -> framed message.
+    """What datagrams said, by their bytes: datagram -> framed message.
 
     Owned by whoever hosts several receivers (a world) and passed to
     :meth:`HeaderRegistry.unmarshal`, which is the only writer and gives

@@ -214,7 +214,7 @@ class _WorldBase:
         self.trace = TraceRecorder(enabled=trace)
         self.directory = GroupDirectory()
         self.registry = registry or DEFAULT_REGISTRY
-        #: What clean datagrams said, kept once for every endpoint of
+        #: What datagrams said, kept once for every endpoint of
         #: this world (they share a process): a multicast is framed and
         #: its headers decoded for its first receiver, not for each.
         self.header_frames = HeaderFrameStore()
@@ -233,8 +233,7 @@ class _WorldBase:
         bind_clock = getattr(self.store, "bind_clock", None)
         if bind_clock is not None:
             # Relaxed durability policies arm their max_delay flush
-            # timers on the same clock as every layer (on the realtime
-            # engine its loop also marshals writer-thread completions).
+            # timers on the same clock as every layer.
             bind_clock(self.scheduler)
         self._processes: Dict[str, Process] = {}
 
@@ -430,15 +429,6 @@ class World(_WorldBase):
     def run(self, duration: float) -> int:
         """Advance virtual time by ``duration`` seconds."""
         return self.scheduler.run(until=self.scheduler.now + duration)
-
-    def run_until(self, deadline: float) -> int:
-        """Advance virtual time up to the absolute ``deadline``."""
-        return self.scheduler.run(until=deadline)
-
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        """Run until no events remain (periodic timers never let this end;
-        prefer :meth:`run` for stacks with heartbeats)."""
-        return self.scheduler.run_until_idle(max_events=max_events)
 
     def run_while(
         self,

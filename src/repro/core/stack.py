@@ -279,14 +279,11 @@ class Stack:
     def deliver_from_network(self, upcall: Upcall) -> None:
         """Inject an upcall at the bottom (used only by the endpoint demux).
 
-        Lazily-unmarshalled messages decode each header when its layer
-        pops it, so a corrupt header that eager decode would have
-        rejected at the demux can surface *here*, mid-traversal.  Both
-        substrates mark the packets their fault model garbled (the DES
-        on the ``Packet``, the realtime frame with ``FLAG_GARBLED``) and
-        the demux decodes those eagerly; this is for bytes no fault
-        model marked.  The turn drops the crossing that hit the corrupt
-        header and counts it (:attr:`undecodable_messages`).
+        The demux unmarshals every datagram lazily: its structure is
+        checked there, but each header decodes only when its layer pops
+        it, so a corrupt header surfaces *here*, mid-traversal.  The
+        turn drops the crossing that hit it and counts it
+        (:attr:`undecodable_messages`).
         """
         self._turn.cross(self.layers[-1].up, UP, upcall)
 

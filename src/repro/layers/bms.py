@@ -16,7 +16,7 @@ from repro.core.stack import register_layer
 from repro.layers.mbrship import MembershipLayer, _NOBODY
 
 hdr.register(
-    "BMS",
+    "BMS", wire_id=2,
     fields=[
         ("kind", hdr.U8),
         ("vid", hdr.U32),

@@ -30,7 +30,7 @@ from repro.core.view import View
 from repro.net.address import EndpointAddress
 
 hdr.register(
-    "CAUSAL_TS",
+    "CAUSAL_TS", wire_id=3,
     fields=[("vc", hdr.MapOf(hdr.ADDRESS, hdr.U64))],
     defaults={"vc": {}},
 )

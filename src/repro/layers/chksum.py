@@ -27,7 +27,7 @@ from repro.core.layer import Layer
 from repro.core.message import Message
 from repro.core.stack import register_layer
 
-hdr.register("CHKSUM", fields=[("sum", hdr.U32)])
+hdr.register("CHKSUM", wire_id=4, fields=[("sum", hdr.U32)])
 
 
 @register_layer

@@ -29,7 +29,7 @@ _KIND_CAST = 0
 _KIND_SEND = 1
 
 hdr.register(
-    "COM",
+    "COM", wire_id=5,
     fields=[
         ("group", hdr.GROUP),
         ("source", hdr.ADDRESS),

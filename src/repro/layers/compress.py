@@ -14,7 +14,7 @@ from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
 from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
-hdr.register("COMPRESS", fields=[("packed", hdr.BOOL)])
+hdr.register("COMPRESS", wire_id=6, fields=[("packed", hdr.BOOL)])
 
 
 @register_layer

@@ -92,7 +92,7 @@ MCAST_SPACE = 0
 UCAST_SPACE = 1
 
 hdr.register(
-    "CREDIT",
+    "CREDIT", wire_id=7,
     fields=[
         ("kind", hdr.U8),
         ("flow_id", hdr.U8),

@@ -21,7 +21,7 @@ from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
 hdr.register(
-    "CRYPT",
+    "CRYPT", wire_id=8,
     fields=[("nonce", hdr.U64), ("kid", hdr.U32)],
     defaults={"kid": 0},
 )

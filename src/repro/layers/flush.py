@@ -49,7 +49,7 @@ _SYNC = 2  # coordinator -> member: the final vector (the cut)
 _NOBODY = EndpointAddress("", 0)
 
 hdr.register(
-    "FLUSH",
+    "FLUSH", wire_id=9,
     fields=[
         ("kind", hdr.U8),
         ("vid", hdr.U32),

@@ -60,7 +60,7 @@ from repro.core.message import Message
 from repro.core.stack import register_layer
 from repro.net.address import EndpointAddress
 
-hdr.register("FRAG", fields=[("last", hdr.BOOL)])
+hdr.register("FRAG", wire_id=10, fields=[("last", hdr.BOOL)])
 
 #: Reassembly buffers are keyed by (source, was_cast) — FIFO from below
 #: guarantees fragments of one message are contiguous per source and

@@ -38,7 +38,7 @@ from repro.net.address import EndpointAddress
 _KEY = 0  # coordinator -> member: the wrapped view key
 
 hdr.register(
-    "KEYDIST",
+    "KEYDIST", wire_id=11,
     fields=[
         ("kind", hdr.U8),
         ("kid", hdr.U32),

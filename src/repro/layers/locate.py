@@ -26,7 +26,7 @@ _WITHDRAW = 1  # member -> group: I no longer provide <name>
 _NOBODY = EndpointAddress("", 0)
 
 hdr.register(
-    "LOCATE",
+    "LOCATE", wire_id=12,
     fields=[
         ("kind", hdr.U8),
         ("resource", hdr.TEXT),

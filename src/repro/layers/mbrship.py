@@ -72,7 +72,7 @@ _STABILITY = 12  # periodic delivery-vector gossip: prunes the store
 _NOBODY = EndpointAddress("", 0)
 
 hdr.register(
-    "MBRSHIP",
+    "MBRSHIP", wire_id=1,
     fields=[
         ("kind", hdr.U8),
         ("vid", hdr.U32),

@@ -88,7 +88,7 @@ _HELD = -1
 _SEQ_SANITY = 1 << 20
 
 hdr.register(
-    "NAK",
+    "NAK", wire_id=13,
     fields=[
         ("kind", hdr.U8),
         ("era", hdr.U32),
@@ -102,7 +102,9 @@ hdr.register(
 #: Beneath every STATUS header: per view member, the highest unicast seq
 #: sent to it.  A codec of its own, so the data-path header stays as is.
 _MARKS = "NAK_MARKS"
-hdr.register(_MARKS, fields=[("marks", hdr.MapOf(hdr.ADDRESS, hdr.U64))])
+hdr.register(
+    _MARKS, wire_id=14, fields=[("marks", hdr.MapOf(hdr.ADDRESS, hdr.U64))]
+)
 
 
 class _RecvState:

@@ -22,7 +22,7 @@ from repro.core.stack import register_layer
 from repro.net.address import EndpointAddress
 
 hdr.register(
-    "NFRAG",
+    "NFRAG", wire_id=15,
     fields=[
         ("msgid", hdr.U32),
         ("index", hdr.U16),

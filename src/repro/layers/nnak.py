@@ -18,7 +18,7 @@ from repro.layers.nak import NakLayer
 # NNAK shares NAK's machinery but speaks under its own header tag so the
 # two can coexist in one stack without colliding.
 hdr.register(
-    "NNAK",
+    "NNAK", wire_id=16,
     fields=[
         ("kind", hdr.U8),
         ("era", hdr.U32),

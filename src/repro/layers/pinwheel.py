@@ -23,7 +23,7 @@ from repro.core.stack import register_layer
 from repro.layers.stable import StableLayer
 
 hdr.register(
-    "PINWHEEL",
+    "PINWHEEL", wire_id=18,
     fields=[
         ("kind", hdr.U8),
         ("sid", hdr.U64),

@@ -22,7 +22,7 @@ from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
 from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
-hdr.register("PRIO", fields=[("priority", hdr.U8)])
+hdr.register("PRIO", wire_id=19, fields=[("priority", hdr.U8)])
 
 
 @register_layer

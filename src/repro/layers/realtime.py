@@ -24,7 +24,7 @@ from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
 hdr.register(
-    "REALTIME",
+    "REALTIME", wire_id=20,
     fields=[("deadline", hdr.F64)],
 )
 

@@ -32,7 +32,7 @@ _REPLY = 1
 _ERROR = 2
 
 hdr.register(
-    "RPC",
+    "RPC", wire_id=21,
     fields=[
         ("kind", hdr.U8),
         ("call_id", hdr.U64),

@@ -24,7 +24,7 @@ from repro.core.headers import content_chunks
 from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
-hdr.register("SIGN", fields=[("mac", hdr.VARBYTES)])
+hdr.register("SIGN", wire_id=22, fields=[("mac", hdr.VARBYTES)])
 
 _MAC_BYTES = 8
 

@@ -20,7 +20,7 @@ provides P14 (stability information).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.core import headers as hdr
 from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
@@ -34,7 +34,7 @@ _DATA = 0  # data carrying a stability id
 _ACKVEC = 1  # gossip: my contiguous-ack frontier per origin
 
 hdr.register(
-    "STABLE",
+    "STABLE", wire_id=17,
     fields=[
         ("kind", hdr.U8),
         ("sid", hdr.U64),
@@ -204,11 +204,6 @@ class StableLayer(Layer):
                 for member in self.view.members
             )
         return frontier
-
-    def is_stable(self, stable_id: Tuple[EndpointAddress, int]) -> bool:
-        """Whether the message with this id is known stable everywhere."""
-        origin, sid = stable_id
-        return self.stability_frontier().get(origin, 0) >= sid
 
     def dump(self):
         info = super().dump()

@@ -27,7 +27,7 @@ _REQ = 0
 _RESP = 1
 
 hdr.register(
-    "SYNC",
+    "SYNC", wire_id=23,
     fields=[
         ("kind", hdr.U8),
         ("t0", hdr.F64),  # requester's clock at send (echoed back)

@@ -91,7 +91,7 @@ _RECORD_MODE = "compact"
 _NOBODY = EndpointAddress("", 0)
 
 hdr.register(
-    "TOTAL",
+    "TOTAL", wire_id=24,
     fields=[
         ("kind", hdr.U8),
         ("gseq", hdr.U64),

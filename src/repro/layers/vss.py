@@ -19,7 +19,7 @@ from repro.core.layer import Layer
 from repro.core.stack import register_layer
 from repro.core.view import View
 
-hdr.register("VSS", fields=[("vid", hdr.U32)])
+hdr.register("VSS", wire_id=25, fields=[("vid", hdr.U32)])
 
 
 @register_layer

@@ -54,7 +54,7 @@ _CHUNK = 1  # one chunk: index, body = chunk bytes
 _DONE = 2  # end of stream: install and flush
 
 hdr.register(
-    "XFER",
+    "XFER", wire_id=26,
     fields=[
         ("kind", hdr.U8),
         ("epoch", hdr.U32),

@@ -51,9 +51,13 @@ Fault interplay
 
 Loss, duplication and partition happen *below* the coalescer, to whole
 datagrams — losing a batch loses all its sub-messages, exactly like a
-larger packet.  A garbled or structurally truncated batch is rejected
-whole (counted in ``batches_rejected``), never partially delivered, so
-the NAK layer sees a clean gap and recovers every sub-message.
+larger packet.  A structurally corrupt batch is rejected whole (counted
+in ``batches_rejected``): the frame must tile exactly, so a flipped
+length prefix or count fails :func:`decode_batch` and the NAK layer sees
+a clean gap for every sub-message.  A flip inside one sub-payload is
+that sub's own problem — its unmarshal, CHKSUM, then NAK — and the
+clean subs of the batch are delivered.  The receiver is never told
+which datagrams the fault model touched; it reads bytes only.
 """
 
 from __future__ import annotations
@@ -247,11 +251,6 @@ class Coalescer:
             entry.pacer.flushed()
         self._send_raw(key, payload)
 
-    def flush_all(self) -> None:
-        """Flush every pending batch (teardown / end-of-run hook)."""
-        for key in list(self._buffers):
-            self.flush(key)
-
     def _send_raw(self, key: _Key, payload: bytes) -> None:
         kind, source, dests = key
         if kind == "u":
@@ -275,23 +274,8 @@ class Coalescer:
             if subs is None:
                 deliver(packet)
                 return
-            if packet.garbled:
-                # A bit flip anywhere in a batch could have landed in a
-                # length prefix, silently shifting every later boundary.
-                # Rejecting the whole datagram keeps corruption handling
-                # identical to the single-message path: drop, gap, NAK.
-                self.batches_rejected += 1
-                return
             for sub in subs:
-                deliver(
-                    Packet(
-                        source=packet.source,
-                        dest=packet.dest,
-                        payload=sub,
-                        sent_at=packet.sent_at,
-                        garbled=packet.garbled,
-                    )
-                )
+                deliver(Packet(packet.source, packet.dest, sub, packet.sent_at))
 
         self.inner.attach(address, unwrap)
 

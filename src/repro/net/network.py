@@ -44,7 +44,7 @@ class NetworkStats:
         "packets_lost": ("net_packets_lost_total",
                          "Packets dropped by the fault model or unclaimed"),
         "packets_garbled": ("net_packets_garbled_total",
-                            "Packets delivered with corrupted payloads"),
+                            "Packets the fault model corrupted"),
         "packets_duplicated": ("net_packets_duplicated_total",
                                "Packets the fault model duplicated"),
         "packets_partitioned": ("net_packets_partitioned_total",
@@ -335,12 +335,10 @@ class Network(_NetworkBase):
         if len(deliveries) > 1:
             self.stats.packets_duplicated += 1
         for delay, data, garbled in deliveries:
+            if garbled:
+                self.stats.packets_garbled += 1
             packet = Packet(
-                source=source,
-                dest=dest,
-                payload=data,
-                sent_at=self.scheduler.now,
-                garbled=garbled,
+                source=source, dest=dest, payload=data, sent_at=self.scheduler.now
             )
             self.scheduler.call_after(delay, self._deliver, packet)
 
@@ -364,8 +362,6 @@ class Network(_NetworkBase):
             return
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += packet.size
-        if packet.garbled:
-            self.stats.packets_garbled += 1
         callback(packet)
 
     def __repr__(self) -> str:

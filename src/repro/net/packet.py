@@ -25,15 +25,12 @@ class Packet:
         payload: opaque bytes (marshalled message with all headers).
         sent_at: virtual time at which the packet entered the network;
             filled in by the network for latency accounting.
-        garbled: set by the fault model when the payload was corrupted
-            in flight (the checksum layer is what should catch this).
     """
 
     source: EndpointAddress
     dest: EndpointAddress
     payload: bytes
     sent_at: Optional[float] = field(default=None, compare=False)
-    garbled: bool = field(default=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -41,5 +38,4 @@ class Packet:
         return len(self.payload)
 
     def __repr__(self) -> str:
-        flags = " garbled" if self.garbled else ""
-        return f"<Packet {self.source}->{self.dest} {self.size}B{flags}>"
+        return f"<Packet {self.source}->{self.dest} {self.size}B>"

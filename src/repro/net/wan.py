@@ -266,12 +266,13 @@ class WanNetwork(Network):
             self.stats.packets_lost += 1
             return
         for delay, data, garbled in deliveries:
+            if garbled:
+                self.stats.packets_garbled += 1
             hopped = Packet(
                 source=packet.source,
                 dest=packet.dest,
                 payload=data,
                 sent_at=packet.sent_at,
-                garbled=packet.garbled or garbled,
             )
             self.hops_forwarded += 1
             self.scheduler.call_after(delay, self._forward, hopped, hop)

@@ -140,11 +140,6 @@ class Histogram:
         else:
             self.overflow += 1
 
-    @property
-    def mean(self) -> float:
-        """Exact arithmetic mean of all observations."""
-        return self.sum / self.count if self.count else 0.0
-
     def percentile(self, p: float) -> float:
         """Bucket-resolution ``p``-th percentile (0-100).
 

@@ -149,10 +149,6 @@ class SpanRecorder:
         """Snapshot of retained spans, oldest first."""
         return list(self._spans)
 
-    def clear(self) -> None:
-        """Drop retained spans (ids keep counting up)."""
-        self._spans.clear()
-
     def __len__(self) -> int:
         return len(self._spans)
 

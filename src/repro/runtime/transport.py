@@ -19,22 +19,18 @@ experiences independent loss and delay.
 
 Wire format (network byte order)::
 
-    magic   4s   b"HRS2"
+    magic   4s   b"HRS3"
     sent    d    sender's CLOCK_MONOTONIC timestamp (latency accounting;
                  comparable across processes on one machine)
     srclen  H    length of marshalled source EndpointAddress
     dstlen  H    length of marshalled destination EndpointAddress
-    flags   B    bit 0: payload was garbled by injected faults
     src     srclen bytes
     dst     dstlen bytes
     payload rest (the marshalled message with all layer headers)
 
-The flags byte carries fault-injection metadata the simulated network
-keeps on its :class:`~repro.net.packet.Packet`: a *deliberately*
-garbled payload is marked so the receiver can route it through the
-eager (validating) unmarshal path, mirroring the DES exactly.  Real
-wire corruption is caught by the UDP checksum and surfaces as loss,
-which is consistent with the model.
+Injected garbling (:meth:`set_faults`) corrupts the payload before the
+socket write and is counted there; the frame says nothing about it, so
+the receiver treats those bytes exactly as it would any other.
 
 The ``mtu`` bounds the *payload*, exactly as in the simulation, so a
 FRAG/NFRAG layer tuned for the simulated substrate fragments identically
@@ -58,11 +54,8 @@ from repro.runtime.engine import RealtimeEngine
 from repro.runtime.metrics import TransportStats
 from repro.sim.rand import derive_seed
 
-_MAGIC = b"HRS2"
-_HEADER = struct.Struct("!4sdHHB")
-
-#: Frame flag bits.
-FLAG_GARBLED = 0x01
+_MAGIC = b"HRS3"
+_HEADER = struct.Struct("!4sdHH")
 
 #: Payload bound leaving room for frame + IP/UDP headers inside a
 #: standard 1500-byte ethernet MTU.
@@ -74,24 +67,20 @@ def encode_frame(
     dest: EndpointAddress,
     payload: bytes,
     sent_at: float,
-    flags: int = 0,
 ) -> bytes:
     """Serialize one datagram frame."""
     src = source.marshal()
     dst = dest.marshal()
-    return (
-        _HEADER.pack(_MAGIC, sent_at, len(src), len(dst), flags)
-        + src + dst + payload
-    )
+    return _HEADER.pack(_MAGIC, sent_at, len(src), len(dst)) + src + dst + payload
 
 
 def decode_frame(
     data: bytes,
-) -> Tuple[EndpointAddress, EndpointAddress, float, bytes, int]:
+) -> Tuple[EndpointAddress, EndpointAddress, float, bytes]:
     """Parse one datagram frame; raises :class:`NetworkError` if malformed."""
     if len(data) < _HEADER.size:
         raise NetworkError("datagram shorter than frame header")
-    magic, sent_at, src_len, dst_len, flags = _HEADER.unpack_from(data)
+    magic, sent_at, src_len, dst_len = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise NetworkError(f"bad frame magic {magic!r}")
     offset = _HEADER.size
@@ -101,7 +90,7 @@ def decode_frame(
     offset += src_len
     dest = EndpointAddress.unmarshal(data[offset : offset + dst_len])
     offset += dst_len
-    return source, dest, sent_at, data[offset:], flags
+    return source, dest, sent_at, data[offset:]
 
 
 class _NodeProtocol(asyncio.DatagramProtocol):
@@ -245,18 +234,14 @@ class UdpTransport(_NetworkBase):
         if len(deliveries) > 1:
             self.stats.packets_duplicated += 1
         for delay, data, garbled in deliveries:
-            flags = FLAG_GARBLED if garbled else 0
             if garbled:
-                # Counted at the injection point; the frame also carries
-                # the flag so the receiver can validate eagerly, exactly
-                # like the DES network's Packet.garbled.
                 self.stats.packets_garbled += 1
             if delay > 0:
                 self.engine.call_after(
-                    delay, self._emit_frame, source, dest, data, target, flags
+                    delay, self._emit_frame, source, dest, data, target
                 )
             else:
-                self._emit_frame(source, dest, data, target, flags)
+                self._emit_frame(source, dest, data, target)
 
     def _emit_frame(
         self,
@@ -264,7 +249,6 @@ class UdpTransport(_NetworkBase):
         dest: EndpointAddress,
         payload: bytes,
         target: Tuple[str, int],
-        flags: int = 0,
     ) -> None:
         """Late socket write for fault-injected (possibly delayed) frames."""
         if self._closed:
@@ -272,9 +256,7 @@ class UdpTransport(_NetworkBase):
         sock = self._socks.get(source.node)
         if sock is None or sock.is_closing() or not self.node_alive(source.node):
             return
-        sock.sendto(
-            encode_frame(source, dest, payload, time.monotonic(), flags), target
-        )
+        sock.sendto(encode_frame(source, dest, payload, time.monotonic()), target)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -283,7 +265,7 @@ class UdpTransport(_NetworkBase):
     def _on_datagram(self, data: bytes) -> None:
         """Socket receive path: decode the frame, demux to the endpoint."""
         try:
-            source, dest, sent_at, payload, flags = decode_frame(data)
+            source, dest, sent_at, payload = decode_frame(data)
         except NetworkError:
             self.stats.packets_undecodable += 1
             return
@@ -299,15 +281,7 @@ class UdpTransport(_NetworkBase):
             return
         latency = time.monotonic() - sent_at
         self.stats.note_delivery(len(payload), latency)
-        callback(
-            Packet(
-                source=source,
-                dest=dest,
-                payload=payload,
-                sent_at=sent_at,
-                garbled=bool(flags & FLAG_GARBLED),
-            )
-        )
+        callback(Packet(source, dest, payload, sent_at))
 
     def __repr__(self) -> str:
         return (

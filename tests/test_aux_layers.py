@@ -334,6 +334,28 @@ class TestDecomposedMembership:
         assert len(sets) == 1  # identical cut at both survivors
         assert handles["a"].view.size == 2
 
+    def test_a_held_view_is_released_after_release_timeout(self, lan_world):
+        """The last-resort valve: with no coordinator ever sending the
+        cut, each survivor holds the new view for ``release_timeout``
+        and then installs it anyway."""
+        stack = "FLUSH(release_timeout=1.0):VSS:BMS:FRAG:NAK:COM"
+        handles = join_group(lan_world, ["a", "b", "c"], stack,
+                             settle=0.5, final_settle=3.0)
+        flush = [handles[n].focus("FLUSH") for n in "ab"]
+        cuts = [layer.cuts_completed for layer in flush]
+        for layer in flush:
+            layer._maybe_complete_cut = lambda: None  # no SYNC, ever
+        lan_world.crash("c")
+        assert lan_world.run_while(
+            lambda: all(layer._held_view is not None for layer in flush),
+            timeout=10.0)
+        lan_world.run(0.9)
+        assert all(layer._held_view is not None for layer in flush)
+        assert [handles[n].view.size for n in "ab"] == [3, 3]
+        lan_world.run(0.2)
+        assert [handles[n].view.size for n in "ab"] == [2, 2]
+        assert [layer.cuts_completed for layer in flush] == cuts
+
     def test_layered_composition_beats_fused_on_modularity(self, lan_world):
         """Both the fused MBRSHIP and the BMS:VSS:FLUSH pile satisfy the
         same dump/focus introspection — the composition is real."""

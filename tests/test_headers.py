@@ -32,7 +32,8 @@ def make_registry():
             "T1",
             fields=[("a", U8), ("b", U32), ("flag", BOOL)],
             defaults={"flag": False},
-        )
+        ),
+        1,
     )
     registry.register(
         HeaderCodec(
@@ -46,7 +47,8 @@ def make_registry():
                 ("label", TEXT),
                 ("ratio", F64),
             ],
-        )
+        ),
+        2,
     )
     return registry
 
@@ -88,7 +90,40 @@ class TestCodec:
     def test_duplicate_registration_rejected(self):
         registry = make_registry()
         with pytest.raises(HeaderError):
-            registry.register(HeaderCodec("T1", fields=[]))
+            registry.register(HeaderCodec("T1", fields=[]), 3)
+
+
+class TestWireIds:
+    """Every codec declares its wire id; the numbering never depends on
+    which layers a process imported, or in what order."""
+
+    #: The whole map.  An id that moves moves a byte of every datagram
+    #: carrying that layer's header (``GOLDEN_LONE_CAST`` pins one).
+    IDS = {
+        "MBRSHIP": 1, "BMS": 2, "CAUSAL_TS": 3, "CHKSUM": 4, "COM": 5,
+        "COMPRESS": 6, "CREDIT": 7, "CRYPT": 8, "FLUSH": 9, "FRAG": 10,
+        "KEYDIST": 11, "LOCATE": 12, "NAK": 13, "NAK_MARKS": 14, "NFRAG": 15,
+        "NNAK": 16, "STABLE": 17, "PINWHEEL": 18, "PRIO": 19, "REALTIME": 20,
+        "RPC": 21, "SIGN": 22, "SYNC": 23, "TOTAL": 24, "VSS": 25, "XFER": 26,
+    }
+
+    def test_the_id_map_is_pinned(self):
+        import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
+        from repro.core.headers import DEFAULT_REGISTRY
+
+        ids = {name: entry[0] for name, entry in DEFAULT_REGISTRY._by_name.items()}
+        assert ids == self.IDS
+
+    def test_a_taken_id_is_refused(self):
+        registry = make_registry()
+        with pytest.raises(HeaderError, match="taken by 'T1'"):
+            registry.register(HeaderCodec("T3", fields=[]), 1)
+        assert not registry.has("T3")
+
+    @pytest.mark.parametrize("layer_id", (0, 256))
+    def test_an_id_off_the_wire_byte_is_refused(self, layer_id):
+        with pytest.raises(HeaderError):
+            HeaderRegistry().register(HeaderCodec("T", fields=[]), layer_id)
 
 
 class TestWireFormat:

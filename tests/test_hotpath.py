@@ -915,8 +915,8 @@ class TestBitIOFastPath:
 class TestCanonicalContentFraming:
     def test_owner_name_framing_cannot_collide(self):
         registry = HeaderRegistry()
-        for name in ("AB", "C", "A", "BC"):
-            registry.register(hdr.HeaderCodec(name, fields=[]))
+        for layer_id, name in enumerate(("AB", "C", "A", "BC"), 1):
+            registry.register(hdr.HeaderCodec(name, fields=[]), layer_id)
         one = Message(b"body")
         one.push_header("AB", {})
         one.push_header("C", {})
@@ -929,7 +929,7 @@ class TestCanonicalContentFraming:
 
     def test_owner_names_are_length_prefixed(self):
         registry = HeaderRegistry()
-        registry.register(hdr.HeaderCodec("XY", fields=[]))
+        registry.register(hdr.HeaderCodec("XY", fields=[]), 1)
         msg = Message(b"tail")
         msg.push_header("XY", {})
         assert covered(registry, msg) == struct.pack(">H", 2) + b"XY" + b"tail"
@@ -1012,9 +1012,8 @@ def join_datagram(mode_byte, frames, body):
 
 class IntegrityRig:
     """Two members on ``<layer>:COM``.  ``a``'s datagrams are captured
-    instead of sent and handed to ``b``'s demux by hand: clean packets
-    take the lazy path, ``eager=True`` marks them garbled so the demux
-    decodes every header up front."""
+    instead of sent and handed to ``b``'s demux by hand, which unmarshals
+    every datagram lazily, whatever happened to its bytes."""
 
     def __init__(self, spec, mode, above=""):
         self.world = World(seed=5, network="lan", wire_mode=mode)
@@ -1040,12 +1039,12 @@ class IntegrityRig:
         self.ha.cast(data)
         return self.sent.pop()
 
-    def receive(self, data, eager=False):
+    def receive(self, data):
         """Hand ``data`` to b; returns what its application got from it."""
         before = len(self.hb.delivery_log)
         self.b._on_packet(Packet(
             source=self.ha.endpoint_address, dest=self.hb.endpoint_address,
-            payload=data, garbled=eager))
+            payload=data))
         return self.hb.delivery_log[before:]
 
     def undecodable(self):
@@ -1090,10 +1089,9 @@ class TestCoveredBytes:
         wire = rig.datagram(msg)
         pushed = dict(msg.headers())[rig.layer.name][field]
         assert pushed == (_GOLDEN_CRC if field == "sum" else _GOLDEN_MAC)
-        for eager in (False, True):
-            (got,) = rig.receive(wire, eager=eager)
-            assert got.data == b"golden body"
-        assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 0
+        (got,) = rig.receive(wire)
+        assert got.data == b"golden body"
+        assert rig.layer.verified == 1 and getattr(rig.layer, counter) == 0
 
 
 class TestIntegritySpanPath:
@@ -1132,11 +1130,9 @@ class TestIntegritySpanPath:
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
     def test_every_bit_flip_is_dropped(self, spec, counter, field, mode):
-        """(c) Covered region, ``sum`` or ``mac``.  Lazy: every flip is
-        dropped, and counted by the layer itself.  Eager: dropped too,
-        unless the flipped span still decodes to the sender's values
-        (FRAG's ``0x01`` -> ``0x03``: case (d)), which eager re-encodes
-        and passes, as it always has — never a wrong value."""
+        """(c) Covered region, ``sum`` or ``mac``: every flip is dropped,
+        and counted by the layer itself — the BOOL's other seven bits
+        included, which still decode to the sender's value (case (d))."""
         rig = IntegrityRig(spec, mode)
         wire = rig.datagram(golden_message())
         spans = header_spans(wire)
@@ -1146,33 +1142,28 @@ class TestIntegritySpanPath:
         assert sum(end - start for start, end in regions.values()) == (
             len(_GOLDEN_COVERED) - 20  # the three owner frames
             + (4 if field == "sum" else 8))
-        same_values = 0
         for name, (start, end) in regions.items():
             for pos in range(start, end):
                 for bit in range(8):
                     garbled = bytearray(wire)
                     garbled[pos] ^= 1 << bit
                     garbled = bytes(garbled)
-                    if rig.receive(garbled, eager=True):
-                        decode = DEFAULT_REGISTRY.codec_for(name).decode
-                        assert decode(garbled[start:end]) == decode(wire[start:end])
-                        same_values += 1
                     dropped = getattr(rig.layer, counter)
                     undecodable = rig.undecodable()
                     assert rig.receive(garbled) == []
                     assert getattr(rig.layer, counter) == dropped + 1
                     assert rig.undecodable() == undecodable
-        assert rig.layer.verified == same_values == 7  # the BOOL's other bits
+        assert rig.layer.verified == 0
 
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
     def test_non_canonical_span_fails_on_the_lazy_path_only(
             self, spec, counter, field, mode):
-        """(d) Where the verdict got stricter.  A span that is not
-        ``encode(decode(span))`` carrying a sum valid for its decoded
-        *values*: the eager path re-encodes the values and passes it (as
-        every path did before ISSUE 17); the lazy path covers the bytes
-        that arrived, they differ from what the sender summed, so it is
+        """(d) A span that is not ``encode(decode(span))`` carrying a sum
+        valid for its decoded *values*.  Eager unmarshal (TOTAL's pack
+        records, never a datagram) reads the odd BOOL as the sender's
+        value; the lazy path every datagram takes covers the bytes that
+        arrived, they differ from what the sender summed, so it is
         dropped.  No honest encoder emits such a span."""
         rig = IntegrityRig(spec, mode)
         wire = rig.datagram(golden_message())
@@ -1180,13 +1171,15 @@ class TestIntegritySpanPath:
         assert wire[start:end] == b"\x01"
         odd_bool = wire[:start] + b"\x02" + wire[end:]  # decodes to True
         # Four junk bytes inside the frame's declared length (four keeps
-        # the aligned mode's padding where it was); decode ignores them.
+        # the aligned mode's padding where it was).
         junk = (wire[:start - 2] + struct.pack(">H", 5) + b"\x01junk"
                 + wire[end:])
+        eager = DEFAULT_REGISTRY.unmarshal(odd_bool)
+        assert dict(eager.headers())["FRAG"] == {"last": True}
+        with pytest.raises(HeaderError):
+            DEFAULT_REGISTRY.unmarshal(junk)  # eager decode is exact too
         for forged in (odd_bool, junk):
             dropped = getattr(rig.layer, counter)
-            (got,) = rig.receive(forged, eager=True)
-            assert got.data == b"golden body"
             assert rig.receive(forged) == []
             assert getattr(rig.layer, counter) == dropped + 1
         assert rig.undecodable() == 0
@@ -1197,9 +1190,7 @@ class TestFrameBoundariesAreBound:
     boundaries were moved covers the same byte string as the sender's and
     its sum verifies — without the key.  A lazy header must therefore
     fill its span: the owner's pop raises and the stack drops the
-    message.  (Eager re-encodes what it decoded, loses the moved bytes
-    from the covered string and fails the sum, as every path did before
-    ISSUE 17.)"""
+    message."""
 
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
@@ -1225,9 +1216,6 @@ class TestFrameBoundariesAreBound:
         # The sum verified (that is the hole); the owner refused the span.
         assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 0
         assert rig.undecodable() == 1
-        assert rig.receive(forged, eager=True) == []
-        assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 1
-        assert rig.undecodable() == 1
 
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("layer", registered_layers())
@@ -1237,13 +1225,15 @@ class TestFrameBoundariesAreBound:
         span = codec.encode(header)
         for tail in (b"", b"\x00", b"junk"):
             data = join_datagram(SPAN_MODES.index(mode), {layer: span + tail}, b"b")
-            # Eager decoding is unchanged: it ignores the tail.
-            assert DEFAULT_REGISTRY.unmarshal(data).pop_header(layer) == header
+            # One rule: eager refuses a tail at unmarshal, lazy at the pop.
             message = DEFAULT_REGISTRY.unmarshal(data, lazy=True)
             if tail:
                 with pytest.raises(HeaderError):
+                    DEFAULT_REGISTRY.unmarshal(data)
+                with pytest.raises(HeaderError):
                     message.pop_header(layer)
             else:
+                assert DEFAULT_REGISTRY.unmarshal(data).pop_header(layer) == header
                 assert message.pop_header(layer) == header
 
 
@@ -1368,9 +1358,8 @@ class TestCoalescer:
         wire = net.sent[0][3]
         for bad in (wire[:-1], wire + b"!", wire[:5]):
             net.deliver(Packet(source=A, dest=B, payload=bad))
-        net.deliver(Packet(source=A, dest=B, payload=wire, garbled=True))
         assert got == []
-        assert co.batches_rejected == 4
+        assert co.batches_rejected == 3
 
     def test_non_batch_passes_through(self):
         co, net, clock = self.make()

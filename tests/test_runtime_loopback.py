@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PacketTooLargeError
+from repro.errors import NetworkError, PacketTooLargeError
 from repro.net.address import EndpointAddress
 from repro.runtime.engine import RealtimeEngine
 from repro.runtime.transport import UdpTransport, decode_frame, encode_frame
@@ -39,12 +39,19 @@ class TestFrameCodec:
         src = EndpointAddress("alice", 3)
         dst = EndpointAddress("bob", 0)
         frame = encode_frame(src, dst, b"payload bytes", 123.456)
-        out_src, out_dst, sent_at, payload, flags = decode_frame(frame)
+        out_src, out_dst, sent_at, payload = decode_frame(frame)
         assert (out_src, out_dst, payload) == (src, dst, b"payload bytes")
         assert sent_at == pytest.approx(123.456)
-        assert flags == 0
-        garbled = encode_frame(src, dst, b"payload bytes", 123.456, flags=1)
-        assert decode_frame(garbled)[4] == 1
+        # magic, timestamp, two address lengths; nothing else.
+        fixed = 4 + 8 + 2 + 2
+        assert frame[:4] == b"HRS3"
+        assert len(frame) == fixed + len(src.marshal()) + len(dst.marshal()) + 13
+
+    def test_a_frame_of_another_layout_is_refused(self):
+        frame = encode_frame(EndpointAddress("a", 1), EndpointAddress("b", 2),
+                             b"x", 1.0)
+        with pytest.raises(NetworkError):
+            decode_frame(b"HRS2" + frame[4:])
 
     def test_malformed_frames_are_counted_not_raised(self):
         engine = RealtimeEngine()

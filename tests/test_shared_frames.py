@@ -8,7 +8,8 @@ function of them in the span modes (``aligned``, ``compact``), so
 
 * eight receivers of one multicast: one framing, one decode per span;
 * a popped header is its receiver's own — dict, lists and maps;
-* what is never shared: garbled copies, failures, ``table`` rows;
+* what is never shared: failures, ``table`` rows; a garbled copy is
+  other bytes, so it is framed under its own and never served for them;
 * the bound: a constant, oldest first;
 * the arbitrary-bytes oracle of ``test_hotpath`` with a warm store;
 * a lossy eight-member world behaves identically without the store.
@@ -67,13 +68,13 @@ class Fanout:
         self.sent.clear()
         return wire
 
-    def hand(self, name, payload, garbled=False):
+    def hand(self, name, payload):
         """Hand ``payload`` to receiver ``name``; what its application got."""
         handle = self.handles[name]
         before = len(handle.delivery_log)
         self.endpoint(name)._on_packet(Packet(
             source=self.sender.endpoint_address, dest=handle.endpoint_address,
-            payload=payload, garbled=garbled))
+            payload=payload))
         return [d.data for d in handle.delivery_log[before:]]
 
     def endpoint(self, name):
@@ -116,26 +117,26 @@ class TestOneDatagramEightReceivers:
         assert list(rig.world.header_frames) == [wire]
         assert all(rig.chksum(name).verified >= 1 for name in RECEIVERS)
 
-    def test_a_garbled_copy_is_neither_served_nor_stored(self, calls):
+    def test_a_garbled_copy_is_framed_as_its_own(self, calls):
+        """A copy with a flipped body byte frames cleanly, so it is stored
+        like any datagram — under the bytes it arrived as.  CHKSUM drops
+        it; the seven clean copies share one framing of their own."""
         rig = Fanout()
         wire = rig.cast(b"seven clean, one not")
         flipped = bytearray(wire)
         flipped[-1] ^= 0x20  # a body byte: only CHKSUM can tell
         flipped = bytes(flipped)
         dropped = rig.chksum("r0").garbled_dropped
-        assert rig.hand("r0", flipped, garbled=True) == []
+        assert rig.hand("r0", flipped) == []
         assert rig.chksum("r0").garbled_dropped == dropped + 1
-        assert len(rig.world.header_frames) == 0  # not stored
+        assert list(rig.world.header_frames) == [flipped]
+        calls["framed"] = 0
         for name in RECEIVERS[1:]:
             assert rig.hand(name, wire) == [b"seven clean, one not"]
-        # Not served: bytes the store knows, marked garbled, still take
-        # the eager path — every header decoded again, right at the demux.
-        calls["decode"].clear()
-        calls["framed"] = 0
-        rig.hand("r0", wire, garbled=True)
-        assert sorted(calls["decode"]) == sorted(LAYERS)
         assert calls["framed"] == 1
-        assert list(rig.world.header_frames) == [wire]
+        assert list(rig.world.header_frames) == [flipped, wire]
+        assert all(rig.chksum(name).garbled_dropped == 0
+                   for name in RECEIVERS[1:])
 
     def test_a_truncated_datagram_fails_at_every_receiver(self):
         rig = Fanout()

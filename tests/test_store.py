@@ -182,8 +182,9 @@ class TestFileStoreDomain:
         )
         # A second domain over the same root finds the same state —
         # this is what survives a whole-process restart.
-        again = FileStoreDomain(root=root).store("n1", "rdict.grp")
-        replayed = again.replay()
+        fresh = FileStoreDomain(root=root)
+        assert fresh.stores() == [("n1", "rdict.grp")]
+        replayed = fresh.store("n1", "rdict.grp").replay()
         assert replayed.snapshot == b"STATE"
         assert replayed.entries == [b"u1"]
 
