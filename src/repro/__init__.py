@@ -45,6 +45,7 @@ Quickstart::
     print(gb.receive().data)          # b'hello group'
 """
 
+from repro._lazy import lazy_exports
 from repro.core import (
     DEFAULT_STACK,
     DeliveredMessage,
@@ -85,14 +86,7 @@ _LAZY_EXPORTS = {
 }
 
 
-def __getattr__(name: str):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)
 
 __version__ = "1.0.0"
 

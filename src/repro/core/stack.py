@@ -16,6 +16,7 @@ is entered while its own code is on the call stack.
 
 from __future__ import annotations
 
+import importlib
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -30,6 +31,45 @@ from repro.obs import SpanRecorder, StackObserver
 
 _LAYER_CLASSES: Dict[str, Type[Layer]] = {}
 
+#: Spec name -> the library module whose import registers that layer.
+#: Building a stack imports only the modules its spec names, so a
+#: process pays the import (and decodes the headers) of the layers it
+#: stacks and no others.  ``tests/test_layer_loading.py`` checks this
+#: table against what a full load of the library registers.
+_LAYER_MODULES: Dict[str, str] = {
+    "ACCOUNT": "repro.layers.logger",
+    "BMS": "repro.layers.bms",
+    "CAUSAL": "repro.layers.causal",
+    "CAUSAL_TS": "repro.layers.causal",
+    "CHKSUM": "repro.layers.chksum",
+    "COM": "repro.layers.com",
+    "COMPRESS": "repro.layers.compress",
+    "CREDIT": "repro.layers.credit",
+    "CRYPT": "repro.layers.crypt",
+    "FLUSH": "repro.layers.flush",
+    "FRAG": "repro.layers.frag",
+    "KEYDIST": "repro.layers.keydist",
+    "LOCATE": "repro.layers.locate",
+    "LOGGER": "repro.layers.logger",
+    "MBRSHIP": "repro.layers.mbrship",
+    "MERGE": "repro.layers.merge",
+    "NAK": "repro.layers.nak",
+    "NFRAG": "repro.layers.nfrag",
+    "NNAK": "repro.layers.nnak",
+    "PINWHEEL": "repro.layers.pinwheel",
+    "PRIO": "repro.layers.prio",
+    "REALTIME": "repro.layers.realtime",
+    "RPC": "repro.layers.rpc",
+    "SAFE": "repro.layers.safe",
+    "SIGN": "repro.layers.sign",
+    "STABLE": "repro.layers.stable",
+    "SYNC": "repro.layers.syncclock",
+    "TOTAL": "repro.layers.total",
+    "TRACER": "repro.layers.logger",
+    "VSS": "repro.layers.vss",
+    "XFER": "repro.layers.xfer",
+}
+
 
 def register_layer(cls: Type[Layer]) -> Type[Layer]:
     """Class decorator: make ``cls`` available to stack specs by name."""
@@ -41,24 +81,32 @@ def register_layer(cls: Type[Layer]) -> Type[Layer]:
 
 
 def layer_class(name: str) -> Type[Layer]:
-    """Look up a registered layer class (importing the library lazily)."""
-    _ensure_library_loaded()
-    try:
-        return _LAYER_CLASSES[name]
-    except KeyError:
-        known = ", ".join(sorted(_LAYER_CLASSES))
-        raise StackError(f"unknown layer {name!r}; known layers: {known}") from None
+    """Look up a layer class, importing the module that registers it."""
+    cls = _LAYER_CLASSES.get(name)
+    if cls is not None:
+        return cls
+    module = _LAYER_MODULES.get(name)
+    if module is None:
+        known = ", ".join(known_layers())
+        raise StackError(f"unknown layer {name!r}; known layers: {known}")
+    importlib.import_module(module)
+    return _LAYER_CLASSES[name]
 
 
 def known_layers() -> List[str]:
-    """Names of every registered layer class."""
-    _ensure_library_loaded()
+    """Names of every registered layer class (loads the whole library)."""
+    _load_library()
     return sorted(_LAYER_CLASSES)
 
 
-def _ensure_library_loaded() -> None:
-    """Import the layer library so its modules self-register."""
-    import repro.layers  # noqa: F401  (import for side effect)
+def _load_library() -> None:
+    """Import every module of the layer library so each self-registers."""
+    import pkgutil
+
+    import repro.layers
+
+    for module in pkgutil.iter_modules(repro.layers.__path__, "repro.layers."):
+        importlib.import_module(module.name)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """The Horus protocol-layer library.
 
-Importing this package registers every layer class with the stack
-composer (:func:`repro.core.stack.register_layer`) and every header
-codec with the default registry, so a spec string like
-``"TOTAL:MBRSHIP:FRAG:NAK:COM"`` resolves without further setup.
+Each layer module registers its layer class with the stack composer
+(:func:`repro.core.stack.register_layer`) and its header codec with the
+default registry when it is imported.  Importing this package imports
+none of them: building a stack imports the modules its spec names (the
+name -> module table in :mod:`repro.core.stack`), a class read from
+this package imports its own module, and
+:func:`repro.core.stack.known_layers` imports the whole library.  A
+process therefore decodes only the headers of layers it has loaded; a
+datagram carrying any other header is undecodable there.
 
 The library covers the paper's Figure 1 table of protocol types and the
 Table 3 layer matrix; see each module's docstring for the paper section
@@ -31,67 +36,43 @@ it implements.  Layer names usable in stack specs:
 stacking.
 """
 
-from repro.layers.bms import BasicMembershipLayer
-from repro.layers.causal import CausalOrderLayer, CausalTimestampLayer
-from repro.layers.chksum import ChecksumLayer
-from repro.layers.com import ComLayer
-from repro.layers.compress import CompressionLayer
-from repro.layers.credit import CreditLayer
-from repro.layers.crypt import EncryptionLayer
-from repro.layers.flush import FlushLayer
-from repro.layers.frag import FragLayer
-from repro.layers.keydist import KeyDistributionLayer
-from repro.layers.locate import ResourceLocationLayer
-from repro.layers.logger import AccountingLayer, LoggingLayer, TracerLayer
-from repro.layers.mbrship import MembershipLayer
-from repro.layers.merge import AutoMergeLayer
-from repro.layers.nak import NakLayer
-from repro.layers.nfrag import NetworkFragLayer
-from repro.layers.nnak import UnicastNakLayer
-from repro.layers.pinwheel import PinwheelLayer
-from repro.layers.prio import PriorityLayer
-from repro.layers.realtime import RealTimeLayer
-from repro.layers.rpc import RpcLayer
-from repro.layers.safe import SafeOrderLayer
-from repro.layers.sign import SigningLayer
-from repro.layers.sockets import HorusSocket
-from repro.layers.stable import StableLayer
-from repro.layers.syncclock import SyncClockLayer
-from repro.layers.total import TotalOrderLayer
-from repro.layers.vss import ViewSemiSyncLayer
-from repro.layers.xfer import StateTransferLayer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccountingLayer",
-    "AutoMergeLayer",
-    "BasicMembershipLayer",
-    "CausalOrderLayer",
-    "CausalTimestampLayer",
-    "ChecksumLayer",
-    "ComLayer",
-    "CompressionLayer",
-    "CreditLayer",
-    "EncryptionLayer",
-    "FlushLayer",
-    "FragLayer",
-    "HorusSocket",
-    "KeyDistributionLayer",
-    "LoggingLayer",
-    "MembershipLayer",
-    "NakLayer",
-    "NetworkFragLayer",
-    "PinwheelLayer",
-    "PriorityLayer",
-    "RealTimeLayer",
-    "ResourceLocationLayer",
-    "RpcLayer",
-    "SafeOrderLayer",
-    "SigningLayer",
-    "StableLayer",
-    "StateTransferLayer",
-    "SyncClockLayer",
-    "TotalOrderLayer",
-    "TracerLayer",
-    "UnicastNakLayer",
-    "ViewSemiSyncLayer",
-]
+_EXPORTS = {
+    "AccountingLayer": "repro.layers.logger",
+    "AutoMergeLayer": "repro.layers.merge",
+    "BasicMembershipLayer": "repro.layers.bms",
+    "CausalOrderLayer": "repro.layers.causal",
+    "CausalTimestampLayer": "repro.layers.causal",
+    "ChecksumLayer": "repro.layers.chksum",
+    "ComLayer": "repro.layers.com",
+    "CompressionLayer": "repro.layers.compress",
+    "CreditLayer": "repro.layers.credit",
+    "EncryptionLayer": "repro.layers.crypt",
+    "FlushLayer": "repro.layers.flush",
+    "FragLayer": "repro.layers.frag",
+    "HorusSocket": "repro.layers.sockets",
+    "KeyDistributionLayer": "repro.layers.keydist",
+    "LoggingLayer": "repro.layers.logger",
+    "MembershipLayer": "repro.layers.mbrship",
+    "NakLayer": "repro.layers.nak",
+    "NetworkFragLayer": "repro.layers.nfrag",
+    "PinwheelLayer": "repro.layers.pinwheel",
+    "PriorityLayer": "repro.layers.prio",
+    "RealTimeLayer": "repro.layers.realtime",
+    "ResourceLocationLayer": "repro.layers.locate",
+    "RpcLayer": "repro.layers.rpc",
+    "SafeOrderLayer": "repro.layers.safe",
+    "SigningLayer": "repro.layers.sign",
+    "StableLayer": "repro.layers.stable",
+    "StateTransferLayer": "repro.layers.xfer",
+    "SyncClockLayer": "repro.layers.syncclock",
+    "TotalOrderLayer": "repro.layers.total",
+    "TracerLayer": "repro.layers.logger",
+    "UnicastNakLayer": "repro.layers.nnak",
+    "ViewSemiSyncLayer": "repro.layers.vss",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,24 +14,19 @@ this package holds the surrounding services the paper describes:
   primary partition, extended virtual synchrony, Relacs view synchrony.
 """
 
-from repro.membership.directory import GroupDirectory
-from repro.membership.external_fd import ExternalFailureDetector
-from repro.membership.failure_detector import TimeoutFailureDetector
-from repro.membership.partition_models import (
-    ExtendedVirtualSynchrony,
-    PartitionPolicy,
-    PrimaryPartition,
-    RelacsViewSynchrony,
-    partition_policy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExtendedVirtualSynchrony",
-    "ExternalFailureDetector",
-    "GroupDirectory",
-    "PartitionPolicy",
-    "PrimaryPartition",
-    "RelacsViewSynchrony",
-    "TimeoutFailureDetector",
-    "partition_policy",
-]
+_EXPORTS = {
+    "ExtendedVirtualSynchrony": "repro.membership.partition_models",
+    "ExternalFailureDetector": "repro.membership.external_fd",
+    "GroupDirectory": "repro.membership.directory",
+    "PartitionPolicy": "repro.membership.partition_models",
+    "PrimaryPartition": "repro.membership.partition_models",
+    "RelacsViewSynchrony": "repro.membership.partition_models",
+    "TimeoutFailureDetector": "repro.membership.failure_detector",
+    "partition_policy": "repro.membership.partition_models",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

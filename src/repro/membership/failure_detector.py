@@ -77,10 +77,6 @@ class TimeoutFailureDetector:
         """Whether ``endpoint`` is currently under suspicion."""
         return endpoint in self._suspected
 
-    def stop(self) -> None:
-        """Stop the periodic scan (detector becomes inert)."""
-        self._timer.stop()
-
     def _scan(self) -> None:
         now = self.scheduler.now
         for endpoint, heard in self._last_heard.items():

@@ -18,30 +18,25 @@ paper mentions:
   multicast.
 """
 
-from repro.net.address import EndpointAddress, GroupAddress
-from repro.net.atm import AtmNetwork
-from repro.net.coalesce import Coalescer, decode_batch
-from repro.net.faults import FaultModel
-from repro.net.lan import LanNetwork
-from repro.net.network import Network, NetworkStats
-from repro.net.packet import Packet
-from repro.net.partition import PartitionController
-from repro.net.udp import UdpNetwork
-from repro.net.wan import Link, WanNetwork
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AtmNetwork",
-    "Coalescer",
-    "decode_batch",
-    "Link",
-    "WanNetwork",
-    "EndpointAddress",
-    "FaultModel",
-    "GroupAddress",
-    "LanNetwork",
-    "Network",
-    "NetworkStats",
-    "Packet",
-    "PartitionController",
-    "UdpNetwork",
-]
+_EXPORTS = {
+    "AtmNetwork": "repro.net.atm",
+    "Coalescer": "repro.net.coalesce",
+    "EndpointAddress": "repro.net.address",
+    "FaultModel": "repro.net.faults",
+    "GroupAddress": "repro.net.address",
+    "LanNetwork": "repro.net.lan",
+    "Link": "repro.net.wan",
+    "Network": "repro.net.network",
+    "NetworkStats": "repro.net.network",
+    "Packet": "repro.net.packet",
+    "PartitionController": "repro.net.partition",
+    "UdpNetwork": "repro.net.udp",
+    "WanNetwork": "repro.net.wan",
+    "decode_batch": "repro.net.coalesce",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,28 +22,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.exporters import (
-    read_jsonl,
-    render_jsonl,
-    snapshot_records,
-    write_jsonl,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    SIZE_BUCKETS,
-    TIME_BUCKETS,
-)
-from repro.obs.report import (
-    render_flow_report,
-    render_layer_report,
-    render_network_report,
-    render_store_report,
-)
-from repro.obs.spans import MessageSpan, SpanEvent, SpanRecorder, StackObserver
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MessageSpan": "repro.obs.spans",
+    "MetricFamily": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "SIZE_BUCKETS": "repro.obs.registry",
+    "SpanEvent": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "StackObserver": "repro.obs.spans",
+    "TIME_BUCKETS": "repro.obs.registry",
+    "read_jsonl": "repro.obs.exporters",
+    "render_flow_report": "repro.obs.report",
+    "render_jsonl": "repro.obs.exporters",
+    "render_layer_report": "repro.obs.report",
+    "render_network_report": "repro.obs.report",
+    "render_store_report": "repro.obs.report",
+    "snapshot_records": "repro.obs.exporters",
+    "write_jsonl": "repro.obs.exporters",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
 @dataclass
@@ -89,25 +92,4 @@ class ObsOptions:
         return cls(layer_metrics=False, spans=False)
 
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MessageSpan",
-    "MetricFamily",
-    "MetricsRegistry",
-    "ObsOptions",
-    "SIZE_BUCKETS",
-    "SpanEvent",
-    "SpanRecorder",
-    "StackObserver",
-    "TIME_BUCKETS",
-    "read_jsonl",
-    "render_flow_report",
-    "render_jsonl",
-    "render_layer_report",
-    "render_network_report",
-    "render_store_report",
-    "snapshot_records",
-    "write_jsonl",
-]
+__all__ = sorted([*_EXPORTS, "ObsOptions"])

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
+
 _EXPORTS = {
     "Clock": "repro.runtime.clock",
     "EventHandle": "repro.runtime.clock",
@@ -49,14 +51,4 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for checkers only
     from repro.runtime.world import RealtimeWorld
 
 
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -43,7 +43,7 @@ class EventHandle:
     """A cancellable reference to a scheduled event.
 
     Cancellation is *lazy*: the entry stays in the owner's heap but is
-    skipped when popped.  This keeps :meth:`Clock.cancel` O(1).  Handles
+    skipped when popped.  This keeps :meth:`cancel` O(1).  Handles
     are not ordered: the owners heap ``(time, seq, handle)`` tuples.
     """
 
@@ -91,11 +91,6 @@ class Clock(ABC):
     @abstractmethod
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the current instant, after queued peers."""
-
-    @staticmethod
-    def cancel(handle: EventHandle) -> None:
-        """Cancel a previously scheduled event (alias for ``handle.cancel()``)."""
-        handle.cancel()
 
 
 class Timer:

@@ -20,21 +20,21 @@ Public surface:
   by the executable specifications in :mod:`repro.verify`.
 """
 
-from repro.runtime.clock import Clock, PeriodicTimer, Timer
-from repro.sim.concurrency import EventCounter, MonitorLock
-from repro.sim.rand import RandomRouter
-from repro.sim.scheduler import EventHandle, Scheduler
-from repro.sim.trace import TraceRecord, TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Clock",
-    "EventCounter",
-    "EventHandle",
-    "MonitorLock",
-    "PeriodicTimer",
-    "RandomRouter",
-    "Scheduler",
-    "Timer",
-    "TraceRecord",
-    "TraceRecorder",
-]
+_EXPORTS = {
+    "Clock": "repro.runtime.clock",
+    "EventCounter": "repro.sim.concurrency",
+    "EventHandle": "repro.sim.scheduler",
+    "MonitorLock": "repro.sim.concurrency",
+    "PeriodicTimer": "repro.runtime.clock",
+    "RandomRouter": "repro.sim.rand",
+    "Scheduler": "repro.sim.scheduler",
+    "Timer": "repro.runtime.clock",
+    "TraceRecord": "repro.sim.trace",
+    "TraceRecorder": "repro.sim.trace",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -75,11 +75,6 @@ class Scheduler(Clock):
         """Schedule ``fn(*args)`` at the current instant, after queued peers."""
         return self.call_at(self._now, fn, *args)
 
-    @staticmethod
-    def cancel(handle: EventHandle) -> None:
-        """Cancel a previously scheduled event (alias for ``handle.cancel()``)."""
-        handle.cancel()
-
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
         return sum(1 for _, _, h in self._heap if not h.cancelled)

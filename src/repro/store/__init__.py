@@ -34,48 +34,33 @@ The in-band half is the XFER layer
 snapshot streaming to joiners over the ordinary stack.
 """
 
-from repro.store.backend import FileBackend, MemoryBackend
-from repro.store.inspect import find_stores, render_path, render_store
-from repro.store.policy import (
-    DURABILITY_MODES,
-    FSYNC_PER_RECORD,
-    GROUP,
-    CommitTicket,
-    DurabilityPolicy,
-    parse_policy,
-)
-from repro.store.store import (
-    DurableStore,
-    FileStoreDomain,
-    MemoryStoreDomain,
-    ReplayResult,
-    decode_snapshot,
-    encode_snapshot,
-)
-from repro.store.wal import MAX_RECORD_BYTES, WalScan, encode_record, scan
-from repro.store.writer import WalWriter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommitTicket",
-    "DURABILITY_MODES",
-    "DurabilityPolicy",
-    "DurableStore",
-    "FSYNC_PER_RECORD",
-    "FileBackend",
-    "FileStoreDomain",
-    "GROUP",
-    "MAX_RECORD_BYTES",
-    "MemoryBackend",
-    "MemoryStoreDomain",
-    "ReplayResult",
-    "WalScan",
-    "WalWriter",
-    "decode_snapshot",
-    "encode_record",
-    "encode_snapshot",
-    "find_stores",
-    "parse_policy",
-    "render_path",
-    "render_store",
-    "scan",
-]
+_EXPORTS = {
+    "CommitTicket": "repro.store.policy",
+    "DURABILITY_MODES": "repro.store.policy",
+    "DurabilityPolicy": "repro.store.policy",
+    "DurableStore": "repro.store.store",
+    "FSYNC_PER_RECORD": "repro.store.policy",
+    "FileBackend": "repro.store.backend",
+    "FileStoreDomain": "repro.store.store",
+    "GROUP": "repro.store.policy",
+    "MAX_RECORD_BYTES": "repro.store.wal",
+    "MemoryBackend": "repro.store.backend",
+    "MemoryStoreDomain": "repro.store.store",
+    "ReplayResult": "repro.store.store",
+    "WalScan": "repro.store.wal",
+    "WalWriter": "repro.store.writer",
+    "decode_snapshot": "repro.store.store",
+    "encode_record": "repro.store.wal",
+    "encode_snapshot": "repro.store.store",
+    "find_stores": "repro.store.inspect",
+    "parse_policy": "repro.store.policy",
+    "render_path": "repro.store.inspect",
+    "render_store": "repro.store.inspect",
+    "scan": "repro.store.wal",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,18 +26,17 @@ nothing here touches layer internals; everything goes through
   work partitioning by view rank.
 """
 
-from repro.toolkit.guaranteed import GuaranteedExecutor
-from repro.toolkit.load_balancer import LoadBalancer
-from repro.toolkit.lock import DistributedLock
-from repro.toolkit.primary_backup import PrimaryBackup
-from repro.toolkit.replicated_data import ReplicatedDict
-from repro.toolkit.state_machine import ReplicatedStateMachine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DistributedLock",
-    "GuaranteedExecutor",
-    "LoadBalancer",
-    "PrimaryBackup",
-    "ReplicatedDict",
-    "ReplicatedStateMachine",
-]
+_EXPORTS = {
+    "DistributedLock": "repro.toolkit.lock",
+    "GuaranteedExecutor": "repro.toolkit.guaranteed",
+    "LoadBalancer": "repro.toolkit.load_balancer",
+    "PrimaryBackup": "repro.toolkit.primary_backup",
+    "ReplicatedDict": "repro.toolkit.replicated_data",
+    "ReplicatedStateMachine": "repro.toolkit.state_machine",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -174,17 +174,8 @@ class ReplicatedStateMachine:
             self._execute(record)
         self.recovered_commands = len(replayed.entries)
 
-    @property
-    def commands_applied(self) -> int:
-        """How many commands this replica has executed."""
-        return len(self.applied_log)
-
-    def leave(self) -> None:
-        """Retire this replica."""
-        self.handle.leave()
-
     def __repr__(self) -> str:
         return (
             f"<ReplicatedStateMachine {self.handle.endpoint_address} "
-            f"applied={self.commands_applied}>"
+            f"applied={len(self.applied_log)}>"
         )

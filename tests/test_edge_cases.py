@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import FaultModel, World
+from repro import FaultModel, World, known_layers
 from repro.core.headers import DEFAULT_REGISTRY
 from repro.errors import HeaderError
 
-# The fuzz tests marshal NAK/COM headers directly; importing the layer
+# The fuzz tests marshal NAK/COM headers directly; loading the layer
 # library registers their codecs with the default registry.
-import repro.layers  # noqa: F401
+known_layers()
 
 from conftest import drain, join_group, manual_destinations
 

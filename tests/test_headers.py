@@ -108,8 +108,10 @@ class TestWireIds:
     }
 
     def test_the_id_map_is_pinned(self):
-        import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
+        from repro import known_layers
         from repro.core.headers import DEFAULT_REGISTRY
+
+        known_layers()  # loads every layer module, so every codec registers
 
         ids = {name: entry[0] for name, entry in DEFAULT_REGISTRY._by_name.items()}
         assert ids == self.IDS

@@ -34,8 +34,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
-from repro import World
+from repro import World, known_layers
 from repro.core import headers as hdr
 from repro.core.headers import (
     DEFAULT_REGISTRY,
@@ -57,6 +56,10 @@ from repro.net.packet import Packet
 from repro.sim.scheduler import Scheduler
 
 from conftest import join_group
+
+# The codec tests marshal headers of layers no stack here has built;
+# loading the layer library registers every codec.
+known_layers()
 
 SRC = EndpointAddress("alice", 1)
 GRP = GroupAddress("grp")

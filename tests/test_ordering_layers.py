@@ -10,6 +10,7 @@ from repro.core.events import cast_down
 from repro.core.headers import DEFAULT_REGISTRY, HEADER_RESERVE, WIRE_MODES
 from repro.core.message import Message
 from repro.errors import HeaderError
+from repro.layers import credit as _credit  # noqa: F401 -- registers CREDIT's codec
 from repro.layers import total as total_mod
 
 from conftest import join_group

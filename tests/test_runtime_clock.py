@@ -83,7 +83,7 @@ class TestRealtimeEngine:
         fired = []
         handle = engine.call_after(0.005, fired.append, "no")
         engine.call_after(0.005, fired.append, "yes")
-        Clock.cancel(handle)
+        handle.cancel()
         engine.run_for(0.03)
         assert fired == ["yes"]
         assert engine.pending() == 0

@@ -20,8 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.layers  # noqa: F401 -- populates DEFAULT_REGISTRY
-from repro import FaultModel, World
+from repro import FaultModel, World, known_layers
 from repro.core import headers as hdr
 from repro.core.headers import (
     DEFAULT_REGISTRY, HeaderFrameStore, HeaderTableStore, make_channel_encoder,
@@ -35,6 +34,9 @@ from conftest import join_group
 from test_hotpath import (
     GRP, SPAN_MODES, SRC, build_sample, force_decode, golden_message,
 )
+
+# Loading the layer library registers every codec the samples carry.
+known_layers()
 
 STACK = "MBRSHIP:FRAG:NAK:CHKSUM:COM"
 LAYERS = STACK.split(":")
