@@ -7,8 +7,9 @@ features with fault-tolerance."
 
 The combination on display: per-view group keys ride the membership
 machinery (KEYDIST — the coordinator rekeys on every view change), the
-CRYPT layer encrypts under the current view key, and SIGN authenticates
-every message.  The demo shows an outsider with the wrong key being
+CRYPT layer encrypts under the current view key, and SIGN, below it,
+authenticates every datagram as it travels — ciphertext, nonce and key
+id (encrypt-then-MAC).  The demo shows an outsider with the wrong key being
 rejected, eavesdroppers seeing only ciphertext, and a member's removal
 rotating the group key so it is cryptographically locked out of the
 future conversation.
@@ -21,8 +22,8 @@ from repro import World
 SECURE_STACK = (
     "KEYDIST(master_secret='deployment-secret')"
     ":MBRSHIP:FRAG:NAK"
-    ":SIGN(key='deployment-secret')"
     ":CRYPT(key='deployment-secret')"
+    ":SIGN(key='deployment-secret')"
     ":COM"
 )
 
@@ -56,8 +57,8 @@ def main() -> None:
         "vault",
         stack=(
             "MBRSHIP:FRAG:NAK"
-            ":SIGN(key='guessed-wrong')"
             ":CRYPT(key='guessed-wrong')"
+            ":SIGN(key='guessed-wrong')"
             ":COM"
         ),
     )

@@ -27,10 +27,15 @@ Receive-side cost is bounded by *lazy unmarshalling*: for ``aligned``
 and ``compact`` :meth:`HeaderRegistry.unmarshal` can validate the
 datagram's structure once and push lazy ``(codec, span)`` entries onto
 the message, decoding a header only when its owning layer pops or peeks
-it; the integrity layers cover the spans as they arrived
-(:func:`content_chunks`).  ``table`` fields are a few bytes each and
-decode in place, in one pass over the datagram.  In every mode the body
-can be shared as a ``memoryview`` slice instead of a copied ``bytes``.
+it.  ``table`` fields are a few bytes each and decode in place, in one
+pass over the datagram.  In every mode the body can be shared as a
+``memoryview`` slice instead of a copied ``bytes``.
+
+The integrity layers (CHKSUM, SIGN) cover the datagram's own bytes, in
+every mode: every byte ahead of their value and the body frame.  The
+sender's value is computed once, by :meth:`HeaderRegistry.marshal`
+after the body is written, and each receiver checks it against the two
+spans of the datagram that arrived (``codecs`` says how).
 
 What an ``aligned`` / ``compact`` datagram says is a pure function
 of its bytes, so receivers that share a process need not each work it
@@ -45,8 +50,8 @@ that unmarshalled before is neither framed nor decoded again.
   layer's to change) and the body view.
 * *Not shared:* ``table`` headers, which read the receiver's own channel
   tables, and ``packed`` (a :class:`WireFormat` says whether its frames
-  are ``receiver_independent``); the integrity sums — CHKSUM and SIGN
-  fold the spans at every receiver, a check is not a value to hand
+  are ``receiver_independent``); the integrity checks — CHKSUM and SIGN
+  sum the spans at every receiver, a check is not a value to hand
   round; failures — a datagram that does not frame is stored nowhere
   and raises at every receiver, a span that does not decode raises at
   every pop.
@@ -60,7 +65,7 @@ that unmarshalled before is neither framed nor decoded again.
   pays one attribute test.
 
 The package is cut along those lines: ``codecs`` holds what every mode
-shares (field kinds, a codec's canonical bytes, the covered bytes);
+shares (field kinds, a codec's canonical bytes, the sealed header);
 ``wire`` (aligned, compact, packed) and ``table`` each write their modes'
 layouts, once, as :class:`WireFormat` objects; this module is the public
 surface and the :class:`HeaderRegistry`, which frames every datagram the
@@ -74,9 +79,9 @@ import struct
 from typing import Any, Dict, Optional, Sequence
 
 from repro.core.headers.codecs import (
-    ADDRESS, BODY_LEN_SIZE, BOOL, F64, GROUP, MAGIC, PREAMBLE_SIZE, TEXT, U8,
-    U16, U32, U64, VARBYTES, FieldSpec, FieldType, ListOf, Lookup, MapOf,
-    WireFormat, content_chunks, pack_body_len, pack_preamble,
+    ADDRESS, BODY_LEN_SIZE, BOOL, BYTES8, F64, GROUP, MAGIC, PREAMBLE_SIZE,
+    TEXT, U8, U16, U32, U64, VARBYTES, FieldSpec, FieldType, ListOf, Lookup,
+    MapOf, SealedHeader, WireFormat, pack_body_len, pack_preamble,
     unpack_body_len, unpack_preamble,
 )
 from repro.core.headers.table import (
@@ -91,14 +96,14 @@ from repro.core.message import Message
 from repro.errors import HeaderError
 
 __all__ = [
-    "ADDRESS", "BOOL", "F64", "GROUP", "TEXT", "U8", "U16", "U32", "U64",
-    "VARBYTES", "ListOf", "MapOf", "FieldSpec", "FieldType",
+    "ADDRESS", "BOOL", "BYTES8", "F64", "GROUP", "TEXT", "U8", "U16", "U32",
+    "U64", "VARBYTES", "ListOf", "MapOf", "FieldSpec", "FieldType",
     "HeaderCodec", "HeaderRegistry", "DEFAULT_REGISTRY", "register",
     "WIRE_MODES", "WireFormat",
     "HeaderChannelEncoder", "HeaderTableStore", "make_channel_encoder",
     "HeaderFrameStore",
     "BitReader", "BitWriter", "packed_bit_size",
-    "content_chunks", "HEADER_RESERVE",
+    "SealedHeader", "HEADER_RESERVE",
 ]
 
 #: Bytes of an MTU left for one message's headers where a layer sizes a
@@ -106,8 +111,8 @@ __all__ = [
 #: bodies within ``mtu - HEADER_RESERVE``.  Measured: the widest stack
 #: of registered layers that can sit below TOTAL without FRAG
 #: (TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:PRIO:REALTIME:KEYDIST:
-#: COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM) puts 300 B of headers on a pack
-#: in ``aligned`` mode, 286 ``compact``, 260 ``packed`` and 111
+#: COMPRESS:CRYPT:SIGN:NAK:CHKSUM:COM) puts 296 B of headers on a pack
+#: in ``aligned`` mode, 282 ``compact``, 256 ``packed`` and 101
 #: ``table``, with 16-character endpoint and group names;
 #: TOTAL:MBRSHIP:NAK:COM puts 160 B in ``aligned`` mode.  Names are the
 #: only fields that vary: about 2 B per endpoint-name and 1 B per
@@ -185,6 +190,11 @@ class HeaderRegistry:
         ``into`` lets hot send paths reuse one scratch buffer: the
         datagram is built there (the buffer is cleared first) and the
         returned ``bytes`` is a copy of its final contents.
+
+        A sealed header carrying its layer's seal hook is written as a
+        placeholder and patched, once the body is written, with the
+        hook's value over the bytes it covers (``codecs`` defines them),
+        the top layer's first.
         """
         fmt = _FORMATS[mode]
         headers = message.iter_headers()
@@ -194,10 +204,13 @@ class HeaderRegistry:
             out = into
             out.clear()
         out += pack_preamble(MAGIC, fmt.mode_byte, len(headers))
-        fmt.write_headers(out, headers, self._by_name, channel)
+        seals = fmt.write_headers(out, headers, self._by_name, channel)
+        tail = len(out)
         body = message.body_bytes()
         out += pack_body_len(len(body))
         out += body
+        if seals:
+            _seal(out, seals, tail)
         return bytes(out)
 
     def unmarshal(
@@ -224,10 +237,10 @@ class HeaderRegistry:
         accept and reject the same bytes — bytes after a header's last
         field raise either way (``wire._LazyHeader`` says why); laziness
         only moves *when* a value-level ``HeaderError`` surfaces (at
-        access instead of here).  The integrity layers cover a lazy
-        span as it arrived (:func:`content_chunks`), so a ``BOOL`` byte
-        of ``0x02`` fails CHKSUM / SIGN even with a sum valid for the
-        decoded values.
+        access instead of here).  Either way, a sealed header arrives as
+        a :class:`SealedHeader` holding views of the bytes it covers, so
+        a ``BOOL`` byte of ``0x02`` fails CHKSUM / SIGN even with a sum
+        valid for the decoded values.
 
         ``tables`` carries the receiver's per-channel state for ``table``
         mode; without it each datagram gets a throwaway store (only
@@ -285,6 +298,15 @@ class HeaderRegistry:
         return len(self.marshal(message, mode)) - message.body_size - framing
 
 
+def _seal(out: bytearray, seals: Sequence[Any], tail: int) -> None:
+    """Patch each ``(offset, hook)`` placeholder of ``out`` with
+    ``hook(out[:offset], out[tail:])``, in order (views, not copies)."""
+    with memoryview(out) as view, view[tail:] as body:
+        for offset, hook in seals:
+            value = hook(view[:offset], body)
+            view[offset:offset + len(value)] = value
+
+
 #: The process-wide default registry; layer modules register here at import.
 DEFAULT_REGISTRY = HeaderRegistry()
 
@@ -294,6 +316,8 @@ def register(
     wire_id: int,
     fields: Sequence[FieldSpec],
     defaults: Optional[Dict[str, Any]] = None,
+    sealed: bool = False,
 ) -> HeaderCodec:
     """Shorthand: build a codec and register it on the default registry."""
-    return DEFAULT_REGISTRY.register(HeaderCodec(layer, fields, defaults), wire_id)
+    return DEFAULT_REGISTRY.register(
+        HeaderCodec(layer, fields, defaults, sealed), wire_id)

@@ -2,10 +2,26 @@
 
 What every wire mode shares: the four kinds of header field and their
 two primitive encodings (bytes and bits), :class:`CanonicalCodec` — a
-layer's declared fields encoded to *canonical bytes* — the covered bytes
-the integrity layers sum (:func:`content_chunks`), and the seam the mode
-modules plug into (:class:`WireFormat`, the frame formats, the one error
-wrapper and the one lookup that can miss).
+layer's declared fields encoded to *canonical bytes* — the sealed header
+an integrity layer reads on the way up (:class:`SealedHeader`: its
+value and the two spans of the datagram it covers), and the seam the
+mode modules plug into (:class:`WireFormat`, the frame formats, the one
+error wrapper and the one lookup that can miss).
+
+The covered bytes are the datagram's own.  An integrity layer (CHKSUM,
+SIGN) registers a *sealed* codec: one fixed-width field, which on the
+way down holds the layer's seal hook instead of a value.  The wire
+modes write a zeroed placeholder there, and
+:meth:`~repro.core.headers.HeaderRegistry.marshal` patches in
+``hook(head, tail)`` once the body is written: ``head`` is every byte
+of the datagram ahead of the value — the preamble (magic, mode byte,
+header count), every header above the layer with its frame, length and
+padding, and the layer's own frame (in ``table`` mode, the channel
+section and the shape too) — and ``tail`` the body frame (its length,
+then the body) to the datagram's end.  Seals are applied in wire order, the top layer's first, so a
+lower seal covers an upper one's final value.  On the way up the modes
+push a :class:`SealedHeader` holding the value's bytes and views of the
+same two spans of the datagram that arrived.
 """
 
 from __future__ import annotations
@@ -13,11 +29,11 @@ from __future__ import annotations
 import struct
 from itertools import groupby
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NoReturn, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, NoReturn, Optional, Sequence,
+    Tuple,
 )
 
-from repro.core.message import Header, Message
+from repro.core.message import Header
 from repro.errors import HeaderError
 from repro.net.address import EndpointAddress, GroupAddress
 
@@ -310,6 +326,7 @@ U32 = Scalar("I", 32, int)
 U64 = Scalar("Q", 64, int)
 BOOL = Scalar("?", 1, bool)  # any non-zero byte reads as True
 F64 = Scalar("d", 64, float)
+BYTES8 = Scalar("8s", 64, bytes)  # exactly eight bytes (SIGN's truncated MAC)
 VARBYTES = Bytes("I", bytes, bytes)
 TEXT = Bytes("H", lambda value: str(value).encode("utf-8"),
              lambda raw: str(raw, "utf-8"))
@@ -331,6 +348,11 @@ class CanonicalCodec:
     optional per-field defaults in ``defaults``.  Encoding a header dict
     writes every declared field (missing ones take their default);
     decoding always yields the full dict.
+
+    A ``sealed`` codec is an integrity layer's (the module docstring
+    says what marshal does with it): one fixed-width field, which a
+    header on its way down fills with a seal hook, ``hook(head, tail)``
+    returning the field's bytes.
     """
 
     def __init__(
@@ -338,12 +360,22 @@ class CanonicalCodec:
         layer: str,
         fields: Sequence[FieldSpec],
         defaults: Optional[Dict[str, Any]] = None,
+        sealed: bool = False,
     ) -> None:
         self.layer = layer
-        owner = layer.encode("utf-8")
-        #: The owner name as the integrity layers frame it (content_chunks).
-        self.owner_frame = struct.pack(">H", len(owner)) + owner
         self.fields = list(fields)
+        #: The field a seal hook fills (None: not sealed), and the zeros
+        #: marshal writes there until the hook's value is known.
+        self.seal_field: Optional[str] = None
+        self.seal_placeholder = b""
+        if sealed:
+            width = len(self.fields) == 1 and self.fields[0][1].fixed_byte_size
+            if not width:
+                raise HeaderError(
+                    f"{layer}: a sealed codec has one fixed-width field"
+                )
+            self.seal_field = self.fields[0][0]
+            self.seal_placeholder = bytes(width)
         self.defaults = dict(defaults or {})
         # Precomputed split for wire_size: fixed-width fields contribute
         # a constant; only length-prefixed ones need the value.
@@ -372,6 +404,15 @@ class CanonicalCodec:
             packer = struct.Struct(">" + "".join(k.code for k in kinds))
             plan.append(("struct", packer, names, tuple(k.to_wire for k in kinds)))
         return plan
+
+    def sealer(self, header: Header) -> Optional[Callable[[Any, Any], bytes]]:
+        """The seal hook a header of this sealed codec carries, or None.
+
+        A header whose field holds a value instead (one forwarded as it
+        arrived) is written with that value, like any other header.
+        """
+        hook = header.get(self.seal_field)
+        return hook if callable(hook) else None
 
     def value(self, header: Header, name: str) -> Any:
         """``header[name]``, else the field's default, else HeaderError."""
@@ -493,14 +534,20 @@ class WireFormat:
     section for ``headers`` — ``(owner, dict)`` pairs, bottom first — to
     the bytearray ``out``.  ``by_name`` maps an owner to ``(wire id,
     codec)``; ``channel`` is the sender's per-channel state, for the
-    modes that keep any.
+    modes that keep any.  It returns the seals to apply, in wire order:
+    ``(offset, hook)`` per sealed header carrying a hook, where
+    ``offset`` is that of the placeholder it wrote into ``out``, at a
+    byte boundary.
 
     ``read_headers(data, offset, count, by_id, message, lazy, tables)``
     pushes the ``count`` headers at ``data[offset:]`` onto ``message``
     and returns the offset of the body frame.  ``by_id`` maps a wire id
     to its codec (both directories raise for a miss, :class:`Lookup`);
-    ``lazy`` permits deferring value decode, for the modes that can;
-    ``tables`` is the receiver's per-channel state.
+    ``lazy`` permits deferring value decode, for the modes that can; a
+    sealed header is always pushed as a :class:`SealedHeader`, its tail
+    the body frame's offset on, and without ``lazy`` its value is
+    decoded once to be checked.  ``tables`` is the receiver's
+    per-channel state.
     """
 
     #: Whether what ``read_headers`` pushes with ``lazy`` is a function
@@ -516,36 +563,31 @@ class WireFormat:
 
 
 # ----------------------------------------------------------------------
-# The covered bytes
+# The covered bytes, as they arrived
 # ----------------------------------------------------------------------
 
 
-def content_chunks(registry: Any, message: Message) -> Iterator[bytes]:
-    """The bytes an integrity layer covers, in order, as chunks.
+class SealedHeader:
+    """A sealed header as it arrived: its value and the spans it covers.
 
-    Checksumming and signing cover everything pushed *above* the layer:
-    per header, bottom first, the owner's name length-prefixed
-    (``>H`` + UTF-8) and then the header's canonical bytes
-    (:meth:`CanonicalCodec.encode`); after the headers, the body
-    segments.  A header that is still lazy contributes the span that
-    arrived — in ``aligned``/``compact`` mode those *are* the sender's
-    canonical bytes — and stays lazy, so a receiver verifies the datagram
-    it got without decoding or re-encoding what sits above it; a dict is
-    encoded.  The layers fold the chunks (``zlib.crc32(chunk, crc)``,
-    ``hmac.update``) and build no joined buffer.
-
-    Owner names are length-prefixed: bare concatenation let distinct
-    stacks collide (owners ``"AB"`` + ``"C"`` framed identically to
-    ``"A"`` + ``"BC"`` when the encoded headers lined up), which an
-    attacker — or plain bad luck — could use to swap headers without
-    moving the checksum.  The prefix makes the framing injective.
+    The wire modes push one for every header of a sealed codec, lazy or
+    not: ``span`` is the value's bytes, ``head`` a view of every byte of
+    the datagram ahead of them and ``tail`` a view of the body frame to
+    the datagram's end (set once the header section is read).  The integrity layer compares ``span`` with its hook over
+    ``head`` and ``tail`` — nothing is decoded or re-encoded — and a pop
+    decodes ``span`` like any lazy header.  Every field is fixed once
+    unmarshal returns, so the entry may be in many hands (message
+    copies, a :class:`~repro.core.headers.HeaderFrameStore`); the check
+    is each receiver's own.
     """
-    for owner, header in message.header_entries():
-        if type(header) is dict:
-            codec = registry.codec_for(owner)
-            yield codec.owner_frame
-            yield codec.encode(header)
-        else:
-            yield header.codec.owner_frame
-            yield header.span
-    yield from message.segments
+
+    __slots__ = ("codec", "span", "head", "tail")
+
+    def __init__(self, codec: CanonicalCodec, span: bytes, head: Any) -> None:
+        self.codec = codec
+        self.span = span
+        self.head = head
+        self.tail: Any = None
+
+    def materialize(self) -> Header:
+        return self.codec.decode(bytes(self.span))

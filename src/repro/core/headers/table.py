@@ -22,17 +22,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.headers.codecs import (
     BODY_LEN_SIZE, Bytes, CanonicalCodec, FieldSpec, FieldType, ListOf, MapOf,
-    Scalar, WireFormat, reraise, unpack_body_len,
+    Scalar, SealedHeader, WireFormat, reraise, unpack_body_len,
 )
 from repro.core.message import Header
 from repro.errors import HeaderError
 
 #: Step kinds.  A shape's decode plan: an int (a bare varint), a table
 #: reference, a canonical encoding, the next header (its codec's
-#: defaults), a list or map default to copy.  A channel's encode
-#: template: _INT, _HEAD and _SPAN, the recorded bytes of any other
+#: defaults), a list or map default to copy, a sealed value (its fixed
+#: width of bytes).  A channel's encode template: _INT, _HEAD, _SEAL (a
+#: hook's placeholder) and _SPAN, the recorded bytes of any other
 #: field.  _INT is 0, so ``if not kind`` picks out the common case.
-_INT, _REF, _CANONICAL, _HEAD, _FRESH, _SPAN = range(6)
+_INT, _REF, _CANONICAL, _HEAD, _FRESH, _SPAN, _SEAL = range(7)
 
 #: Entries per channel table.  The sender stops interning here (later
 #: values go out as literals) and the receiver refuses an install at or
@@ -105,18 +106,21 @@ class HeaderCodec(CanonicalCodec):
         layer: str,
         fields: Sequence[FieldSpec],
         defaults: Optional[Dict[str, Any]] = None,
+        sealed: bool = False,
     ) -> None:
-        super().__init__(layer, fields, defaults)
+        super().__init__(layer, fields, defaults, sealed)
         #: What a decoded header starts from: every field at its default
         #: (None where there is none), in declaration order.
         self._row_base: Header = {
             name: self.defaults.get(name) for name, _ in self.fields
         }
         #: Per declared field: name, kind, decode step, default (or
-        #: ``_REQUIRED``), whether equal values encode alike.
+        #: ``_REQUIRED``), whether equal values encode alike.  A sealed
+        #: value keeps its fixed width, so it can be patched in place.
         self._row_fields = tuple(
             (name, ftype,
-             _REF if type(ftype) is Bytes
+             _SEAL if sealed
+             else _REF if type(ftype) is Bytes
              else _INT if type(ftype) is Scalar and ftype.unsigned
              else _CANONICAL,
              self.defaults.get(name, _REQUIRED), _exact(ftype))
@@ -145,12 +149,14 @@ def _encode_field(ftype, code, value, channel, out) -> Optional[int]:
     return None
 
 
-def _walk(headers, by_name, channel, out) -> Tuple[Any, ...]:
+def _walk(headers, by_name, channel, out, seals) -> Tuple[Any, ...]:
     """Encode every present field to ``out``, intern the shape, and
     return the template :func:`_replay` follows: ``(by_name, header
     count, segments, entries referenced, shape reference)``.  Segments
     are ``None`` if a header has a key its codec does not declare (the
-    replay's equal-count-means-equal-keys test would be unsound)."""
+    replay's equal-count-means-equal-keys test would be unsound).  A
+    seal hook's placeholder is appended to ``seals`` as ``(offset in
+    out, hook)``."""
     shape = bytearray()
     segments: List[Tuple[Any, ...]] = []
     touches = []
@@ -168,6 +174,12 @@ def _walk(headers, by_name, channel, out) -> Tuple[Any, ...]:
             declared += 1
             value = header[name]
             start = len(out)
+            if code == _SEAL and callable(value):
+                seals.append((start, value))
+                out += codec.seal_placeholder
+                segments.append((_SEAL, name, value, codec.seal_placeholder))
+                bitmap |= 1 << bit
+                continue
             idx = None
             try:
                 present = dflt is _REQUIRED or value is not dflt and (
@@ -205,10 +217,10 @@ def _walk(headers, by_name, channel, out) -> Tuple[Any, ...]:
             tuple(touches), bytes(ref))
 
 
-def _replay(headers, template, out) -> bool:
+def _replay(headers, template, out, seals) -> bool:
     """Encode ``headers`` against the channel's template; False means bail.
 
-    Bytes and table touches are identical to :func:`_walk`'s.  Any
+    Bytes, table touches and seals are identical to :func:`_walk`'s.  Any
     surprise — other owners or keys, a changed non-int value, an int
     that crossed its default or is not a plain in-range int — bails,
     and the caller takes the full walk, which raises or re-caches.
@@ -240,6 +252,12 @@ def _replay(headers, template, out) -> bool:
                     or current != value):
                 return False
             out += span
+        elif kind == _SEAL:
+            _, name, hook, placeholder = seg
+            if get(name) is not hook:
+                return False
+            seals.append((len(out), hook))
+            out += placeholder
         else:
             _, slot, owner, size = seg
             current_owner, header = headers[slot]
@@ -270,7 +288,11 @@ def _shape_plan(raw: bytes, by_id) -> Tuple[int, Tuple[Any, ...]]:
             )
         steps.append((_HEAD, codec.layer, codec._row_base))
         for bit, (name, ftype, code, dflt, _) in enumerate(codec._row_fields):
-            if bitmap >> bit & 1:
+            if code == _SEAL:
+                if bitmap != 1:
+                    raise HeaderError(f"{codec.layer}: a sealed value is always present")
+                steps.append((_SEAL, codec.layer, codec))
+            elif bitmap >> bit & 1:
                 steps.append((code, name, ftype))
             elif dflt is _REQUIRED:
                 raise HeaderError(
@@ -281,9 +303,13 @@ def _shape_plan(raw: bytes, by_id) -> Tuple[int, Tuple[Any, ...]]:
     return count, tuple(steps)
 
 
-def _read_fields(data: bytes, pos: int, steps, table: "_ChannelTable", message) -> int:
+def _read_fields(
+    data: bytes, pos: int, steps, table: "_ChannelTable", message, sealed
+) -> int:
     """Decode the field run at ``data[pos:]`` by a plan's ``steps`` and
-    push the headers onto ``message``; returns the offset past it."""
+    push the headers onto ``message``; returns the offset past it.  A
+    sealed header is pushed as a :class:`SealedHeader`, also appended to
+    ``sealed``."""
     decoded = table._decoded
     entries = []
     header = None  # every plan opens with a _HEAD step
@@ -317,6 +343,12 @@ def _read_fields(data: bytes, pos: int, steps, table: "_ChannelTable", message) 
             entries.append((name, header))
         elif kind == _FRESH:
             header[name] = arg.copy()
+        elif kind == _SEAL:
+            end = pos + len(arg.seal_placeholder)
+            entry = SealedHeader(arg, data[pos:end], memoryview(data)[:pos])
+            entries[-1] = (name, entry)
+            sealed.append(entry)
+            pos = end
         else:
             header[name], pos = arg.decode(data, pos)
     message.push_owned_headers(entries)
@@ -525,13 +557,16 @@ class _Table(WireFormat):
                 "(HeaderRegistry.marshal(..., channel=...))"
             )
         fields = bytearray()
+        seals = []
         template = channel._template
         if (template is not None and template[0] is by_name
-                and _replay(headers, template, fields)):
+                and _replay(headers, template, fields, seals)):
             channel.touch(template[3])
         else:
             del fields[:]
-            template = channel._template = _walk(headers, by_name, channel, fields)
+            del seals[:]
+            template = channel._template = _walk(
+                headers, by_name, channel, fields, seals)
         # Encoding the fields and the shape is what queues the installs.
         updates = channel.take_updates()
         out += _CHANNEL.pack(channel.channel_id, channel.epoch, len(updates))
@@ -539,7 +574,11 @@ class _Table(WireFormat):
             out += _UPDATE.pack(idx, len(raw))
             out += raw
         out += template[4]
+        if seals:
+            start = len(out)
+            seals = [(start + offset, hook) for offset, hook in seals]
         out += fields
+        return seals
 
     def read_headers(self, data, offset, count, by_id, message, lazy, tables):
         """Apply the installs, then decode every field in one pass,
@@ -549,6 +588,7 @@ class _Table(WireFormat):
         if type(data) is not bytes:
             data = bytes(data)
         size = len(data)
+        sealed = []
         try:
             channel_id, epoch, n_updates = _CHANNEL.unpack_from(data, offset)
             offset += _CHANNEL.size
@@ -577,7 +617,7 @@ class _Table(WireFormat):
                 offset = end
             if plan[0] != count:
                 raise HeaderError(f"shape of {plan[0]} headers in a datagram of {count}")
-            offset = _read_fields(data, offset, plan[1], table, message)
+            offset = _read_fields(data, offset, plan[1], table, message, sealed)
             (body_len,) = unpack_body_len(data, offset)
         except Exception as exc:
             reraise(exc, "corrupt packet")
@@ -586,6 +626,8 @@ class _Table(WireFormat):
                 f"table fields end at byte {offset}, not where the body "
                 f"frame puts them"
             )
+        for entry in sealed:
+            entry.tail = memoryview(data)[offset:]
         return offset
 
 

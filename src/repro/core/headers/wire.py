@@ -13,7 +13,8 @@ import struct
 from typing import Any
 
 from repro.core.headers.codecs import (
-    FRAME_SIZE, CanonicalCodec, WireFormat, pack_frame, reraise, unpack_frame,
+    FRAME_SIZE, CanonicalCodec, SealedHeader, WireFormat, pack_frame, reraise,
+    unpack_frame,
 )
 from repro.core.message import Header, Message
 from repro.errors import HeaderError
@@ -52,11 +53,15 @@ class BitWriter:
         for byte in data:
             self.write(byte, 8)
 
+    def align(self) -> int:
+        """Pad with zero bits to a byte boundary; returns the byte offset."""
+        if self._nbits:
+            self.write(0, 8 - self._nbits)
+        return len(self._out)
+
     def getvalue(self) -> bytes:
         """Finish: pad the tail to a byte boundary and return the stream."""
-        if self._nbits:
-            pad = 8 - self._nbits
-            self.write(0, pad)
+        self.align()
         return bytes(self._out)
 
 
@@ -87,6 +92,11 @@ class BitReader:
         self._pos = pos
         return value
 
+    def align(self) -> int:
+        """Skip to the next byte boundary; returns the byte offset."""
+        self._pos = -(-self._pos // 8) * 8
+        return self._pos // 8
+
     def read_bytes(self, count: int) -> bytes:
         """Consume ``count`` bytes (bit-aligned)."""
         if count <= 0:
@@ -110,23 +120,22 @@ class BitReader:
 class _LazyHeader:
     """A deferred header: its codec and its span of the datagram.
 
-    ``span`` is the header's bytes exactly as they arrived.  Two
-    customers: :meth:`Message.pop_header` / ``peek_header`` call
-    :meth:`materialize` on first access, and the integrity layers cover
-    the span itself (:func:`content_chunks`) without decoding it.
-    Decoding is a pure function of the immutable span, so a thunk may be
-    in many hands — message copies, and through a
+    ``span`` is the header's bytes exactly as they arrived, and
+    :meth:`Message.pop_header` / ``peek_header`` call :meth:`materialize`
+    on first access.  An integrity layer below covers the span where it
+    lies in the datagram, frame and padding included, without decoding
+    it.  Decoding is a pure function of the immutable span, so a thunk
+    may be in many hands — message copies, and through a
     :class:`HeaderFrameStore` every receiver of the datagram: it decodes
     once, keeps that value to itself and gives each caller a private
     copy (:meth:`CanonicalCodec.private_copy`), so a layer may do what
     it likes to a header it popped.  A decode that raises is not kept;
     it raises again for the next caller.
 
-    The header must fill its span.  The covered bytes carry no span
-    lengths, so a datagram re-framed to declare body bytes, or a whole
-    upper header, part of the header below covers the same byte string
-    and passes CHKSUM / SIGN; but fields are self-delimiting, so refusing
-    a tail here (the stack then drops the message) binds the boundaries.
+    The header must fill its span: fields are self-delimiting, so bytes
+    after the last one are refused here (the stack then drops the
+    message), whatever the integrity layers below said.  They say no
+    first: every frame length above them is covered.
     """
 
     __slots__ = ("codec", "span", "_value")
@@ -186,12 +195,19 @@ class _Framed(WireFormat):
 
     def write_headers(self, out, headers, by_name, channel):
         word = self._word
+        seals = ()
         for owner, header in headers:
             layer_id, codec = by_name[owner]
-            blob = codec.encode(header)
+            hook = codec.seal_field is not None and codec.sealer(header)
+            if hook:
+                seals += ((len(out) + FRAME_SIZE, hook),)
+                blob = codec.seal_placeholder
+            else:
+                blob = codec.encode(header)
             out += pack_frame(layer_id, len(blob))
             out += blob
             out += b"\x00" * (-(FRAME_SIZE + len(blob)) % word)
+        return seals
 
     def read_headers(self, data, offset, count, by_id, message, lazy, tables):
         """Frame every span; decode now, or with ``lazy`` push the span.
@@ -202,6 +218,7 @@ class _Framed(WireFormat):
         size = len(data)
         word = self._word
         push = message.push_lazy_header if lazy else message.push_owned_header
+        sealed = ()
         try:
             for _ in range(count):
                 layer_id, length = unpack_frame(data, offset)
@@ -210,13 +227,22 @@ class _Framed(WireFormat):
                 if end > size:
                     raise HeaderError("truncated header")
                 codec = by_id[layer_id]
-                if lazy:
+                if codec.seal_field is not None:
+                    entry = SealedHeader(
+                        codec, data[offset:end], memoryview(data)[:offset])
+                    if not lazy:
+                        entry.materialize()
+                    sealed += (entry,)
+                    message.push_lazy_header(codec.layer, entry)
+                elif lazy:
                     push(codec.layer, _LazyHeader(codec, data[offset:end]))
                 else:
                     push(codec.layer, codec.decode(bytes(data[offset:end])))
                 offset = end + -(FRAME_SIZE + length) % word
         except Exception as exc:
             reraise(exc, "corrupt packet")
+        for entry in sealed:
+            entry.tail = memoryview(data)[offset:]
         return offset
 
 
@@ -232,13 +258,24 @@ class _Packed(WireFormat):
     layer id and every declared field at its natural bit width — no
     per-header length, no padding; FRAG's boolean really costs one bit.
     A sequential stream cannot be skipped over, so decode is never lazy.
+    A sealed header's value starts at a byte boundary (zero bits pad the
+    stream after its id), so it is patched and covered in whole bytes.
     """
 
     def write_headers(self, out, headers, by_name, channel):
         writer = BitWriter()
+        seals = ()
+        start = len(out) + _BLOCK_LEN.size
         for owner, header in headers:
             layer_id, codec = by_name[owner]
             writer.write(layer_id, 8)
+            if codec.seal_field is not None:
+                at = start + writer.align()
+                hook = codec.sealer(header)
+                if hook is not None:
+                    seals += ((at, hook),)
+                    writer.write_bytes(codec.seal_placeholder)
+                    continue
             for name, ftype in codec.fields:
                 value = codec.value(header, name)
                 try:
@@ -249,8 +286,10 @@ class _Packed(WireFormat):
         blob = writer.getvalue()
         out += _BLOCK_LEN.pack(len(blob))
         out += blob
+        return seals
 
     def read_headers(self, data, offset, count, by_id, message, lazy, tables):
+        sealed = ()
         try:
             (blob_len,) = _BLOCK_LEN.unpack_from(data, offset)
             offset += _BLOCK_LEN.size
@@ -260,13 +299,24 @@ class _Packed(WireFormat):
             reader = BitReader(blob)
             for _ in range(count):
                 codec = by_id[reader.read(8)]
+                if codec.seal_field is not None:
+                    at = offset + reader.align()
+                    width = len(codec.seal_placeholder)
+                    entry = SealedHeader(
+                        codec, reader.read_bytes(width), memoryview(data)[:at])
+                    sealed += (entry,)
+                    message.push_lazy_header(codec.layer, entry)
+                    continue
                 header: Header = {}
                 for name, ftype in codec.fields:
                     header[name] = ftype.decode_bits(reader)
                 message.push_owned_header(codec.layer, header)
         except Exception as exc:
             reraise(exc, "corrupt packed packet")
-        return offset + blob_len
+        offset += blob_len
+        for entry in sealed:
+            entry.tail = memoryview(data)[offset:]
+        return offset
 
 
 def packed_bit_size(registry: Any, message: Message) -> int:

@@ -141,9 +141,16 @@ class Layer:
 
     Class attributes:
         name: the layer's registry name (also its header tag).
+        seals_datagram: the layer checks the datagram's own bytes
+            (CHKSUM, SIGN), so it must sit below every layer that
+            reshapes the body (see :meth:`StackConfig.build`).
+        reshapes_body: the layer rewrites or splits the body on its way
+            down (CRYPT, COMPRESS, FRAG, NFRAG).
     """
 
     name = "LAYER"
+    seals_datagram = False
+    reshapes_body = False
 
     def __init__(self, context: LayerContext, **config: Any) -> None:
         self.context = context

@@ -26,9 +26,9 @@ bytes as they arrived — instead of a decoded dict, and the dict is
 materialized only when the owning layer pops or peeks it (see
 :meth:`Message.push_lazy_header`).  Layers never observe the
 difference — every accessor materializes on demand, except
-:meth:`Message.header_entries`, through which the integrity layers
-(CHKSUM, SIGN) read the arrived bytes of the headers above them without
-decoding them.
+:meth:`Message.pop_entry`, through which the integrity layers (CHKSUM,
+SIGN) take their header as it arrived: a sealed entry holding the
+datagram's bytes they cover, checked without decoding anything.
 """
 
 from __future__ import annotations
@@ -80,14 +80,13 @@ class Message:
     def push_lazy_header(self, layer: str, entry: Any) -> None:
         """Push a deferred header owned by ``layer``.
 
-        ``entry`` is a :class:`repro.core.headers.wire._LazyHeader` or
-        anything shaped like one: ``materialize()`` returns the header
-        dict (raising ``HeaderError`` on corrupt bytes), ``span`` is the
-        header's bytes as they arrived and ``codec`` its
-        :class:`~repro.core.headers.HeaderCodec` (the integrity layers
-        read those two through :meth:`header_entries`).  Used by the wire
-        unmarshaller so a received message decodes a header only when
-        its owning layer actually pops or peeks it.
+        ``entry`` is anything with a ``materialize()`` that returns a
+        private copy of the header dict (raising ``HeaderError`` on
+        corrupt bytes): a :class:`repro.core.headers.wire._LazyHeader`
+        or a :class:`~repro.core.headers.SealedHeader`, whose spans are
+        its layer's to check.  A peek leaves the entry in place.  Used
+        by the wire unmarshaller so a received message decodes a header
+        only when its owning layer actually pops or peeks it.
         """
         self._headers.append((layer, entry))
 
@@ -110,6 +109,20 @@ class Message:
             header = header.materialize()
         return header
 
+    def pop_entry(self, layer: str) -> Optional[Any]:
+        """Pop the top header as stored — a dict, or a lazy entry left
+        undecoded — if ``layer`` owns it; else pop nothing, return None.
+
+        For the integrity layers: a received header of theirs arrives
+        as a :class:`~repro.core.headers.SealedHeader`, checked without
+        decoding it, and a message whose top header is not theirs is one
+        to drop, not a mis-stacking.
+        """
+        headers = self._headers
+        if not headers or headers[-1][0] != layer:
+            return None
+        return headers.pop()[1]
+
     def peek_header(self, layer: Optional[str] = None) -> Optional[Header]:
         """Return the top header without popping.
 
@@ -123,8 +136,7 @@ class Message:
         if layer is not None and owner != layer:
             return None
         if type(header) is not dict:
-            header = header.materialize()
-            self._headers[-1] = (owner, header)
+            return header.materialize()
         return header
 
     def top_owner(self) -> Optional[str]:
@@ -144,14 +156,10 @@ class Message:
         Materializes any lazy entries and copies every dict: for
         inspection (tests, size accounting), not for the hot path.
         """
-        entries = self._headers
-        out: List[Tuple[str, Header]] = []
-        for i, (owner, h) in enumerate(entries):
-            if type(h) is not dict:
-                h = h.materialize()
-                entries[i] = (owner, h)
-            out.append((owner, dict(h)))
-        return out
+        return [
+            (owner, dict(h) if type(h) is dict else h.materialize())
+            for owner, h in self._headers
+        ]
 
     def iter_headers(self) -> List[Tuple[str, Header]]:
         """The header stack, bottom-first, materialized but NOT copied.
@@ -170,10 +178,10 @@ class Message:
 
         Each entry is ``(owner, header)`` where ``header`` is a dict or
         — ``type(header) is not dict`` — a lazy entry still holding its
-        datagram span, which this walk leaves lazy.  The one reader is
-        the integrity layers' covered-bytes walk
-        (:func:`repro.core.headers.content_chunks`); callers must not
-        mutate the list or the dicts.
+        datagram span, which this walk leaves lazy.  For inspection:
+        what a received message still holds undecoded, and which
+        entries two messages share.  Callers must not mutate the list or
+        the dicts.
         """
         return self._headers
 

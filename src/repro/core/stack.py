@@ -411,10 +411,27 @@ class StackConfig:
     def build(
         self, context: LayerContext, deliver: Callable[[Upcall], None]
     ) -> Stack:
-        """Instantiate and wire one stack for ``context``."""
+        """Instantiate and wire one stack for ``context``.
+
+        Refuses a layer that seals the datagram (CHKSUM, SIGN) above
+        one that reshapes the body (CRYPT, COMPRESS, FRAG, NFRAG).  A
+        seal covers the headers above it and the body as it travels:
+        above CRYPT or COMPRESS it would leave the header that decides
+        what those bytes mean uncovered (a changed nonce decrypts to
+        plaintext no member sent), and above FRAG or NFRAG it would
+        cover one fragment of the body.
+        """
         layers: List[Layer] = []
+        sealer = None
         for name, kwargs in self.parsed:
             cls = layer_class(name)
+            if cls.seals_datagram:
+                sealer = sealer or name
+            elif cls.reshapes_body and sealer:
+                raise StackError(
+                    f"stack {self.spec!r}: {sealer} must sit below {name}, "
+                    f"which rewrites or splits the body {sealer} covers"
+                )
             merged = dict(kwargs)
             if name in self.overrides:
                 merged.update(self.overrides[name])

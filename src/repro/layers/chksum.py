@@ -7,54 +7,60 @@ sending side, where it adds the checksum, and on the receive side,
 where it drops the message if the checksum does not match the contents
 of the message."
 
-The checksum covers everything the layer can see: the body plus every
-header pushed above it, canonically encoded with each owner name
-length-prefixed so distinct (owner, header) stacks can never collapse
-to the same covered bytes (:func:`repro.core.headers.content_chunks`
-defines them).  A receiver folds the header spans of the datagram that
-arrived — it decodes only its own header.  Stack it directly above COM
-so as much of the packet as possible is protected.
+The checksum is a CRC-32 over the datagram's own bytes: every byte
+ahead of the sum — the preamble (magic, mode byte, header count) and
+every header above this layer, frames, lengths and padding included —
+and the body frame (the body's length and the body).  The layer encodes
+nothing: it pushes its seal hook, and the marshaller sums the two spans
+once the datagram is laid out and patches the sum in
+(:mod:`repro.core.headers.codecs`).  A receiver sums the same two spans
+of the datagram that arrived, decoding nothing.  A message looped back
+to its sender never left the process and carries the hook, not a sum:
+it has nothing to verify.  Stack CHKSUM directly above COM so as much
+of the packet as possible is protected; a stack with CHKSUM above a
+layer that rewrites or splits the body (CRYPT, COMPRESS, FRAG, NFRAG)
+is refused when built.
 """
 
 from __future__ import annotations
 
+import struct
 from zlib import crc32
 
 from repro.core import headers as hdr
 from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
-from repro.core.headers import content_chunks
+from repro.core.headers import SealedHeader
 from repro.core.layer import Layer
-from repro.core.message import Message
 from repro.core.stack import register_layer
 
-hdr.register("CHKSUM", wire_id=4, fields=[("sum", hdr.U32)])
+hdr.register("CHKSUM", wire_id=4, fields=[("sum", hdr.U32)], sealed=True)
+
+_pack_sum = struct.Struct(">I").pack
+
+
+def _seal(head, tail) -> bytes:
+    """The seal hook: CRC-32 of the covered spans, as the field's bytes."""
+    return _pack_sum(crc32(tail, crc32(head)))
 
 
 @register_layer
 class ChecksumLayer(Layer):
-    """CRC-32 over headers-above plus body; mismatches are dropped."""
+    """CRC-32 over the covered bytes of the datagram; mismatches are dropped."""
 
     name = "CHKSUM"
+    seals_datagram = True
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)
         self.garbled_dropped = 0
         self.verified = 0
 
-    def _sum(self, message: Message) -> int:
-        crc = 0
-        for chunk in content_chunks(self.context.registry, message):
-            crc = crc32(chunk, crc)
-        return crc
-
     def handle_down(self, downcall: Downcall) -> None:
         if (
             downcall.type in (DowncallType.CAST, DowncallType.SEND)
             and downcall.message is not None
         ):
-            downcall.message.push_owned_header(
-                self.name, {"sum": self._sum(downcall.message)}
-            )
+            downcall.message.push_owned_header(self.name, {"sum": _seal})
         self.pass_down(downcall)
 
     def handle_up(self, upcall: Upcall) -> None:
@@ -64,16 +70,18 @@ class ChecksumLayer(Layer):
             return
         # A message whose top header is not ours carries no sum: it
         # cannot be verified, so it is dropped like a mismatch.
-        header = (
-            message.pop_header(self.name)
-            if message.top_owner() == self.name else None
-        )
-        if header is None or header["sum"] != self._sum(message):
-            self.garbled_dropped += 1
-            self.trace("garbled_dropped", source=upcall.source)
-            return  # "drops the message if the checksum does not match"
-        self.verified += 1
-        self.pass_up(upcall)
+        entry = message.pop_entry(self.name)
+        if type(entry) is SealedHeader:
+            if entry.span == _seal(entry.head, entry.tail):
+                self.verified += 1
+                self.pass_up(upcall)
+                return
+        elif entry is not None and entry.get("sum") is _seal:
+            self.pass_up(upcall)  # our own, looped back: it never left
+            return
+        self.garbled_dropped += 1
+        self.trace("garbled_dropped", source=upcall.source)
+        # "drops the message if the checksum does not match"
 
     def dump(self):
         info = super().dump()

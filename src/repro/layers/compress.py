@@ -28,6 +28,7 @@ class CompressionLayer(Layer):
     """
 
     name = "COMPRESS"
+    reshapes_body = True
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)

@@ -3,7 +3,10 @@
 Encrypts the message *body* with a keystream derived from a shared
 group key and a per-message nonce (SHA-256 in counter mode).  Headers
 pushed by layers below remain in the clear, like any layered transport
-encryption; stack SIGN above CRYPT for authenticated encryption.
+encryption; stack SIGN below CRYPT for authenticated encryption
+(encrypt-then-MAC: SIGN covers the body as it travels, ciphertext, and
+CRYPT's nonce and key id with it).  A stack with SIGN or CHKSUM above
+CRYPT is refused when built (:meth:`repro.core.stack.StackConfig.build`).
 
 The cipher here demonstrates the code path (key handling, nonce
 management, exact-length keystreams) — a production system would slot
@@ -54,6 +57,7 @@ class EncryptionLayer(Layer):
     """
 
     name = "CRYPT"
+    reshapes_body = True
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)

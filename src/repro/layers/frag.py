@@ -107,6 +107,7 @@ class FragLayer(Layer):
     """
 
     name = "FRAG"
+    reshapes_body = True
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)

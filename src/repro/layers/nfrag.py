@@ -53,6 +53,7 @@ class NetworkFragLayer(Layer):
     """
 
     name = "NFRAG"
+    reshapes_body = True
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)

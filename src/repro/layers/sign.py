@@ -4,11 +4,17 @@
 dependent on a secret key), making it impossible for a malignant
 intruder to impersonate a member process of the application."
 
-A keyed HMAC (SHA-256, truncated) over the covered bytes — body plus
-the headers above this layer, with owner names length-prefixed so no
-two header stacks share an encoding (the same bytes CHKSUM covers,
-:func:`repro.core.headers.content_chunks`; a receiver reads them from
-the datagram that arrived).  All group members share the key
+A keyed HMAC (SHA-256, truncated to a fixed eight bytes) over the same
+covered bytes CHKSUM sums: every byte of the datagram ahead of the MAC
+— the preamble and every header above this layer, frames, lengths and
+padding included — and the body frame, as it travels.  The layer pushes
+a seal hook holding its key; the marshaller computes the MAC over the
+laid-out datagram and patches it in (:mod:`repro.core.headers.codecs`),
+and a receiver recomputes it over the same two spans of the datagram
+that arrived.  The body is covered as it travels, so SIGN must sit
+*below* a layer that rewrites or splits it (CRYPT, COMPRESS, FRAG,
+NFRAG), and that layer's header is covered too — encrypt-then-MAC; a
+stack with SIGN above one is refused when built.  All group members share the key
 (group-key distribution is the KEYDIST protocol type of Figure 1; here
 the key arrives via layer config).
 """
@@ -20,11 +26,11 @@ import hashlib
 
 from repro.core import headers as hdr
 from repro.core.events import Downcall, DowncallType, Upcall, UpcallType
-from repro.core.headers import content_chunks
+from repro.core.headers import SealedHeader
 from repro.core.layer import Layer
 from repro.core.stack import register_layer
 
-hdr.register("SIGN", wire_id=22, fields=[("mac", hdr.VARBYTES)])
+hdr.register("SIGN", wire_id=22, fields=[("mac", hdr.BYTES8)], sealed=True)
 
 _MAC_BYTES = 8
 
@@ -39,6 +45,7 @@ class SigningLayer(Layer):
     """
 
     name = "SIGN"
+    seals_datagram = True
 
     def __init__(self, context, **config) -> None:
         super().__init__(context, **config)
@@ -47,20 +54,20 @@ class SigningLayer(Layer):
         self.rejected = 0
         self.verified = 0
 
-    def _mac(self, message) -> bytes:
-        mac = hmac.new(self.key, digestmod=hashlib.sha256)
-        for chunk in content_chunks(self.context.registry, message):
-            mac.update(chunk)
-        return mac.digest()[:_MAC_BYTES]
+        def seal(head, tail, key=self.key) -> bytes:
+            mac = hmac.new(key, head, hashlib.sha256)
+            mac.update(tail)
+            return mac.digest()[:_MAC_BYTES]
+
+        #: The seal hook this layer pushes; it holds the key.
+        self._seal = seal
 
     def handle_down(self, downcall: Downcall) -> None:
         if (
             downcall.type in (DowncallType.CAST, DowncallType.SEND)
             and downcall.message is not None
         ):
-            downcall.message.push_owned_header(
-                self.name, {"mac": self._mac(downcall.message)}
-            )
+            downcall.message.push_owned_header(self.name, {"mac": self._seal})
         self.pass_down(downcall)
 
     def handle_up(self, upcall: Upcall) -> None:
@@ -71,18 +78,17 @@ class SigningLayer(Layer):
         # A message whose top header is not ours carries no MAC: passing
         # it up would let anyone impersonate a member by omitting the
         # header, so it is rejected like a bad one.
-        header = (
-            message.pop_header(self.name)
-            if message.top_owner() == self.name else None
-        )
-        if header is None or not hmac.compare_digest(
-            bytes(header["mac"]), self._mac(message)
-        ):
-            self.rejected += 1
-            self.trace("signature_rejected", source=upcall.source)
+        entry = message.pop_entry(self.name)
+        if type(entry) is SealedHeader:
+            if hmac.compare_digest(entry.span, self._seal(entry.head, entry.tail)):
+                self.verified += 1
+                self.pass_up(upcall)
+                return
+        elif entry is not None and entry.get("mac") is self._seal:
+            self.pass_up(upcall)  # our own, looped back: it never left
             return
-        self.verified += 1
-        self.pass_up(upcall)
+        self.rejected += 1
+        self.trace("signature_rejected", source=upcall.source)
 
     def dump(self):
         info = super().dump()

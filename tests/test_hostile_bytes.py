@@ -8,8 +8,9 @@ header that does not decode is dropped at its layer's pop, a body flip
 is CHKSUM's, and NAK repairs the gap.  Pinned here:
 
 * a group on the Section 7 membership stack under 5 % garbling and 1 %
-  loss, on the DES and over real sockets: the order and view checkers
-  pass, and every delivered payload is one that was sent;
+  loss, on the DES in both span modes (``aligned``, ``compact``) and
+  over real sockets: the order and view checkers pass, and every
+  delivered payload is one that was sent;
 * a coalesced batch with one sub-payload flipped: the clean subs are
   delivered from the batch, and NAK repairs the flipped one alone.
 """
@@ -69,8 +70,9 @@ def check_group(handles, sent):
 
 
 class TestGarbledGroupOnTheDes:
-    def test_checkers_pass_and_only_sent_payloads_are_delivered(self):
-        world = World(seed=9, network="lan")
+    @pytest.mark.parametrize("mode", ("aligned", "compact"))
+    def test_checkers_pass_and_only_sent_payloads_are_delivered(self, mode):
+        world = World(seed=9, network="lan", wire_mode=mode)
         handles, sent = garbled_group(world, rounds=500, pause=0.01)
         check_group(handles, sent)
         # No crash and no partition: every garbled copy reached a demux.

@@ -13,12 +13,15 @@ The ISSUE 7 test surface:
   state;
 * bit-IO byte-aligned fast paths pinned against the bit-by-bit slow
   path at odd offsets;
-* the covered bytes' framing-collision regression;
-* the integrity layers' span path (ISSUE 17): covered bytes equal on
-  both sides in every wire mode, a golden vector from the parent commit,
-  zero encodes / one decode per verified datagram, every bit flip
-  dropped, the stricter verdict on non-canonical spans, and moved frame
-  boundaries (which the sum cannot see) refused by the header's owner;
+* the integrity layers over the datagram's own bytes: the covered
+  spans spelled out and equal on both sides in every wire mode, no two
+  header stacks covering the same bytes, golden vectors, no encode by
+  the layer and no decode of its own, every covered bit flip refused in
+  every mode, header counts, mode bytes, lengths and padding covered,
+  no datagram taken for loopback, the stricter verdict on non-canonical
+  spans, moved frame boundaries refused by the sum itself, SIGN below
+  CRYPT covering the nonce, and a seal above a layer that reshapes the
+  body refused when the stack is built;
 * batch-frame coalescing: round-trip, rejected-whole corruption, and
   the Clock-driven flush budget.
 """
@@ -43,16 +46,16 @@ from repro.core.headers import (
     BitWriter,
     HeaderRegistry,
     HeaderTableStore,
-    content_chunks,
     make_channel_encoder,
 )
 from repro.core.headers.table import _MAX_CHANNELS, _MAX_ENTRIES
-from repro.core.events import cast_down
+from repro.core.events import Upcall, UpcallType, cast_down
 from repro.core.message import Message
-from repro.errors import HeaderError
+from repro.errors import HeaderError, StackError
 from repro.net.address import EndpointAddress, GroupAddress
 from repro.net.coalesce import Coalescer, decode_batch
 from repro.net.packet import Packet
+from repro.obs import ObsOptions
 from repro.sim.scheduler import Scheduler
 
 from conftest import join_group
@@ -74,6 +77,8 @@ def sample_value(ftype, salt: int):
         return salt % 2 == 0
     if ftype is hdr.F64:
         return salt * 0.4375  # exact in binary
+    if ftype is hdr.BYTES8:
+        return bytes([salt % 251]) * 8
     if ftype is hdr.TEXT:
         return f"value-{salt}"
     if ftype is hdr.VARBYTES:
@@ -115,11 +120,6 @@ def unmarshal_mode(registry, data, mode, lazy=False, tables=None):
     if mode == "table" and tables is None:
         tables = HeaderTableStore()
     return registry.unmarshal(data, lazy=lazy, tables=tables)
-
-
-def covered(registry, message):
-    """The bytes CHKSUM / SIGN cover: :func:`content_chunks` joined."""
-    return b"".join(content_chunks(registry, message))
 
 
 class TestRoundTripMatrix:
@@ -427,6 +427,8 @@ def value_strategy(ftype):
         return st.booleans()
     if ftype is hdr.F64:
         return st.floats(allow_nan=False)
+    if ftype is hdr.BYTES8:
+        return st.binary(min_size=8, max_size=8)
     if ftype is hdr.TEXT:
         return st.text(max_size=12)
     if ftype is hdr.VARBYTES:
@@ -732,7 +734,7 @@ class TestReceiverTableBounds:
 class TestHostileTableDatagrams:
     """Wire bytes are hostile.  Valid, truncated, bit-flipped and random
     ``table`` datagrams, and shapes that break a rule, decode to headers
-    that re-marshal to the same covered bytes, or raise HeaderError:
+    that re-marshal to the same headers and body, or raise HeaderError:
     nothing else, and nothing hangs."""
 
     LAYERS = ("COM", "NAK", "FRAG", "MBRSHIP", "TOTAL", "STABLE")
@@ -747,7 +749,7 @@ class TestHostileTableDatagrams:
             return False
         again = unmarshal_mode(
             DEFAULT_REGISTRY, marshal_mode(DEFAULT_REGISTRY, message, "table"), "table")
-        assert covered(DEFAULT_REGISTRY, again) == covered(DEFAULT_REGISTRY, message)
+        assert force_decode(again) == force_decode(message)
         return True
 
     def hostile_shape(self, data, channel):
@@ -915,47 +917,110 @@ class TestBitIOFastPath:
             reader.read_bytes(1)
 
 
-class TestCanonicalContentFraming:
-    def test_owner_name_framing_cannot_collide(self):
-        registry = HeaderRegistry()
-        for layer_id, name in enumerate(("AB", "C", "A", "BC"), 1):
-            registry.register(hdr.HeaderCodec(name, fields=[]), layer_id)
-        one = Message(b"body")
-        one.push_header("AB", {})
-        one.push_header("C", {})
-        two = Message(b"body")
-        two.push_header("A", {})
-        two.push_header("BC", {})
-        # Without length-prefixed owner names both would frame as
-        # b"AB" + b"C" + body == b"A" + b"BC" + body.
-        assert covered(registry, one) != covered(registry, two)
+class _Recorder:
+    """A four-byte seal hook that records what it covers and returns
+    its CRC-32, as CHKSUM's does."""
 
-    def test_owner_names_are_length_prefixed(self):
-        registry = HeaderRegistry()
-        registry.register(hdr.HeaderCodec("XY", fields=[]), 1)
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, head, tail):
+        self.seen.append((bytes(head), bytes(tail)))
+        return struct.pack(">I", zlib.crc32(tail, zlib.crc32(head)))
+
+
+def sealed_registry(*owners):
+    """A registry of field-less codecs named ``owners`` (ids 1..) and one
+    sealed codec ``"S"`` with a four-byte field (id 99)."""
+    registry = HeaderRegistry()
+    for layer_id, name in enumerate(owners, 1):
+        registry.register(hdr.HeaderCodec(name, fields=[]), layer_id)
+    registry.register(hdr.HeaderCodec("S", [("v", hdr.U32)], sealed=True), 99)
+    return registry
+
+
+def covered_by_sender(registry, owners, mode="aligned"):
+    """What a seal below the empty headers ``owners`` covers."""
+    msg = Message(b"body")
+    for owner in owners:
+        msg.push_header(owner, {})
+    hook = _Recorder()
+    msg.push_owned_header("S", {"v": hook})
+    marshal_mode(registry, msg, mode)
+    ((head, tail),) = hook.seen
+    return head + tail
+
+
+class TestCoveredBytesAreTheDatagrams:
+    def test_covered_bytes_are_the_datagrams_own_spans(self):
+        """Every byte ahead of the seal's value, then the body frame —
+        spelled out for one ``aligned`` datagram."""
+        registry = sealed_registry("XY")
         msg = Message(b"tail")
         msg.push_header("XY", {})
-        assert covered(registry, msg) == struct.pack(">H", 2) + b"XY" + b"tail"
+        hook = _Recorder()
+        msg.push_owned_header("S", {"v": hook})
+        wire = registry.marshal(msg, "aligned")
+        head = (struct.pack(">HBB", 0x4852, 0, 2)    # preamble: 2 headers
+                + struct.pack(">BH", 1, 0) + b"\x00"  # XY: frame, padding
+                + struct.pack(">BH", 99, 4))          # S: its frame
+        tail = struct.pack(">I", 4) + b"tail"
+        assert hook.seen == [(head, tail)]
+        assert wire == head + hook(head, tail) + b"\x00" + tail
+        # The receiver records the same two spans of what arrived.
+        entry = registry.unmarshal(wire, lazy=True).pop_entry("S")
+        assert (bytes(entry.head), bytes(entry.tail)) == (head, tail)
+        assert entry.span == hook(head, tail)
+
+    @pytest.mark.parametrize("mode", WIRE_MODES)
+    def test_distinct_header_stacks_cover_distinct_bytes(self, mode):
+        """Owners ``"AB"`` + ``"C"`` and ``"A"`` + ``"BC"``, one header
+        more or less, the same owners in the other order: wire ids,
+        counts and lengths are covered, so no two stacks collide."""
+        registry = sealed_registry("AB", "C", "A", "BC")
+        stacks = [("AB", "C"), ("A", "BC"), ("AB",), ("C", "AB"), ()]
+        covered = {covered_by_sender(registry, owners, mode)
+                   for owners in stacks}
+        assert len(covered) == len(stacks)
+
+    def test_a_sealed_codec_has_one_fixed_width_field(self):
+        for fields in ([], [("v", hdr.VARBYTES)],
+                       [("v", hdr.U32), ("w", hdr.U32)]):
+            with pytest.raises(HeaderError):
+                hdr.HeaderCodec("S", fields, sealed=True)
 
 
 # ----------------------------------------------------------------------
-# CHKSUM / SIGN over the spans that arrived
+# CHKSUM / SIGN over the datagram's own bytes
 # ----------------------------------------------------------------------
 
 _GOLDEN_KEY = "golden-key"
-#: Covered bytes, CRC-32 and truncated HMAC of :func:`golden_message`,
-#: computed with the joined ``content_chunks`` at commit 492f29f.
-#: They pin the coverage definition: if these move, every sum on the
+#: What CHKSUM / SIGN cover of :func:`golden_message` cast down
+#: ``<layer>:COM`` (:class:`IntegrityRig`) in ``aligned`` mode: the head
+#: both layers share — the preamble and the three headers above, frames
+#: and padding included — the layer's own frame, and the body frame.
+#: Re-cut once, when the covered bytes became the datagram's own instead
+#: of a re-encoding with owner names: if these move, every sum on the
 #: wire moved.
-_GOLDEN_COVERED = bytes.fromhex(
-    "00074d42525348495000000000030000000000000000000000000000002907616c"
-    "6963653a31000207616c6963653a3105626f623a3200000000000207616c696365"
-    "3a31000000000000000705626f623a3200000000000000090004465241470100034e"
-    "414b0000000003000000000000012c00000000000000000000000000000000676f"
-    "6c64656e20626f6479"
+_GOLDEN_HEAD = bytes.fromhex(
+    "4852000501005100000000030000000000000000000000000000002907616c6963"
+    "653a31000207616c6963653a3105626f623a3200000000000207616c6963653a31"
+    "000000000000000705626f623a3200000000000000090a0001010d001d00000000"
+    "03000000000000012c00000000000000000000000000000000"
 )
-_GOLDEN_CRC = 0xBCBC400C
-_GOLDEN_MAC = bytes.fromhex("0b991b052cf5399e")
+_GOLDEN_FRAMES = {"CHKSUM": bytes.fromhex("040004"),
+                  "SIGN": bytes.fromhex("160008")}
+_GOLDEN_TAIL = struct.pack(">I", 11) + b"golden body"
+_GOLDEN_CRC = 0x60A24701
+_GOLDEN_MAC = bytes.fromhex("7d354cdc65c3e198")
+#: The value each layer writes for the same cast in every mode (the
+#: covered bytes differ by mode byte and layout).
+_GOLDEN_ON_THE_WIRE = {
+    "sum": {"aligned": "60a24701", "compact": "0d7a43d8",
+            "packed": "99508b57", "table": "cc7f7e77"},
+    "mac": {"aligned": "7d354cdc65c3e198", "compact": "5da95a59dc0b6668",
+            "packed": "2050a42c701675c8", "table": "a5934d94cbe00a8c"},
+}
 
 #: (stack spec, the layer's drop counter, its header's verdict field)
 INTEGRITY_LAYERS = [
@@ -1014,12 +1079,14 @@ def join_datagram(mode_byte, frames, body):
 
 
 class IntegrityRig:
-    """Two members on ``<layer>:COM``.  ``a``'s datagrams are captured
-    instead of sent and handed to ``b``'s demux by hand, which unmarshals
-    every datagram lazily, whatever happened to its bytes."""
+    """Two members on ``<layer>:COM``, in any wire mode.  ``a``'s
+    datagrams are captured instead of sent and handed to ``b``'s demux by
+    hand, which unmarshals every datagram lazily, whatever happened to
+    its bytes."""
 
-    def __init__(self, spec, mode, above=""):
-        self.world = World(seed=5, network="lan", wire_mode=mode)
+    def __init__(self, spec, mode, above="", obs=None):
+        self.mode = mode
+        self.world = World(seed=5, network="lan", wire_mode=mode, obs=obs)
         self.a = self.world.process("a").endpoint()
         self.b = self.world.process("b").endpoint()
         self.ha = self.a.join("grp", stack=f"{above}{spec}:COM")
@@ -1053,45 +1120,84 @@ class IntegrityRig:
     def undecodable(self):
         return self.b.undecodable_packets + self.hb.stack.undecodable_messages
 
+    def sealed(self, data):
+        """The layer's :class:`SealedHeader` in ``data``, as a receiver
+        with a fresh table store reads it."""
+        message = unmarshal_mode(DEFAULT_REGISTRY, data, self.mode)
+        message.pop_header("COM")
+        return message.pop_entry(self.layer.name)
+
+    def covered_positions(self, data):
+        """Offsets of the bytes the layer covers in ``data``, and of its value."""
+        entry = self.sealed(data)
+        start = len(entry.head)
+        value = range(start, start + len(entry.span))
+        head_and_tail = list(range(start)) + list(
+            range(len(data) - len(entry.tail), len(data)))
+        return head_and_tail, value
+
+    def flip_is_refused(self, data):
+        """``data`` is not delivered, and the layer let nothing through:
+        it dropped it, or the datagram never reached it."""
+        verified = self.layer.verified
+        assert self.receive(data) == []
+        assert self.layer.verified == verified
+
 
 class TestCoveredBytes:
-    """(a) Receiver and sender cover the same bytes, and those bytes are
-    the ones the parent commit covered."""
+    """(a) Receiver and sender cover the same bytes of the same
+    datagram, in every mode, and those bytes are pinned."""
 
     @pytest.mark.parametrize("layer", registered_layers())
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_every_mode_lazy_and_eager_covers_the_senders_bytes(self, layer, data):
         header = data.draw(header_strategy(DEFAULT_REGISTRY.codec_for(layer)))
-        msg = Message(b"seg one, ")
-        msg.add_segment(b"seg two")
-        msg.push_header(layer, header)
-        expected = covered(DEFAULT_REGISTRY, msg)
         for mode in WIRE_MODES:
+            msg = Message(b"seg one, ")
+            msg.add_segment(b"seg two")
+            msg.push_header(layer, header)
+            hook = _Recorder()
+            msg.push_owned_header("CHKSUM", {"sum": hook})
             wire = marshal_mode(DEFAULT_REGISTRY, msg, mode)
+            ((head, tail),) = hook.seen
+            # The definition: every byte ahead of the value, the body frame.
+            assert wire[:len(head)] == head
+            assert wire[len(head):len(head) + 4] == hook(head, tail)
+            assert tail == struct.pack(">I", 16) + b"seg one, seg two"
+            assert wire.endswith(tail)
             for lazy in (False, True):
                 out = unmarshal_mode(DEFAULT_REGISTRY, wire, mode, lazy=lazy)
-                assert covered(DEFAULT_REGISTRY, out) == expected, (
-                    mode, lazy)
+                entry = out.pop_entry("CHKSUM")
+                assert bytes(entry.head) == head, (mode, lazy)
+                assert bytes(entry.tail) == tail, (mode, lazy)
+                assert entry.span == hook(head, tail)
                 if lazy and mode in SPAN_MODES:
-                    # The walk read the span; it decoded nothing.
+                    # The check read the spans; it decoded nothing.
                     assert type(out.header_entries()[0][1]) is not dict
 
     def test_golden_vector(self):
-        msg = golden_message()
-        assert covered(DEFAULT_REGISTRY, msg) == _GOLDEN_COVERED
-        assert zlib.crc32(_GOLDEN_COVERED) == _GOLDEN_CRC
-        assert hmac.new(_GOLDEN_KEY.encode(), _GOLDEN_COVERED,
-                        hashlib.sha256).digest()[:8] == _GOLDEN_MAC
+        for spec, _, field in INTEGRITY_LAYERS:
+            rig = IntegrityRig(spec, "aligned")
+            wire = rig.datagram(golden_message())
+            spans = header_spans(wire)
+            name = rig.layer.name
+            covered = wire[:spans[name][0]] + wire[spans["body"][0] - 4:]
+            assert covered == _GOLDEN_HEAD + _GOLDEN_FRAMES[name] + _GOLDEN_TAIL
+            if field == "sum":
+                assert zlib.crc32(covered) == _GOLDEN_CRC
+                assert wire[slice(*spans[name])] == struct.pack(">I", _GOLDEN_CRC)
+            else:
+                assert hmac.new(_GOLDEN_KEY.encode(), covered,
+                                hashlib.sha256).digest()[:8] == _GOLDEN_MAC
+                assert wire[slice(*spans[name])] == _GOLDEN_MAC
 
     @pytest.mark.parametrize("mode", WIRE_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
     def test_golden_vector_on_the_wire(self, spec, counter, field, mode):
         rig = IntegrityRig(spec, mode)
-        msg = golden_message()
-        wire = rig.datagram(msg)
-        pushed = dict(msg.headers())[rig.layer.name][field]
-        assert pushed == (_GOLDEN_CRC if field == "sum" else _GOLDEN_MAC)
+        wire = rig.datagram(golden_message())
+        assert rig.sealed(wire).span.hex() == _GOLDEN_ON_THE_WIRE[field][mode]
         (got,) = rig.receive(wire)
         assert got.data == b"golden body"
         assert rig.layer.verified == 1 and getattr(rig.layer, counter) == 0
@@ -1112,51 +1218,77 @@ class TestIntegritySpanPath:
             monkeypatch.setattr(hdr.HeaderCodec, name, recording)
         return calls
 
-    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("mode", WIRE_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
     def test_intact_datagram_costs_no_encode_and_one_decode(
             self, spec, counter, field, mode, codec_calls):
-        """(b) The mechanism, deterministically: on the way up the layer
-        decodes its own header, encodes nothing, and hands the headers
-        above it to the next layer still lazy."""
+        """(b) The mechanism, deterministically: the layer encodes
+        nothing on the way down (marshal encodes every header once), and
+        on the way up it decodes nothing — the one decode is COM's, the
+        demux reading the group — and hands the headers above it to the
+        next layer still lazy."""
         rig = IntegrityRig(spec, mode)
         wire = rig.datagram(golden_message())
+        # Down: marshal's one encode per header; the layer's is none.
+        assert sorted(codec_calls["encode"]) == (
+            ["COM", "FRAG", "MBRSHIP", "NAK"] if mode in SPAN_MODES else [])
         codec_calls["encode"].clear()
         (got,) = rig.receive(wire)
-        # COM's decode is the demux reading the group; the other is ours.
-        assert codec_calls == {"encode": [], "decode": ["COM", rig.layer.name]}
+        assert codec_calls == {
+            "encode": [], "decode": ["COM"] if mode in SPAN_MODES else []}
         entries = got.message.header_entries()
         assert [owner for owner, _ in entries] == ["MBRSHIP", "FRAG", "NAK"]
-        assert all(type(header) is not dict for _, header in entries)
+        if mode in SPAN_MODES:
+            assert all(type(header) is not dict for _, header in entries)
         assert rig.layer.verified == 1
 
-    @pytest.mark.parametrize("mode", SPAN_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_an_observed_stack_still_verifies(self, spec, counter, field):
+        """An observed stack peeks at each layer's header on the way in
+        to size it; a peek decodes a copy of a sealed header and leaves
+        the entry, spans and all, for its layer to check."""
+        rig = IntegrityRig(spec, "aligned", obs=ObsOptions.full())
+        (got,) = rig.receive(rig.datagram(golden_message()))
+        assert got.data == b"golden body"
+        assert rig.layer.verified == 1 and getattr(rig.layer, counter) == 0
+        message = DEFAULT_REGISTRY.unmarshal(rig.datagram(golden_message()))
+        message.pop_header("COM")
+        entry = message.header_entries()[-1][1]
+        assert message.peek_header(rig.layer.name) == entry.materialize()
+        assert message.pop_entry(rig.layer.name) is entry
+
+    @pytest.mark.parametrize("mode", WIRE_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
     def test_every_bit_flip_is_dropped(self, spec, counter, field, mode):
-        """(c) Covered region, ``sum`` or ``mac``: every flip is dropped,
-        and counted by the layer itself — the BOOL's other seven bits
-        included, which still decode to the sender's value (case (d))."""
+        """(c) Every flip of a covered bit, or of ``sum`` / ``mac``, is
+        refused.  In the span modes a flip inside a header's value, the
+        body or the verdict leaves the framing intact, and is counted by
+        the layer itself — the BOOL's other seven bits included, which
+        still decode to the sender's value (case (d))."""
         rig = IntegrityRig(spec, mode)
         wire = rig.datagram(golden_message())
+        covered, value = rig.covered_positions(wire)
+        for pos in covered + list(value):
+            for bit in range(8):
+                garbled = bytearray(wire)
+                garbled[pos] ^= 1 << bit
+                rig.flip_is_refused(bytes(garbled))
+        assert rig.layer.verified == 0
+        if mode not in SPAN_MODES:
+            return
         spans = header_spans(wire)
-        own = spans[rig.layer.name]
-        regions = {name: spans[name] for name in ("MBRSHIP", "FRAG", "NAK", "body")}
-        regions[field] = (own[1] - (4 if field == "sum" else 8), own[1])
-        assert sum(end - start for start, end in regions.values()) == (
-            len(_GOLDEN_COVERED) - 20  # the three owner frames
-            + (4 if field == "sum" else 8))
-        for name, (start, end) in regions.items():
+        regions = [spans[name] for name in ("MBRSHIP", "FRAG", "NAK", "body")]
+        regions.append((value.start, value.stop))
+        for start, end in regions:
             for pos in range(start, end):
                 for bit in range(8):
                     garbled = bytearray(wire)
                     garbled[pos] ^= 1 << bit
-                    garbled = bytes(garbled)
                     dropped = getattr(rig.layer, counter)
                     undecodable = rig.undecodable()
-                    assert rig.receive(garbled) == []
+                    assert rig.receive(bytes(garbled)) == []
                     assert getattr(rig.layer, counter) == dropped + 1
                     assert rig.undecodable() == undecodable
-        assert rig.layer.verified == 0
 
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
@@ -1188,12 +1320,139 @@ class TestIntegritySpanPath:
         assert rig.undecodable() == 0
 
 
+class TestEncryptThenMac:
+    @pytest.mark.parametrize("mode", SPAN_MODES)
+    def test_sign_below_crypt_covers_the_nonce_and_the_ciphertext(self, mode):
+        """The body is covered as it travels: below CRYPT, SIGN covers
+        the ciphertext and CRYPT's header, so a changed nonce — which
+        would decrypt to other plaintext — is rejected before CRYPT
+        sees it."""
+        rig = IntegrityRig(f"SIGN(key='{_GOLDEN_KEY}')", mode, above="CRYPT:")
+        wire = rig.cast(b"attack at dawn")
+        assert b"dawn" not in wire
+        start, end = header_spans(wire)["CRYPT"]
+        for pos in (start + 7, len(wire) - 1):  # the nonce's last byte, the body's
+            forged = bytearray(wire)
+            forged[pos] ^= 0x01
+            assert rig.receive(bytes(forged)) == []
+        assert rig.layer.rejected == 2
+        assert [got.data for got in rig.receive(wire)] == [b"attack at dawn"]
+
+    @pytest.mark.parametrize("stack", [
+        f"SIGN(key='{_GOLDEN_KEY}'):CRYPT:COM", "NAK:CHKSUM:COMPRESS:COM",
+        "CHKSUM:FRAG:NAK:COM", "NAK:SIGN:NFRAG:COM"])
+    def test_a_seal_above_a_layer_that_reshapes_the_body_is_refused(self, stack):
+        """Above CRYPT or COMPRESS a seal would leave the header that
+        decides what the body means uncovered (a changed nonce would be
+        delivered as plaintext no member sent); above FRAG or NFRAG it
+        would cover one fragment.  The stack is refused when built."""
+        endpoint = World(seed=5, network="lan").process("a").endpoint()
+        with pytest.raises(StackError, match="must sit below"):
+            endpoint.join("grp", stack=stack)
+
+
+def structure_positions(rig, wire, above):
+    """``{what: offset}`` of the structural bytes of ``wire`` the layer
+    covers: the header count, the mode byte, a length, padding (where
+    the mode has them) and the body length.  ``above`` is the headers
+    above the layer."""
+    head_and_tail, value = rig.covered_positions(wire)
+    tail = len(wire) - len(rig.sealed(wire).tail)
+    where = {"header count": 3, "mode byte": 2, "body length": tail + 3}
+    if rig.mode in SPAN_MODES:
+        spans = header_spans(wire)
+        where["frame length"] = spans["FRAG"][0] - 1
+        if rig.mode == "aligned":
+            # REALTIME's frame and span are eleven bytes: one pad byte.
+            where["padding"] = spans["REALTIME"][1]
+    elif rig.mode == "packed":
+        where["block length"] = 5
+        # Zero bits align the value to a byte after the ids and fields
+        # above it and the layer's own id: the low bits of the byte
+        # ahead of the value.
+        bits = 8 + sum(8 + DEFAULT_REGISTRY.codec_for(owner).bit_size(header)
+                       for owner, header in above)
+        assert bits % 8  # so at least the lowest bit is padding
+        where["padding"] = value.start - 1
+    else:
+        # The channel section: id, epoch, update count, then the first
+        # install's index and length.
+        where["install length"] = 4 + 8 + 3
+    assert all(pos in head_and_tail for pos in where.values())
+    return where
+
+
+class TestStructureIsCovered:
+    """Counts and lengths are covered bytes: a datagram whose header
+    count, mode byte, lengths or padding were flipped is refused in every
+    wire mode, by the sum itself whenever it still frames."""
+
+    @pytest.mark.parametrize("mode", WIRE_MODES)
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_each_structural_byte_flip_is_refused(self, spec, counter, field, mode):
+        rig = IntegrityRig(spec, mode)
+        message = golden_message()
+        message.push_header("REALTIME", {"deadline": 1.5})
+        above = message.headers()
+        wire = rig.datagram(message)
+        where = structure_positions(rig, wire, above)
+        by_the_sum = set()
+        for what, pos in where.items():
+            for bit in range(8):
+                if what == "padding" and mode == "packed" and bit:
+                    continue  # the one pad bit known to be there
+                garbled = bytearray(wire)
+                garbled[pos] ^= 1 << bit
+                dropped = getattr(rig.layer, counter)
+                rig.flip_is_refused(bytes(garbled))
+                if getattr(rig.layer, counter) == dropped + 1:
+                    by_the_sum.add(what)
+        # Where a flip leaves the datagram framing, it is the sum that
+        # refuses it — bytes no header or body decode ever reads included.
+        # (``table`` binds the body frame to the datagram's end itself.)
+        framing = {"padding", "body length"} & set(where)
+        if mode == "table":
+            framing.discard("body length")
+        assert framing <= by_the_sum
+        assert rig.layer.verified == 0
+
+    @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
+    def test_a_garbled_mode_byte_is_never_taken_for_loopback(
+            self, spec, counter, field):
+        """A looped-back message carries its layer's seal hook, a mark no
+        datagram can: whatever a datagram's mode byte says, its sealed
+        header arrives with the bytes it covers.  An ``aligned`` datagram
+        garbled into ``packed`` is refused; a well-formed ``packed`` or
+        ``table`` datagram whose header holds a plain value — what a
+        decoded header looks like — is checked, and dropped by the
+        layer; so is a decoded dict handed to the layer itself."""
+        rig = IntegrityRig(spec, "aligned")
+        wire = rig.datagram(golden_message())
+        rig.flip_is_refused(wire[:2] + b"\x02" + wire[3:])
+        plain = {field: b"\x00" * 8 if field == "mac" else 0}
+        for mode in ("packed", "table"):
+            msg = golden_message()
+            msg.push_header(rig.layer.name, plain)
+            msg.push_header("COM", {"group": GroupAddress("grp"), "kind": 0,
+                                    "source": rig.ha.endpoint_address})
+            dropped = getattr(rig.layer, counter)
+            assert rig.receive(marshal_mode(DEFAULT_REGISTRY, msg, mode)) == []
+            assert getattr(rig.layer, counter) == dropped + 1
+        decoded = golden_message()
+        decoded.push_header(rig.layer.name, plain)
+        dropped = getattr(rig.layer, counter)
+        rig.layer.handle_up(Upcall(UpcallType.CAST, message=decoded,
+                                   source=rig.ha.endpoint_address))
+        assert getattr(rig.layer, counter) == dropped + 1
+        assert rig.layer.verified == 0
+
+
 class TestFrameBoundariesAreBound:
-    """The covered bytes carry no span lengths, so a datagram whose frame
-    boundaries were moved covers the same byte string as the sender's and
-    its sum verifies — without the key.  A lazy header must therefore
-    fill its span: the owner's pop raises and the stack drops the
-    message."""
+    """A datagram whose frame boundaries were moved — body bytes declared
+    part of the header above, or a whole header folded into the one above
+    it — is other covered bytes: its lengths and its header count moved,
+    so the sum itself refuses it.  A lazy header must also fill its span,
+    so the owner's pop would refuse it too."""
 
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("spec, counter, field", INTEGRITY_LAYERS)
@@ -1207,18 +1466,18 @@ class TestFrameBoundariesAreBound:
         frames, body = split_datagram(wire)
         assert list(frames)[:2] == ["FRAG", "NAK"]  # covered in this order
         if moved == "body bytes":
-            # ... |NAK|S_nak|body  ==  ... |NAK|S_nak + body[:5]|body[5:]
+            # ... |NAK|S_nak|body  ->  ... |NAK|S_nak + body[:5]|body[5:]
             frames["NAK"] += body[:5]
             body = body[5:]
         else:
-            # FRAG|S_frag|NAK|S_nak|body  ==  FRAG|S_frag + NAK|S_nak|body
-            frames["FRAG"] += (DEFAULT_REGISTRY.codec_for("NAK").owner_frame
-                               + frames.pop("NAK"))
+            # FRAG|S_frag|NAK|S_nak  ->  FRAG|S_frag + NAK's frame + S_nak
+            nak = frames.pop("NAK")
+            frames["FRAG"] += struct.pack(">BH", layer_id("NAK"), len(nak)) + nak
         forged = join_datagram(wire[2], frames, body)
         assert rig.receive(forged) == []
-        # The sum verified (that is the hole); the owner refused the span.
-        assert rig.layer.verified == 2 and getattr(rig.layer, counter) == 0
-        assert rig.undecodable() == 1
+        # The sum refused it: the layer counted it, nothing above saw it.
+        assert rig.layer.verified == 1 and getattr(rig.layer, counter) == 1
+        assert rig.undecodable() == 0
 
     @pytest.mark.parametrize("mode", SPAN_MODES)
     @pytest.mark.parametrize("layer", registered_layers())

@@ -224,13 +224,13 @@ class TestTotalPacks:
         assert sent == [GOLDEN_LONE_CAST]
 
     #: The widest stack of registered layers that can sit below TOTAL
-    #: without FRAG: its headers on a pack measure 300 B in aligned mode
-    #: with the 16-character names below (286 compact, 260 packed, 111
+    #: without FRAG: its headers on a pack measure 296 B in aligned mode
+    #: with the 16-character names below (282 compact, 256 packed, 101
     #: table), against HEADER_RESERVE.
     WIDEST_WITHOUT_FRAG = (
         "TOTAL:STABLE:PINWHEEL:MERGE:VSS:FLUSH:MBRSHIP:PRIO:"
         "REALTIME(policy=flag):"
-        "KEYDIST:COMPRESS:SIGN:CRYPT:NAK:CHKSUM:COM")
+        "KEYDIST:COMPRESS:CRYPT:SIGN:NAK:CHKSUM:COM")
 
     @pytest.mark.parametrize("stack", [
         "TOTAL:MBRSHIP:NAK:COM", WIDEST_WITHOUT_FRAG], ids=["plain", "widest"])

@@ -83,7 +83,7 @@ class TestFigure1:
     #: A spread of stacks, one to eight layers, from one layer library.
     STACKS = [
         "COM", "NAK:COM", "NNAK:COM", "FRAG:NAK:COM", "NAK:NFRAG:COM",
-        "NAK:CHKSUM:COM", "NAK:SIGN:CRYPT:COM", "COMPRESS:NAK:COM",
+        "NAK:CHKSUM:COM", "NAK:CRYPT:SIGN:COM", "COMPRESS:NAK:COM",
         "CREDIT:MBRSHIP:FRAG:NAK:COM", "PRIO:COM", VS_STACK,
         "FLUSH:VSS:BMS:FRAG:NAK:COM", "TOTAL:MBRSHIP:FRAG:NAK:COM",
         "CAUSAL:CAUSAL_TS:MBRSHIP:FRAG:NAK:COM", "STABLE:MBRSHIP:FRAG:NAK:COM",

@@ -114,7 +114,8 @@ class TestOneDatagramEightReceivers:
         calls["framed"] = 0
         for name in RECEIVERS:
             assert rig.hand(name, wire) == [b"to all eight"]
-        assert sorted(calls["decode"]) == sorted(LAYERS)
+        # Every layer but CHKSUM, which checks its spans undecoded.
+        assert sorted(calls["decode"]) == sorted(set(LAYERS) - {"CHKSUM"})
         assert calls["framed"] == 1
         assert list(rig.world.header_frames) == [wire]
         assert all(rig.chksum(name).verified >= 1 for name in RECEIVERS)
@@ -165,13 +166,15 @@ class TestPrivacy:
         for message in received:
             message.pop_header("NAK")
             message.pop_header("FRAG")
-        vandal = received[0].peek_header("MBRSHIP")
-        assert vandal is received[0].pop_header("MBRSHIP")  # its own, twice
-        vandal["seq"] = -1
-        vandal["extra"] = "field"
-        vandal["members"].append("intruder")
-        vandal["vector"][SRC] = 10**9
-        vandal["vector"]["intruder"] = 0
+        peeked = received[0].peek_header("MBRSHIP")
+        popped = received[0].pop_header("MBRSHIP")
+        assert peeked == popped and peeked is not popped  # a copy each
+        for vandal in (peeked, popped):
+            vandal["seq"] = -1
+            vandal["extra"] = "field"
+            vandal["members"].append("intruder")
+            vandal["vector"][SRC] = 10**9
+            vandal["vector"]["intruder"] = 0
         for message in received[1:]:
             assert message.pop_header("MBRSHIP") == pristine
         duplicate = lazy(wire, frames)  # a later copy of the same bytes
