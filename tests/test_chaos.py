@@ -501,17 +501,19 @@ class TestChaosCli:
     #: NAK's per-peer unicast status rode its status multicast: that
     #: moved the timing of every run, which changes which casts CREDIT
     #: sheds or blocks in the overload family.  The base family's views
-    #: and deliveries did not move.
+    #: and deliveries did not move.  Re-cut again (overload, stateful)
+    #: when NAK's status went out only when it was news: fewer control
+    #: datagrams shift every later fault draw; the base digest held.
     PINNED_SOAKS = [
         (["--seed", "0", "--scenarios", "10", "--substrate", "sim"],
          "538177f27181fa60"),
         (["--seed", "7", "--scenarios", "3", "--overload"],
-         "7a7887a5c79982ae"),
+         "f6e4cdbcf96610be"),
         # The only family that drives ReplicatedDict's journal, replay
         # and state transfer.
         (["--seed", "0", "--scenarios", "10", "--substrate", "sim",
           "--stateful", "--durability", "group"],
-         "236bfdc24e5b9c14"),
+         "5579009aff4fddea"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED_SOAKS)
